@@ -985,7 +985,7 @@ class ClusterCoordinator:
             except QuotaExceededError as exc:
                 return 413, self._tenant_error("quota_exceeded", exc, tenant)
             except Exception as exc:  # noqa: BLE001 — a request must never kill the front
-                return 500, {"error": "internal", "message": str(exc)}
+                return 500, self._tenant_error("internal", exc, tenant)
         finally:
             if admitted:
                 self._tenant_admission.release(tenant.name)
@@ -1480,6 +1480,10 @@ class ClusterCoordinator:
             name, members = item
             sub = dict(run_params)
             sub["queries"] = [query for _, query in members]
+            if tenant is not None:
+                # The cursor keys carry no tenant; a tenanted replica
+                # would fail every item "tenant required" without it.
+                sub["tenant"] = tenant.name
             if cur is not None:
                 sub[TRACE_PARAM] = cur.trace_id
                 sub[TRACE_PARENT_PARAM] = cur.span_id

@@ -33,9 +33,16 @@ Concurrency: one writer connection guarded by a lock, plus one lazily
 opened read connection per thread — under WAL, readers never block the
 writer and always see the last committed state. Hot per-document state
 (lengths, tombstones, the vocabulary interning map) is mirrored in
-memory so scorers pay no SQL per ``doc_length`` call. The mirrors are
-rebuilt from the database at open, which is what makes a reopen after a
-crash (or a plain restart) land in exactly the committed state.
+memory so scorers pay no SQL per ``doc_length`` call. So is each term's
+live document frequency (``term_id -> df``, only terms with a live
+posting): ``document_frequency``, ``vocabulary`` and ``num_terms`` are
+mirror reads, so idf costs a dict lookup instead of a posting-list
+fetch. Writers keep every mirror current inside the transaction, under
+the write lock. The mirrors are rebuilt from the database at open, after
+a rolled-back write, and by :meth:`DocumentStore.refresh`, which is what
+makes a reopen after a crash (or a plain restart) land in exactly the
+committed state. They assume one writer *process*: a process that did
+not write a change sees it only after ``refresh()`` or a reopen.
 """
 
 from __future__ import annotations
@@ -141,6 +148,20 @@ class DocumentStore:
                 "SELECT term_id, term FROM vocabulary"
             )
         }
+        # Live document frequency per term_id; only terms with at least
+        # one live posting have an entry. Tombstoned postings linger until
+        # compact(), so only a store with tombstones pays for the join.
+        if self._deleted:
+            rows = self._writer.execute(
+                "SELECT p.term_id, COUNT(*) FROM postings p "
+                "JOIN documents d ON d.pos = p.pos "
+                "WHERE d.deleted = 0 GROUP BY p.term_id"
+            )
+        else:
+            rows = self._writer.execute(
+                "SELECT term_id, COUNT(*) FROM postings GROUP BY term_id"
+            )
+        self._df: dict[int, int] = dict(rows)
 
     def close(self) -> None:
         """Close the writer connection (per-thread readers close with GC)."""
@@ -270,42 +291,23 @@ class DocumentStore:
             return [(pos, tf) for pos, tf in rows if pos not in dead]
         return [(int(pos), int(tf)) for pos, tf in rows]
 
+    # analyze: ignore[GUARD001] - lock-free reader by design: mirror bindings are replaced atomically (GIL) and a slightly stale view is acceptable to concurrent readers
     def document_frequency(self, term: str) -> int:
-        return len(self.term_postings(term))
+        """Live documents containing ``term`` (a mirror lookup, no SQL)."""
+        term_id = self._term_ids.get(term)
+        return 0 if term_id is None else self._df.get(term_id, 0)
 
     # analyze: ignore[GUARD001] - lock-free reader by design: mirror bindings are replaced atomically (GIL) and a slightly stale view is acceptable to concurrent readers
     def vocabulary(self) -> list[str]:
         """Terms with at least one live posting, sorted."""
-        if not self._deleted:
-            # No tombstones: every interned term either has postings or
-            # was orphaned by an upsert rewrite; filter via EXISTS.
-            rows = self._read_conn().execute(
-                "SELECT v.term FROM vocabulary v WHERE EXISTS "
-                "(SELECT 1 FROM postings p WHERE p.term_id = v.term_id) "
-                "ORDER BY v.term"
-            ).fetchall()
-        else:
-            rows = self._read_conn().execute(
-                "SELECT DISTINCT v.term FROM vocabulary v "
-                "JOIN postings p ON p.term_id = v.term_id "
-                "JOIN documents d ON d.pos = p.pos "
-                "WHERE d.deleted = 0 ORDER BY v.term"
-            ).fetchall()
-        return [term for (term,) in rows]
+        df = self._df
+        # Iterate a copy: the writer interns new terms in place.
+        return sorted(t for t, tid in self._term_ids.copy().items() if tid in df)
 
     # analyze: ignore[GUARD001] - lock-free reader by design: mirror bindings are replaced atomically (GIL) and a slightly stale view is acceptable to concurrent readers
     def num_terms(self) -> int:
         """Count of terms with at least one live posting."""
-        if not self._deleted:
-            (count,) = self._read_conn().execute(
-                "SELECT COUNT(DISTINCT term_id) FROM postings"
-            ).fetchone()
-        else:
-            (count,) = self._read_conn().execute(
-                "SELECT COUNT(DISTINCT p.term_id) FROM postings p "
-                "JOIN documents d ON d.pos = p.pos WHERE d.deleted = 0"
-            ).fetchone()
-        return int(count)
+        return len(self._df)
 
     # -- mutation listeners --------------------------------------------------
 
@@ -355,6 +357,29 @@ class DocumentStore:
                 self._term_ids[term] = row[0]
         return self._term_ids
 
+    def _stored_term_ids(self, pos: int) -> list[int]:
+        """Term ids of the document row at ``pos`` (writer lock held).
+
+        A primary-key read of the row's ``terms`` JSON; terms pruned from
+        the vocabulary by :meth:`compact` have no postings left and are
+        skipped.
+        """
+        (terms,) = self._writer.execute(
+            "SELECT terms FROM documents WHERE pos = ?", (pos,)
+        ).fetchone()
+        ids = self._term_ids
+        return [ids[t] for t in json.loads(terms) if t in ids]
+
+    def _forget_df(self, term_ids: Iterable[int]) -> None:
+        """Decrement live df for one document leaving (writer lock held)."""
+        df = self._df
+        for term_id in term_ids:
+            count = df[term_id] - 1
+            if count:
+                df[term_id] = count
+            else:
+                del df[term_id]
+
     def _upsert_one(self, doc: Document) -> int:
         """Write one document inside the open transaction; return its pos."""
         existing = self._pos_by_doc_id.get(doc.doc_id)
@@ -376,18 +401,32 @@ class DocumentStore:
             self._pos_by_doc_id[doc.doc_id] = pos
         else:
             pos = existing
+            old_ids = self._stored_term_ids(pos)
             self._writer.execute(
                 "UPDATE documents SET kind = ?, title = ?, fields = ?, "
                 "terms = ?, length = ?, deleted = 0 WHERE pos = ?",
                 payload + (pos,),
             )
-            self._writer.execute("DELETE FROM postings WHERE pos = ?", (pos,))
+            # By primary key: postings has no index on pos alone.
+            self._writer.executemany(
+                "DELETE FROM postings WHERE term_id = ? AND pos = ?",
+                [(term_id, pos) for term_id in old_ids],
+            )
+            if pos in self._deleted:
+                self._deleted.discard(pos)  # delete() already forgot its df
+            else:
+                self._forget_df(old_ids)
             self._doc_lengths[pos] = doc.length()
-            self._deleted.discard(pos)
-        ids = self._intern_terms(sorted(doc.terms))
+        terms = sorted(doc.terms)
+        ids = self._intern_terms(terms)
+        df = self._df
+        rows = []
+        for term in terms:
+            term_id = ids[term]
+            rows.append((term_id, pos, int(doc.terms[term])))
+            df[term_id] = df.get(term_id, 0) + 1
         self._writer.executemany(
-            "INSERT INTO postings (term_id, pos, tf) VALUES (?, ?, ?)",
-            [(ids[t], pos, int(doc.terms[t])) for t in sorted(doc.terms)],
+            "INSERT INTO postings (term_id, pos, tf) VALUES (?, ?, ?)", rows
         )
         return pos
 
@@ -470,6 +509,7 @@ class DocumentStore:
                     "UPDATE documents SET deleted = 1 WHERE pos = ?", (pos,)
                 )
                 self._deleted.add(pos)
+                self._forget_df(self._stored_term_ids(pos))
                 positions.append(pos)
             self._bump_generation()
             self._log_change("delete", ids)
@@ -549,6 +589,9 @@ class DocumentStore:
             # The term-map rebuild uses the writer connection and replaces
             # a guarded mirror; outside the lock it would race a concurrent
             # upsert's term interning and clobber its newly-added terms.
+            # The df mirror needs no pruning: writers drop a term's entry
+            # when its last live posting goes, and compaction removes no
+            # live posting.
             self._term_ids = {
                 term: term_id
                 for term_id, term in self._writer.execute(

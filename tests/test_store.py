@@ -400,6 +400,183 @@ class TestEquivalenceWithInvertedIndex:
             assert backend.or_query(terms) == ref.or_query(terms)
 
 
+class TestDocumentFrequencyMirror:
+    """The in-memory live-df mirror always equals a recount of the store.
+
+    Every step of a seeded random walk over the whole write path —
+    upserts (new ids, rewrites, revived tombstones), deletes, compaction
+    with and without VACUUM, rolled-back batches, close/reopen — is
+    followed by a full check of every term against its posting list and
+    a brute-force recount of the live documents.
+    """
+
+    TERMS = [f"t{i}" for i in range(20)] + ["never-seen"]
+
+    @classmethod
+    def _check(cls, store: DocumentStore) -> None:
+        recount: dict[str, int] = {}
+        for pos, doc in enumerate(store.documents()):
+            if not store.is_deleted(pos):
+                for term in doc.terms:
+                    recount[term] = recount.get(term, 0) + 1
+        for term in cls.TERMS:
+            df = store.document_frequency(term)
+            assert df == len(store.term_postings(term)), term
+            assert df == recount.get(term, 0), term
+        assert store.vocabulary() == sorted(recount)
+        assert store.num_terms() == len(recount)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_random_walk_keeps_df_exact(self, store_path, seed):
+        rng = random.Random(1000 + seed)
+        store = DocumentStore(store_path)
+        ids = [f"d{i}" for i in range(30)]
+
+        def reject(_store, _docs):
+            raise StoreError("rejected by guard")
+
+        try:
+            for _step in range(200):
+                known = [i for i in ids if i in store]
+                dead = [
+                    store.document(pos).doc_id
+                    for pos in sorted(store.deleted_positions())
+                ]
+                action = rng.random()
+                if action < 0.45:
+                    # New ids, rewrites of live ids and revivals of
+                    # tombstoned ones, possibly twice in one batch.
+                    batch = [
+                        random_doc(rng, rng.choice(ids))
+                        for _ in range(rng.randint(1, 5))
+                    ]
+                    store.upsert_all(batch)
+                elif action < 0.65 and known:
+                    store.delete_all(
+                        rng.sample(known, rng.randint(1, min(3, len(known))))
+                    )
+                elif action < 0.75:
+                    store.compact(vacuum=rng.random() < 0.3)
+                elif action < 0.82:
+                    generation = store.generation
+                    with pytest.raises(StoreError, match="guard"):
+                        store.upsert_all(
+                            [random_doc(rng, rng.choice(ids))], guard=reject
+                        )
+                    assert store.generation == generation
+                elif action < 0.90:
+                    # Fails inside the transaction after the mirrors moved:
+                    # a valid write first, then a bad one; all rolled back.
+                    generation = store.generation
+                    if known and rng.random() < 0.5:
+                        with pytest.raises(StoreError):
+                            store.delete_all(
+                                [rng.choice(known), rng.choice(dead or ["ghost"])]
+                            )
+                    else:
+                        with pytest.raises(AttributeError):
+                            store.upsert_all(
+                                [random_doc(rng, rng.choice(ids)), None]
+                            )
+                    assert store.generation == generation
+                else:
+                    store.close()
+                    store = DocumentStore(store_path)
+                self._check(store)
+        finally:
+            store.close()
+
+    def test_concurrent_writers_and_lock_free_readers(self, store_path):
+        import sys
+        import threading
+
+        store = DocumentStore(store_path)
+        ids = [f"d{i}" for i in range(20)]
+        errors: list[BaseException] = []
+        writing = threading.Event()
+        writing.set()
+
+        def writer(seed):
+            rng = random.Random(seed)
+            try:
+                for _ in range(40):
+                    doc_id = rng.choice(ids)
+                    if doc_id in store and rng.random() < 0.3:
+                        try:
+                            store.delete(doc_id)
+                        except StoreError:
+                            pass  # another writer deleted it first
+                    else:
+                        store.upsert(random_doc(rng, doc_id))
+            except Exception as exc:  # noqa: BLE001 — collected for assert
+                errors.append(exc)
+
+        def reader():
+            try:
+                while writing.is_set():
+                    vocabulary = store.vocabulary()
+                    assert vocabulary == sorted(vocabulary)
+                    assert store.num_terms() >= 0
+                    for term in self.TERMS:
+                        assert store.document_frequency(term) >= 0
+            except Exception as exc:  # noqa: BLE001 — collected for assert
+                errors.append(exc)
+
+        old_interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            writers = [
+                threading.Thread(target=writer, args=(seed,))
+                for seed in range(4)
+            ]
+            readers = [threading.Thread(target=reader) for _ in range(3)]
+            for thread in writers + readers:
+                thread.start()
+            for thread in writers:
+                thread.join(timeout=60)
+            writing.clear()
+            for thread in readers:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(old_interval)
+        assert not any(t.is_alive() for t in writers + readers)
+        assert not errors, errors
+        self._check(store)
+        store.close()
+
+    @pytest.mark.parametrize("scorer_name", ["tfidf", "bm25"])
+    def test_rank_fetches_each_term_once_per_generation(
+        self, store_path, monkeypatch, scorer_name
+    ):
+        from repro.index.bm25 import BM25Scorer
+        from repro.index.scoring import TfIdfScorer
+
+        rng = random.Random(5)
+        docs = [random_doc(rng, f"d{i}") for i in range(40)]
+        backend = SQLiteIndexBackend(store_path, corpus=Corpus(docs))
+        store = backend.store
+        calls: dict[str, int] = {}
+        real = store.term_postings
+
+        def counting(term):
+            calls[term] = calls.get(term, 0) + 1
+            return real(term)
+
+        monkeypatch.setattr(store, "term_postings", counting)
+        scorer_cls = TfIdfScorer if scorer_name == "tfidf" else BM25Scorer
+        scorer = scorer_cls(backend)
+        terms = ["t1", "t2", "t3"]
+        everyone = list(range(len(store)))
+        for _generation in range(2):
+            calls.clear()
+            for _ in range(2):
+                ranked = scorer.rank(everyone, terms)
+                assert len(ranked) == len(everyone)
+            assert calls and max(calls.values()) <= 1, calls
+            backend.add(random_doc(rng, "late"))
+            everyone = list(range(len(store)))
+
+
 class TestDurability:
     def test_reopen_sees_identical_corpus(self, store_path):
         rng = random.Random(3)

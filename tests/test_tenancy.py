@@ -559,11 +559,32 @@ class _FakeReplica:
         return 200, json.dumps({"replica": self.name, "path": path}).encode()
 
 
-def _fake_coordinator(registry, clock, **kwargs):
+class _TenantedBatchReplica(_FakeReplica):
+    """Answers ``/batch`` like a replica under a tenant registry: a
+    sub-batch that names no tenant is refused, exactly as the replica's
+    edge refuses it."""
+
+    def request(self, method, path, params, timeout=None):
+        self.requests.append((method, path, dict(params)))
+        if "tenant" not in params:
+            body = {"error": "tenant_required", "message": "tenant required"}
+            return 400, json.dumps(body).encode()
+        items = [
+            {"query": q, "ok": True, "report": {"from": self.name},
+             "error_type": None, "error_message": None,
+             "seconds": 0.0, "cache": "miss"}
+            for q in params["queries"]
+        ]
+        body = {"report": {"items": items}, "cache_hits": 0,
+                "tenant": params["tenant"]}
+        return 200, json.dumps(body).encode()
+
+
+def _fake_coordinator(registry, clock, replica=_FakeReplica, **kwargs):
     coordinator = ClusterCoordinator(
         ["c:dataset=wikipedia"],
         replicas=2,
-        replica_factory=lambda name, factory: _FakeReplica(name, factory),
+        replica_factory=replica,
         tenants=registry,
         rate_limiter=RateLimiter(clock=clock),
         **kwargs,
@@ -653,6 +674,59 @@ class TestClusterTenancy:
             assert tenants["agg"]["requests"] == 1
             assert tenants["victim"]["requests"] == 1
             assert tenants["victim"]["sheds"] == 0
+        finally:
+            coordinator.stop()
+
+    def test_batch_forwards_the_tenant_to_every_replica(self):
+        registry = TenantRegistry()
+        registry.create(TenantSpec(name="t"))
+        coordinator = _fake_coordinator(
+            registry, FakeClock(), replica=_TenantedBatchReplica
+        )
+        try:
+            queries = ["java", "rockets", "columbia", "eclipse", "mouse"]
+            status, payload = coordinator.handle(
+                "POST", "/batch",
+                {"config": "c", "queries": queries, "tenant": "t"},
+            )
+            assert status == 200
+            assert payload["n_failed"] == 0, payload["report"]["items"]
+            assert payload["n_ok"] == len(queries)
+            assert payload["tenant"] == "t"
+            sent = [
+                params for replica in coordinator._replicas.values()
+                for _method, path, params in replica.requests
+                if path == "/batch"
+            ]
+            assert sent and all(params["tenant"] == "t" for params in sent)
+        finally:
+            coordinator.stop()
+
+    def test_500_bodies_carry_the_tenant_on_both_tiers(self, tenant_service):
+        def explode(params, tenant=None):
+            raise RuntimeError("boom")
+
+        tenant_service.search = explode
+        status, payload = tenant_service.handle(
+            "GET", "/search", {"config": "dyn", "query": "java", "tenant": "a"}
+        )
+        assert status == 500
+        assert payload["error"] == "internal"
+        assert payload["tenant"] == "a"
+
+        # The plain fake answers /batch without a report, which breaks
+        # the coordinator's gather: its catch-all 500.
+        registry = TenantRegistry()
+        registry.create(TenantSpec(name="t"))
+        coordinator = _fake_coordinator(registry, FakeClock())
+        try:
+            status, payload = coordinator.handle(
+                "POST", "/batch",
+                {"config": "c", "queries": ["java"], "tenant": "t"},
+            )
+            assert status == 500
+            assert payload["error"] == "internal"
+            assert payload["tenant"] == "t"
         finally:
             coordinator.stop()
 
