@@ -1,8 +1,7 @@
 """The :class:`Registry` class and the built-in component registries.
 
 This module is the canonical home of both the generic string-keyed
-:class:`Registry` and the library's pluggable axes (the historical
-``repro.api.registry`` module is a deprecated alias). Six axes:
+:class:`Registry` and the library's pluggable axes. Six axes:
 
 =============  ======================================================
 ``ALGORITHMS``  expansion algorithms — ``factory(seed, **kw)``

@@ -101,7 +101,12 @@ class TenantAccessError(TenancyError):
     """A tenant addressed a serving configuration it is not allowed to use.
 
     Mapped to HTTP 403: the config may exist, but not for this tenant.
+    ``tenant`` names the refused tenant for the 403 body.
     """
+
+    def __init__(self, message: str, tenant: str | None = None) -> None:
+        super().__init__(message)
+        self.tenant = tenant
 
 
 class QuotaExceededError(TenancyError):

@@ -3,20 +3,23 @@
 Two layers, separable on purpose:
 
 * :class:`ExpansionService` — transport-free request handling. Every
-  endpoint is a method taking a plain params mapping and returning
-  ``(status, payload)``; tests and embedders can call them directly.
-* :class:`ExpansionServer` — a stdlib ``ThreadingHTTPServer`` wrapper
-  that routes HTTP requests (GET query strings or POST JSON bodies)
-  into the service and writes JSON responses. ``port=0`` binds an
-  ephemeral port; :meth:`ExpansionServer.start` runs it on a daemon
-  thread for in-process embedding.
+  endpoint is a method taking a plain params mapping (and the resolved
+  tenant) and returning ``(status, payload)``; :meth:`handle` wraps
+  them in the request envelope shared with the cluster coordinator
+  (:mod:`repro.serve.edge`).
+* :class:`ExpansionServer` — the shared HTTP front
+  (:class:`~repro.serve.edge.HTTPFront`) over the service. ``port=0``
+  binds an ephemeral port; :meth:`ExpansionServer.start` runs it on a
+  daemon thread for in-process embedding.
 
 Endpoints (all JSON):
 
 ==============  ====  =====================================================
 ``/expand``     G/P   one expansion; ``report`` is the schema-v2 envelope
 ``/search``     G/P   ranked retrieval; v2 search-result payloads
+                      (``limit``/``cursor`` paginate, see API.md)
 ``/batch``      POST  many expansions; a schema-v2 ``batch_report``
+                      (``limit``/``cursor`` paginate the items)
 ``/ingest``     POST  append documents to a mutable config's index
 ``/changefeed`` GET   replication-log records past a generation (stores)
 ``/configs``    GET   configuration specs + live pool state
@@ -41,46 +44,31 @@ ingestion staleness.
 
 from __future__ import annotations
 
-import json
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Iterable, Mapping
-from urllib.parse import parse_qs, urlsplit
 
 from repro.api import schema
-from repro.errors import (
-    QuotaExceededError,
-    ReproError,
-    ServeError,
-    TenancyError,
-    TenantAccessError,
-    UnknownConfigError,
-    UnknownTenantError,
-)
+from repro.errors import ServeError
 from repro.feed import Changefeed, batch_to_payload
 from repro.feed.changefeed import resolve_read_args
 from repro.obs import (
     DEFAULT_SLOW_THRESHOLD,
-    TRACE_HEADER,
-    TRACE_PARAM,
-    TRACE_PARENT_PARAM,
-    JsonLogger,
-    PrometheusText,
-    SlowLog,
-    TraceBuffer,
-    Tracer,
     leaf_span,
-    new_trace_id,
     render_prometheus,
-    sanitize_trace_id,
     span,
 )
-from repro.obs.prometheus import CONTENT_TYPE as _PROM_CONTENT_TYPE
-from repro.serve.admission import AdmissionController, shed_payload
 from repro.serve.cache import LRUTTLCache
+from repro.serve.edge import HTTPFront, RequestEdge, scalar
 from repro.serve.metrics import ServerMetrics
+from repro.serve.paging import (
+    SEARCH_CURSOR_KEYS,
+    apply_batch_page,
+    apply_page,
+    resolve_batch_page,
+    resolve_page,
+)
 from repro.serve.pool import (
     TENANT_KEY_SEP,
     PooledSession,
@@ -88,7 +76,6 @@ from repro.serve.pool import (
     SessionPool,
 )
 from repro.tenancy import (
-    TENANT_HEADER,
     QuotaManager,
     RateLimiter,
     TenantRegistry,
@@ -103,18 +90,8 @@ DEFAULT_WORKERS = 4
 #: sheds advertise the exact token-refill time instead).
 DEFAULT_TENANT_RETRY_AFTER = 1.0
 
-#: Data-plane routes: tenant resolution is mandatory there when a tenant
-#: registry is configured, and rate/admission limits apply.
-_TENANT_DATA_ROUTES = frozenset(
-    {"/expand", "/search", "/batch", "/ingest", "/changefeed"}
-)
 
-#: Lowercased header names matched by the handler's single header pass.
-_TENANT_KEY = TENANT_HEADER.lower()
-_TRACE_KEY = TRACE_HEADER.lower()
-
-
-class ExpansionService:
+class ExpansionService(RequestEdge):
     """Routes expansion/search traffic onto a warm session pool.
 
     Parameters
@@ -155,6 +132,23 @@ class ExpansionService:
         log_json: bool = False,
         log_stream: Any = None,
     ) -> None:
+        # With a registry, every data-plane request resolves a tenant
+        # (X-Repro-Tenant header or ?tenant=) and gets tenant-scoped
+        # cache keys, metrics, quota, and — unless a fronting tier
+        # already enforces them (enforce_limits=False on cluster
+        # replicas) — rate limiting and bounded in-flight admission.
+        super().__init__(
+            tier="serve",
+            tenants=tenants,
+            rate_limiter=rate_limiter,
+            tenant_retry_after=tenant_retry_after,
+            enforce_limits=enforce_limits,
+            tracing=tracing,
+            trace_capacity=trace_capacity,
+            slow_threshold=slow_threshold,
+            log_json=log_json,
+            log_stream=log_stream,
+        )
         if not isinstance(pool, SessionPool):
             pool = SessionPool(pool)
         self._pool = pool
@@ -170,56 +164,16 @@ class ExpansionService:
             raise ServeError(f"workers must be >= 1, got {workers}")
         self._workers = workers
         self._compute_slots = threading.BoundedSemaphore(workers)
-        self._closing = threading.Event()
-        self._inflight = 0
-        self._inflight_cv = threading.Condition()
         # Lazily-built changefeed readers, one per store-backed entry
         # (keyed by entry key, so a tenant's private store gets its own).
         self._feeds: dict[str, Changefeed] = {}
         self._feeds_lock = threading.Lock()
-        # -- tenancy ----------------------------------------------------
-        # With a registry, every data-plane request resolves a tenant
-        # (X-Repro-Tenant header or ?tenant=) and gets tenant-scoped
-        # cache keys, metrics, quota, and — unless a fronting tier
-        # already enforces them (enforce_limits=False on cluster
-        # replicas) — rate limiting and bounded in-flight admission.
-        self._tenants = tenants
-        self._enforce_limits = bool(enforce_limits)
-        self._tenant_retry_after = tenant_retry_after
-        self._rate_limiter = (
-            rate_limiter if rate_limiter is not None else RateLimiter()
-        )
         self._quota = QuotaManager()
-        self._tenant_admission = AdmissionController(
-            queue_depth=max(1, workers * 4)
-        )
         self._tenant_metrics: dict[str, ServerMetrics] = {}
-        self._tenant_sheds: dict[str, int] = {}
-        self._tenant_lock = threading.Lock()
-        # -- observability ----------------------------------------------
-        self._tracer = Tracer(
-            buffer=TraceBuffer(trace_capacity),
-            slow_log=SlowLog(slow_threshold),
-            logger=(
-                JsonLogger(log_stream)
-                if (log_json or log_stream is not None)
-                else None
-            ),
-            enabled=tracing,
-            tags={"tier": "serve"},
-        )
 
     @property
     def pool(self) -> SessionPool:
         return self._pool
-
-    @property
-    def tracer(self) -> Tracer:
-        return self._tracer
-
-    def trace_export(self, trace_id: str) -> "list[dict[str, Any]] | None":
-        """Span records of a finished trace (the RPC stitching hook)."""
-        return self._tracer.export(trace_id)
 
     @property
     def cache(self) -> LRUTTLCache:
@@ -228,10 +182,6 @@ class ExpansionService:
     @property
     def metrics(self) -> ServerMetrics:
         return self._metrics
-
-    @property
-    def tenants(self) -> TenantRegistry | None:
-        return self._tenants
 
     def invalidate_config(self, name: str) -> int:
         """Drop cached responses for a pool-entry key.
@@ -271,68 +221,26 @@ class ExpansionService:
                 endpoint, seconds, **kwargs
             )
 
-    def _record_shed(self, tenant: TenantSpec) -> None:
-        with self._tenant_lock:
-            self._tenant_sheds[tenant.name] = (
-                self._tenant_sheds.get(tenant.name, 0) + 1
-            )
+    # -- edge hooks ----------------------------------------------------------
 
-    def _admit(
-        self, path: str, tenant: TenantSpec
-    ) -> "tuple[int, dict[str, Any]] | None":
-        """Rate-limit + bounded-in-flight gate for one data-plane request.
+    def _check_tenant(
+        self, params: Mapping[str, Any], data: bool
+    ) -> TenantSpec | None:
+        # The allow-list is the pool's: SessionPool.get enforces it.
+        return resolve_tenant(self._tenants, params, required=data)
 
-        Returns a ready 429 ``(status, payload)`` to shed, or ``None``
-        when admitted — in which case the caller owns one admission slot
-        iff ``tenant.max_in_flight`` is set and must release it.
-        """
-        ok, retry_after = self._rate_limiter.try_acquire(tenant)
-        if not ok:
-            self._record_shed(tenant)
-            self._record(path.strip("/"), None, tenant, error=True)
-            self._tracer.event(
-                "shed",
-                error=True,
-                reason="rate_limit",
-                tenant=tenant.name,
-                path=path,
-                retry_after=round(retry_after, 3),
-            )
-            return 429, shed_payload(
-                f"tenant {tenant.name!r} is over its rate limit "
-                f"({tenant.qps:g} qps); retry shortly",
-                round(retry_after, 3),
-                tenant=tenant.name,
-            )
-        if tenant.max_in_flight is not None and not (
-            self._tenant_admission.try_acquire(
-                tenant.name, depth=tenant.max_in_flight
-            )
-        ):
-            self._record_shed(tenant)
-            self._record(path.strip("/"), None, tenant, error=True)
-            self._tracer.event(
-                "shed",
-                error=True,
-                reason="in_flight",
-                tenant=tenant.name,
-                path=path,
-                retry_after=self._tenant_retry_after,
-            )
-            return 429, shed_payload(
-                f"tenant {tenant.name!r} is at its in-flight bound "
-                f"({tenant.max_in_flight}); retry shortly",
-                self._tenant_retry_after,
-                tenant=tenant.name,
-            )
-        return None
+    def _account(
+        self,
+        endpoint: str,
+        tenant: TenantSpec | None,
+        event: str,
+        seconds: float = 0.0,
+    ) -> None:
+        # Admitted requests are recorded by their handler.
+        if event != "admit":
+            self._record(endpoint, None, tenant, error=True)
 
     # -- shutdown ------------------------------------------------------------
-
-    @property
-    def closing(self) -> bool:
-        """True once :meth:`close` has begun; new requests get 503."""
-        return self._closing.is_set()
 
     def close(self, drain_timeout: float = 10.0) -> None:
         """Graceful shutdown: refuse, drain, release.
@@ -345,14 +253,7 @@ class ExpansionService:
         callable while a server thread is still accepting connections,
         which is exactly how the SIGTERM path uses it.
         """
-        self._closing.set()
-        deadline = time.monotonic() + drain_timeout
-        with self._inflight_cv:
-            while self._inflight > 0:
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
-                    break  # drain expired: close anyway, stragglers 500
-                self._inflight_cv.wait(remaining)
+        self._drain(drain_timeout)
         self._pool.close()
         with self._feeds_lock:
             feeds, self._feeds = dict(self._feeds), {}
@@ -362,14 +263,8 @@ class ExpansionService:
     # -- request plumbing ----------------------------------------------------
 
     @staticmethod
-    def _param(params: Mapping[str, Any], key: str, default: Any = None) -> Any:
-        value = params.get(key, default)
-        if isinstance(value, list):  # parse_qs yields lists
-            value = value[0] if value else default
-        return value
-
-    def _require(self, params: Mapping[str, Any], key: str) -> Any:
-        value = self._param(params, key)
+    def _require(params: Mapping[str, Any], key: str) -> Any:
+        value = scalar(params, key)
         if value in (None, ""):
             raise ServeError(f"missing required parameter {key!r}")
         return value
@@ -378,7 +273,7 @@ class ExpansionService:
         self, params: Mapping[str, Any], tenant: TenantSpec | None = None
     ) -> PooledSession:
         names = self._pool.names()
-        name = self._param(params, "config")
+        name = scalar(params, "config")
         if name is None and len(names) == 1:
             name = names[0]
         if name is None:
@@ -515,9 +410,9 @@ class ExpansionService:
         t0 = time.perf_counter()
         entry = self._entry(params, tenant)
         query = str(self._require(params, "query"))
-        algorithm = self._param(params, "algorithm")
+        algorithm = scalar(params, "algorithm")
         algorithm = str(algorithm) if algorithm is not None else None
-        results = str(self._param(params, "results", "full")).lower()
+        results = str(scalar(params, "results", "full")).lower()
         if results not in ("full", "none"):
             raise ServeError(f"results must be 'full' or 'none', got {results!r}")
         payload, cache = self._expand_cached(
@@ -543,14 +438,18 @@ class ExpansionService:
         tenant: TenantSpec | None = None,
     ) -> tuple[int, dict[str, Any]]:
         t0 = time.perf_counter()
+        page = None
+        if "cursor" in params or "limit" in params:  # paginated (see paging)
+            page = resolve_page(params, "search", SEARCH_CURSOR_KEYS)
+            params = page.params
         entry = self._entry(params, tenant)
         query = str(self._require(params, "query"))
-        top_k_raw = self._param(params, "top_k")
+        top_k_raw = scalar(params, "top_k")
         try:
             top_k = None if top_k_raw in (None, "") else int(top_k_raw)
         except (TypeError, ValueError):
             raise ServeError(f"top_k must be an integer, got {top_k_raw!r}")
-        semantics = str(self._param(params, "semantics", "and")).lower()
+        semantics = str(scalar(params, "semantics", "and")).lower()
         if semantics not in ("and", "or"):
             raise ServeError(f"semantics must be 'and' or 'or', got {semantics!r}")
         payload, cache = self._search_cached(
@@ -570,6 +469,8 @@ class ExpansionService:
         }
         if tenant is not None:
             body["tenant"] = tenant.name
+        if page is not None and page.paginated:
+            apply_page(body, "results", page, "search")
         return 200, body
 
     def batch(
@@ -578,14 +479,15 @@ class ExpansionService:
         tenant: TenantSpec | None = None,
     ) -> tuple[int, dict[str, Any]]:
         t0 = time.perf_counter()
+        # The page's params are everything /batch reads; unpaginated
+        # requests (no limit, no cursor) keep the full-report shape.
+        page = resolve_batch_page(params)
+        params = page.params
         entry = self._entry(params, tenant)
-        queries = params.get("queries")
-        if not isinstance(queries, (list, tuple)) or not queries:
-            raise ServeError("batch needs a non-empty 'queries' list")
-        queries = [str(q) for q in queries]
-        algorithm = self._param(params, "algorithm")
+        queries = params["queries"]
+        algorithm = scalar(params, "algorithm")
         algorithm = str(algorithm) if algorithm is not None else None
-        workers = self._param(params, "workers", 1)
+        workers = scalar(params, "workers", 1)
         try:
             workers = max(1, min(int(workers), self._workers))
         except (TypeError, ValueError):
@@ -647,6 +549,8 @@ class ExpansionService:
         }
         if tenant is not None:
             body["tenant"] = tenant.name
+        if page.paginated:
+            apply_batch_page(body, page)
         return 200, body
 
     def ingest(
@@ -738,10 +642,10 @@ class ExpansionService:
         t0 = time.perf_counter()
         entry = self._entry(params, tenant)
         since, limit, consumer = resolve_read_args(
-            self._param(params, "cursor"),
-            self._param(params, "since"),
-            self._param(params, "limit"),
-            self._param(params, "consumer"),
+            scalar(params, "cursor"),
+            scalar(params, "since"),
+            scalar(params, "limit"),
+            scalar(params, "consumer"),
         )
         feed = self._feed_for(entry)
         batch = feed.read_since(since, limit=limit, consumer=consumer)
@@ -813,7 +717,7 @@ class ExpansionService:
         params: Mapping[str, Any] | None = None,
         tenant: TenantSpec | None = None,
     ) -> tuple[int, Any]:
-        fmt = str(self._param(params or {}, "format", "json")).lower()
+        fmt = str(scalar(params or {}, "format", "json")).lower()
         if fmt not in ("json", "prometheus"):
             raise ServeError(
                 f"format must be 'json' or 'prometheus', got {fmt!r}"
@@ -853,507 +757,20 @@ class ExpansionService:
             return 200, render_prometheus(payload)
         return 200, payload
 
-    # -- debug endpoints -----------------------------------------------------
 
-    @staticmethod
-    def _float_param(params: Mapping[str, Any], key: str) -> float | None:
-        raw = ExpansionService._param(params, key)
-        if raw in (None, ""):
-            return None
-        try:
-            return float(raw)
-        except (TypeError, ValueError):
-            raise ServeError(f"{key} must be a number, got {raw!r}")
-
-    def debug_traces(
-        self,
-        params: Mapping[str, Any],
-        tenant: TenantSpec | None = None,
-    ) -> tuple[int, dict[str, Any]]:
-        """Recent finished traces (``min_duration``/``status``/``tenant``).
-
-        With a tenant registry, a tenant-scoped request sees only its own
-        traces; anonymous/admin requests may filter by ``?tenant=``... —
-        but the resolved tenant always wins over the query filter.
-        """
-        buffer = self._tracer.buffer
-        min_duration = self._float_param(params, "min_duration")
-        status = self._param(params, "status")
-        status = str(status) if status not in (None, "") else None
-        tenant_filter = (
-            tenant.name
-            if tenant is not None
-            else self._param(params, "for_tenant")
-        )
-        limit_raw = self._param(params, "limit", 50)
-        try:
-            limit = max(1, min(int(limit_raw), 500))
-        except (TypeError, ValueError):
-            raise ServeError(f"limit must be an integer, got {limit_raw!r}")
-        traces = (
-            buffer.list(
-                min_duration=min_duration,
-                status=status,
-                tenant=tenant_filter,
-                limit=limit,
-            )
-            if buffer is not None
-            else []
-        )
-        return 200, {
-            "tracing": self._tracer.enabled,
-            "held": 0 if buffer is None else len(buffer),
-            "capacity": 0 if buffer is None else buffer.capacity,
-            "traces": traces,
-        }
-
-    def debug_slow(
-        self,
-        params: Mapping[str, Any],
-        tenant: TenantSpec | None = None,
-    ) -> tuple[int, dict[str, Any]]:
-        """The slow-request ring: summaries of requests over threshold."""
-        slow = self._tracer.slow_log
-        limit_raw = self._param(params, "limit", 50)
-        try:
-            limit = max(1, min(int(limit_raw), 500))
-        except (TypeError, ValueError):
-            raise ServeError(f"limit must be an integer, got {limit_raw!r}")
-        if slow is None:
-            return 200, {"slow": [], "threshold_seconds": None}
-        entries = slow.entries(limit)
-        if tenant is not None:
-            entries = [e for e in entries if e.get("tenant") == tenant.name]
-        payload = slow.snapshot()
-        payload["slow"] = entries
-        return 200, payload
-
-    # -- routing -------------------------------------------------------------
-
-    _ROUTES = {
-        "/expand": ("expand", ("GET", "POST")),
-        "/search": ("search", ("GET", "POST")),
-        "/batch": ("batch", ("POST",)),
-        "/ingest": ("ingest", ("POST",)),
-        "/changefeed": ("changefeed", ("GET",)),
-        "/configs": ("configs", ("GET",)),
-        "/healthz": ("healthz", ("GET",)),
-        "/metrics": ("metrics_snapshot", ("GET",)),
-        "/debug/traces": ("debug_traces", ("GET",)),
-        "/debug/slow": ("debug_slow", ("GET",)),
-    }
-
-    def handle(
-        self,
-        method: str,
-        path: str,
-        params: Mapping[str, Any],
-        trace_id: str | None = None,
-        parent_id: str | None = None,
-    ) -> tuple[int, Any]:
-        """Dispatch one request under a root span; never raises.
-
-        Trace context arrives either as the ``trace_id``/``parent_id``
-        keywords (the HTTP layer passes the ``X-Repro-Trace`` id it
-        chose directly — no params round-trip on the warm path) or in
-        the reserved ``_trace``/``_trace_parent`` params (the
-        coordinator's RPC into a replica, or direct callers); params
-        are stripped before the endpoint sees the request. Every error
-        payload gains the request's ``trace_id``; the finished trace
-        lands in the tracer's sinks.
-        """
-        if TRACE_PARAM in params or TRACE_PARENT_PARAM in params:
-            params = dict(params)
-            raw_trace = params.pop(TRACE_PARAM, None)
-            raw_parent = params.pop(TRACE_PARENT_PARAM, None)
-            if trace_id is None:
-                if isinstance(raw_trace, list):  # ?_trace=... via parse_qs
-                    raw_trace = raw_trace[0] if raw_trace else None
-                trace_id = raw_trace
-            if parent_id is None:
-                if isinstance(raw_parent, list):
-                    raw_parent = raw_parent[0] if raw_parent else None
-                parent_id = raw_parent
-        if not self._tracer.enabled:
-            return self._dispatch(method, path, params)
-        with self._tracer.request(
-            "http.request",
-            trace_id=trace_id,
-            parent_id=parent_id,
-            method=method,
-            path=path,
-        ) as root:
-            status, payload = self._dispatch(method, path, params)
-            if root is not None:
-                attrs = root.attrs  # direct writes: handle is the warm path
-                attrs["status"] = status
-                if isinstance(payload, dict):
-                    if "cache" in payload:
-                        attrs["cache"] = payload["cache"]
-                    if "tenant" in payload:
-                        attrs["tenant"] = payload["tenant"]
-                    if status >= 400:
-                        root.mark_error(
-                            str(payload.get("message") or payload.get("error"))
-                        )
-                        payload.setdefault("trace_id", root.trace_id)
-            return status, payload
-
-    def _dispatch(
-        self, method: str, path: str, params: Mapping[str, Any]
-    ) -> tuple[int, Any]:
-        """Route + tenancy + error ladder (the pre-tracing ``handle``).
-
-        With a tenant registry configured, every route resolves the
-        request's tenant first (``?tenant=`` / ``X-Repro-Tenant`` folded
-        into params by the HTTP layer). Data-plane routes *require* one
-        and pass its rate-limit / in-flight gate before running; admin
-        routes (``/configs`` ``/healthz`` ``/metrics``) accept an
-        optional tenant and always answer.
-        """
-        if self._closing.is_set():
-            return 503, {
-                "error": "shutting_down",
-                "message": "server is draining in-flight requests and shutting down",
-            }
-        normalized = path.rstrip("/") or path
-        route = self._ROUTES.get(normalized)
-        if route is None:
-            return 404, {
-                "error": "not_found",
-                "message": f"unknown path {path!r}",
-                "paths": sorted(self._ROUTES),
-            }
-        handler_name, methods = route
-        if method not in methods:
-            return 405, {
-                "error": "method_not_allowed",
-                "message": f"{path} accepts {', '.join(methods)}",
-            }
-        endpoint = normalized.strip("/")
-        tenant: TenantSpec | None = None
-        if self._tenants is not None:
-            try:
-                with span("tenant.resolve") as resolve_span:
-                    tenant = resolve_tenant(
-                        self._tenants, params,
-                        required=normalized in _TENANT_DATA_ROUTES,
-                    )
-                    if resolve_span is not None and tenant is not None:
-                        resolve_span.set_attr("tenant", tenant.name)
-            except UnknownTenantError as exc:
-                self._metrics.record(endpoint, None, error=True)
-                return 404, {"error": "unknown_tenant", "message": str(exc)}
-            except TenancyError as exc:
-                self._metrics.record(endpoint, None, error=True)
-                return 400, {"error": "tenant_required", "message": str(exc)}
-        admitted = False
-        if (
-            tenant is not None
-            and self._enforce_limits
-            and normalized in _TENANT_DATA_ROUTES
-        ):
-            shed = self._admit(normalized, tenant)
-            if shed is not None:
-                return shed
-            admitted = tenant.max_in_flight is not None
-        with self._inflight_cv:
-            self._inflight += 1
-        try:
-            handler = getattr(self, handler_name)
-            if self._tenants is None:
-                # Single-tenant contract unchanged: endpoint overrides
-                # (tests monkeypatch these) keep their one-arg signature.
-                return handler(params)
-            return handler(params, tenant)
-        except UnknownConfigError as exc:
-            self._record(endpoint, None, tenant, error=True)
-            return 404, self._error_body("unknown_config", exc, tenant)
-        except TenantAccessError as exc:
-            self._record(endpoint, None, tenant, error=True)
-            return 403, self._error_body("forbidden", exc, tenant)
-        except QuotaExceededError as exc:
-            self._record(endpoint, None, tenant, error=True)
-            return 413, self._error_body("quota_exceeded", exc, tenant)
-        except ServeError as exc:
-            self._record(endpoint, None, tenant, error=True)
-            return 400, self._error_body("serve_error", exc, tenant)
-        except ReproError as exc:
-            self._record(endpoint, None, tenant, error=True)
-            return 400, self._error_body(type(exc).__name__, exc, tenant)
-        except Exception as exc:  # noqa: BLE001 — a request must never kill the server
-            self._record(endpoint, None, tenant, error=True)
-            return 500, self._error_body("internal", exc, tenant)
-        finally:
-            if admitted:
-                self._tenant_admission.release(tenant.name)
-            with self._inflight_cv:
-                self._inflight -= 1
-                self._inflight_cv.notify_all()
-
-    @staticmethod
-    def _error_body(
-        code: str, exc: BaseException, tenant: TenantSpec | None
-    ) -> dict[str, Any]:
-        body: dict[str, Any] = {"error": code, "message": str(exc)}
-        if tenant is not None:
-            body["tenant"] = tenant.name
-        return body
-
-
-class _Handler(BaseHTTPRequestHandler):
-    """Maps HTTP requests onto :meth:`ExpansionService.handle`."""
-
-    protocol_version = "HTTP/1.1"
-    server_version = "repro-serve/1.0"
-    # Headers and body go out as separate writes; with Nagle on, that
-    # write-write-read pattern stalls keep-alive clients for a delayed-ACK
-    # interval (~40ms) per request. TCP_NODELAY keeps hits sub-millisecond.
-    disable_nagle_algorithm = True
-
-    def _params_from_query(self) -> dict[str, Any]:
-        parts = urlsplit(self.path)
-        return {k: v for k, v in parse_qs(parts.query).items()}
-
-    def _fold_headers(self, params: dict[str, Any]) -> dict[str, Any]:
-        """Fold ``X-Repro-Tenant`` and ``X-Repro-Trace`` into params.
-
-        One pass over the raw headers — ``Message.get`` re-scans the
-        whole header list per call, and a second scan per request is
-        visible in the warm-path overhead gate. The tenant param is only
-        set when absent (explicit param wins). The trace id chosen here
-        (client-supplied or fresh) is what the service roots the trace
-        on, and what :meth:`_respond` echoes back — so the header
-        round-trips and a generated id still reaches the client for
-        ``/debug/traces`` lookup.
-        """
-        tenant = trace = None
-        for key, value in self.headers.items():
-            lowered = key.lower()
-            if tenant is None and lowered == _TENANT_KEY:
-                tenant = value
-            elif trace is None and lowered == _TRACE_KEY:
-                trace = value
-        if tenant and "tenant" not in params:
-            params["tenant"] = tenant
-        tracer = getattr(self.server.service, "tracer", None)
-        if tracer is None or not tracer.enabled:
-            self._trace_id = None
-            return params
-        # The chosen id rides self._trace_id into handle()'s trace_id
-        # keyword and the response echo — never through params.
-        self._trace_id = sanitize_trace_id(trace) or new_trace_id()
-        return params
-
-    def _respond(self, status: int, payload: Any) -> None:
-        if isinstance(payload, PrometheusText):
-            body = bytes(payload)
-            content_type = _PROM_CONTENT_TYPE
-        else:
-            # Compact separators: expansion reports carry full result
-            # payloads, so serialization cost is visible in hit latency.
-            body = json.dumps(payload, separators=(",", ":")).encode("utf-8")
-            content_type = "application/json; charset=utf-8"
-        self.send_response(status)
-        self.send_header("Content-Type", content_type)
-        self.send_header("Content-Length", str(len(body)))
-        trace_id = getattr(self, "_trace_id", None)
-        if trace_id is not None:
-            self.send_header(TRACE_HEADER, trace_id)
-        if status == 429 and isinstance(payload, Mapping):
-            # Every shed payload (rate limit or admission, either tier)
-            # carries retry_after — surface it as the standard header.
-            retry_after = payload.get("retry_after")
-            if retry_after is not None:
-                self.send_header(
-                    "Retry-After", str(max(1, round(float(retry_after))))
-                )
-        self.end_headers()
-        self.wfile.write(body)
-
-    def do_GET(self) -> None:  # noqa: N802 — http.server API
-        path = urlsplit(self.path).path
-        params = self._fold_headers(self._params_from_query())
-        if self._trace_id is None:  # untraced (or stub) service: legacy call
-            status, payload = self.server.service.handle("GET", path, params)
-        else:
-            status, payload = self.server.service.handle(
-                "GET", path, params, trace_id=self._trace_id
-            )
-        self._respond(status, payload)
-
-    def do_POST(self) -> None:  # noqa: N802 — http.server API
-        path = urlsplit(self.path).path
-        params: dict[str, Any] = self._params_from_query()
-        length = int(self.headers.get("Content-Length") or 0)
-        if length:
-            raw = self.rfile.read(length)
-            try:
-                body = json.loads(raw.decode("utf-8"))
-            except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-                self._fold_headers(params)
-                self._respond(
-                    400, {"error": "bad_json", "message": str(exc)}
-                )
-                return
-            if not isinstance(body, dict):
-                self._fold_headers(params)
-                self._respond(
-                    400,
-                    {"error": "bad_json", "message": "body must be an object"},
-                )
-                return
-            params.update(body)
-        params = self._fold_headers(params)
-        if self._trace_id is None:
-            status, payload = self.server.service.handle("POST", path, params)
-        else:
-            status, payload = self.server.service.handle(
-                "POST", path, params, trace_id=self._trace_id
-            )
-        self._respond(status, payload)
-
-    def log_message(self, format: str, *args: Any) -> None:  # noqa: A002
-        pass  # requests are observable via /metrics; stderr stays quiet
-
-
-class _HTTPServer(ThreadingHTTPServer):
-    daemon_threads = True
-    allow_reuse_address = True
-    service: ExpansionService
-
-
-class ExpansionServer:
-    """The HTTP front of an :class:`ExpansionService`.
-
-    ``port=0`` binds an OS-assigned ephemeral port (read it back from
-    :attr:`port`). :meth:`start` serves on a daemon thread —
-    the embedding pattern used by tests, the benchmark, and the
-    example — while :meth:`serve_forever` blocks (the CLI path).
+class ExpansionServer(HTTPFront):
+    """The HTTP front of an :class:`ExpansionService` (see
+    :class:`~repro.serve.edge.HTTPFront`); :meth:`stop` closes the
+    service too — in-flight requests drain for up to ``drain_timeout``
+    seconds, then the session pool releases its store connections.
     """
-
-    def __init__(
-        self,
-        service: ExpansionService,
-        host: str = "127.0.0.1",
-        port: int = 8080,
-    ) -> None:
-        self._service = service
-        self._httpd = _HTTPServer((host, port), _Handler)
-        self._httpd.service = service
-        self._thread: threading.Thread | None = None
-        self._serving = threading.Event()  # a blocking serve_forever is live
-        self._closed = threading.Event()  # set once stop() has run
-        self._stop_lock = threading.Lock()
 
     @property
     def service(self) -> ExpansionService:
-        return self._service
+        return self._backend
 
-    @property
-    def host(self) -> str:
-        return self._httpd.server_address[0]
-
-    @property
-    def port(self) -> int:
-        return self._httpd.server_address[1]
-
-    @property
-    def url(self) -> str:
-        return f"http://{self.host}:{self.port}"
-
-    def start(self) -> "ExpansionServer":
-        # _thread is handed off under _stop_lock: a signal handler's stop
-        # thread may run concurrently with start, and an unlocked write
-        # here could leak a started-but-never-joined serve thread.
-        with self._stop_lock:
-            if self._thread is not None:
-                raise ServeError("server already started")
-            self._thread = threading.Thread(
-                target=self._httpd.serve_forever,
-                name=f"repro-serve:{self.port}",
-                daemon=True,
-            )
-            self._thread.start()
-        return self
-
-    def serve_forever(self) -> None:
-        if self._closed.is_set():
-            return
-        self._serving.set()
-        try:
-            self._httpd.serve_forever()
-        finally:
-            self._serving.clear()
-
-    def stop(
-        self, close_service: bool = True, drain_timeout: float = 10.0
-    ) -> None:
-        """Graceful stop: quit accepting, drain, release everything.
-
-        ``shutdown()`` waits on an event that only ``serve_forever`` sets,
-        so it must not run unless a serve loop is live — on an unstarted
-        server it would block forever. Two loops qualify: the daemon
-        thread :meth:`start` spun, and a blocking :meth:`serve_forever`
-        on the caller's thread (the CLI path, where a signal handler's
-        stop thread reaches here *while* the main thread is still inside
-        ``serve_forever`` — skipping ``shutdown()`` there would close the
-        listening socket under the live accept loop and leave it
-        spinning on an invalid descriptor forever).
-
-        With ``close_service`` (the default) the underlying service is
-        closed too — in-flight requests drain for up to
-        ``drain_timeout`` seconds, then the session pool releases its
-        store connections. Pass ``close_service=False`` to stop only the
-        HTTP front (e.g. to hand the service to another transport).
-        """
-        # analyze: ignore[LOCK001] - shutdown() and join(timeout=5) are
-        # bounded teardown waits; serializing them under _stop_lock is the
-        # point (racing stop() calls must not double-join the thread).
-        with self._stop_lock:
-            self._closed.set()
-            if self._thread is not None:
-                self._httpd.shutdown()
-                self._thread.join(timeout=5)
-                self._thread = None
-            elif self._serving.is_set():
-                self._httpd.shutdown()  # wakes the blocking serve_forever
-            self._httpd.server_close()
-        if close_service:
-            self._service.close(drain_timeout=drain_timeout)
-
-    def install_signal_handlers(
-        self, signals: tuple[int, ...] | None = None
-    ) -> None:
-        """Make SIGTERM/SIGINT trigger a graceful :meth:`stop`.
-
-        Main-thread only (a CPython constraint on ``signal.signal``).
-        The handler spawns a thread to run :meth:`stop`: calling
-        ``httpd.shutdown()`` inline would deadlock the blocking
-        :meth:`serve_forever` path, where the handler interrupts the
-        very thread ``shutdown()`` waits on. Once the stop thread closes
-        the loop, ``serve_forever`` returns and the caller unwinds
-        normally — so ``repro serve`` under SIGTERM drains in-flight
-        requests and exits 0 instead of dying mid-response.
-        """
-        import signal as _signal
-
-        if signals is None:
-            signals = (_signal.SIGTERM, _signal.SIGINT)
-
-        def _handler(signum: int, frame: Any) -> None:
-            threading.Thread(
-                target=self.stop, name="repro-serve-shutdown", daemon=True
-            ).start()
-
-        for signum in signals:
-            _signal.signal(signum, _handler)
-
-    def __enter__(self) -> "ExpansionServer":
-        return self.start()
-
-    def __exit__(self, *exc_info: Any) -> None:
-        self.stop()
+    def _release(self, drain_timeout: float) -> None:
+        self._backend.close(drain_timeout=drain_timeout)
 
 
 def create_server(

@@ -36,18 +36,16 @@ from repro.serve.cluster.replica import (
     build_replica_service,
     replica_main,
 )
-from repro.serve.cluster.routes import (
+from repro.serve.cluster.server import ClusterServer, create_cluster
+from repro.serve.cluster.transport import ReplicaClient, ReplicaTransport
+from repro.serve.paging import (
     MAX_PAGE_LIMIT,
     PageRequest,
-    RoutedService,
-    Router,
     apply_page,
     decode_cursor,
     encode_cursor,
     resolve_page,
 )
-from repro.serve.cluster.server import ClusterServer, create_cluster
-from repro.serve.cluster.transport import ReplicaClient, ReplicaTransport
 
 __all__ = [
     "DEFAULT_QUEUE_DEPTH",
@@ -64,8 +62,6 @@ __all__ = [
     "ReplicaClient",
     "ReplicaSpec",
     "ReplicaTransport",
-    "RoutedService",
-    "Router",
     "TailingReplicaService",
     "apply_page",
     "build_replica_service",

@@ -52,11 +52,9 @@ from repro.errors import (
     ClusterError,
     ConfigError,
     FeedError,
-    QuotaExceededError,
     ServeError,
-    TenancyError,
     TenantAccessError,
-    UnknownTenantError,
+    UnknownConfigError,
 )
 from repro.feed import Changefeed, CompactionScheduler, batch_to_payload
 from repro.feed.changefeed import resolve_read_args
@@ -64,29 +62,18 @@ from repro.obs import (
     DEFAULT_SLOW_THRESHOLD,
     TRACE_PARAM,
     TRACE_PARENT_PARAM,
-    JsonLogger,
-    SlowLog,
-    TraceBuffer,
-    Tracer,
     absorb_spans,
     current_span,
     render_prometheus,
     span,
 )
 from repro.serve.admission import AdmissionController, shed_payload
-from repro.serve.app import _TENANT_DATA_ROUTES
 from repro.serve.cluster.hashring import DEFAULT_VNODES, HashRing
-from repro.serve.cluster.routes import (
-    BATCH_CURSOR_KEYS,
-    PageRequest,
-    Router,
-    apply_page,
-    resolve_page,
-    scalar,
-)
 from repro.serve.cluster.replica import ReplicaSpec, replica_main
 from repro.serve.cluster.transport import DEFAULT_REQUEST_TIMEOUT, ReplicaClient
+from repro.serve.edge import ROUTES, RequestEdge, Route, scalar
 from repro.serve.metrics import LatencyHistogram
+from repro.serve.paging import apply_batch_page, decode_cursor, resolve_batch_page
 from repro.serve.pool import ServeConfig
 from repro.tenancy import (
     QuotaManager,
@@ -311,14 +298,14 @@ def _unpack_reply(reply: Any) -> tuple[int, Any, dict[str, Any]]:
     return int(status), body, {}
 
 
-#: Endpoints proxied verbatim to one replica chosen by the hash ring.
-PROXY_ROUTES = {"/expand": ("GET", "POST"), "/search": ("GET", "POST")}
-
 #: Counter fields summed when aggregating replica request metrics.
 _SUMMED_FIELDS = ("count", "errors", "cache_hits", "cache_misses")
 
+#: Seconds :meth:`ClusterCoordinator.stop` waits for in-flight requests.
+DEFAULT_DRAIN_TIMEOUT = 10.0
 
-class ClusterCoordinator:
+
+class ClusterCoordinator(RequestEdge):
     """Routes a shared-nothing replica fleet (see module docstring).
 
     Parameters
@@ -399,7 +386,6 @@ class ClusterCoordinator:
         self._request_timeout = request_timeout
         self._admission = AdmissionController(queue_depth)
         self._metrics = CoordinatorMetrics()
-        # -- observability ----------------------------------------------
         # The coordinator roots every request's trace; replicas continue
         # it (the RPC layer propagates _trace/_trace_parent) and ship
         # their spans back for stitching, so one routed request is one
@@ -407,35 +393,25 @@ class ClusterCoordinator:
         self._tracing = bool(tracing)
         self._trace_capacity = int(trace_capacity)
         self._slow_threshold = float(slow_threshold)
-        self._tracer = Tracer(
-            buffer=TraceBuffer(trace_capacity),
-            slow_log=SlowLog(slow_threshold),
-            logger=(
-                JsonLogger(log_stream)
-                if (log_json or log_stream is not None)
-                else None
-            ),
-            enabled=tracing,
-            tags={"tier": "coordinator"},
-        )
-        # -- tenancy (edge enforcement) ---------------------------------
         # The coordinator is the cluster's front door, so tenant limits
         # are enforced HERE, once; replicas get the registry (for cache
         # scoping and tagging) with enforce_limits=False so a request is
         # never double-counted against a tenant's rate budget.
         if isinstance(tenants, (str, os.PathLike)):
             tenants = TenantRegistry(tenants)
-        self._tenants = tenants
-        self._rate_limiter = (
-            rate_limiter if rate_limiter is not None else RateLimiter()
+        super().__init__(
+            tier="coordinator",
+            tenants=tenants,
+            rate_limiter=rate_limiter,
+            tenant_retry_after=retry_after,
+            tracing=tracing,
+            trace_capacity=trace_capacity,
+            slow_threshold=slow_threshold,
+            log_json=log_json,
+            log_stream=log_stream,
         )
         self._quota = QuotaManager()
-        self._tenant_admission = AdmissionController(
-            queue_depth=max(1, queue_depth * max(1, replicas))
-        )
-        self._tenant_lock = threading.Lock()
         self._tenant_requests: dict[str, int] = {}
-        self._tenant_sheds: dict[str, int] = {}
         self._started = time.time()
         self._snapshot_dir: tempfile.TemporaryDirectory | None = None
         self._snapshot_seq = 0
@@ -468,16 +444,11 @@ class ClusterCoordinator:
         self._restarting: set[str] = set()
         self._restart_lock = threading.Lock()
 
-        self._router = Router()
-        self._router.add("/healthz", ("GET",), self._healthz)
-        self._router.add("/metrics", ("GET",), self._metrics_route)
-        self._router.add("/configs", ("GET",), self._configs_route)
-        self._router.add("/cluster", ("GET",), self._cluster_route)
-        self._router.add("/batch", ("POST",), self._batch)
-        self._router.add("/ingest", ("POST",), self._ingest)
-        self._router.add("/changefeed", ("GET",), self._changefeed_route)
-        self._router.add("/debug/traces", ("GET",), self._debug_traces)
-        self._router.add("/debug/slow", ("GET",), self._debug_slow)
+    routes = {**ROUTES, "/cluster": Route(("GET",), "cluster")}
+
+    # Bound in this class body, not inherited: the request entry stays
+    # this class's own attribute for profilers and layer timers to wrap.
+    handle = RequestEdge.handle
 
     # -- lifecycle -----------------------------------------------------------
 
@@ -497,20 +468,9 @@ class ClusterCoordinator:
     def admission(self) -> AdmissionController:
         return self._admission
 
-    @property
-    def tenants(self) -> TenantRegistry | None:
-        return self._tenants
-
-    @property
-    def tracer(self) -> Tracer:
-        return self._tracer
-
-    def trace_export(self, trace_id: str) -> "list[dict[str, Any]] | None":
-        """A finished trace's span records (tests, tooling)."""
-        return self._tracer.export(trace_id)
-
     def start(self) -> "ClusterCoordinator":
         """Hydrate and start every replica, then begin supervising."""
+        self._closing.clear()  # a stopped coordinator may start again
         self._snapshot_dir = tempfile.TemporaryDirectory(prefix="repro-cluster-")
         try:
             for handle in self._replicas.values():
@@ -536,8 +496,15 @@ class ClusterCoordinator:
         self._supervisor.start()
         return self
 
-    def stop(self) -> None:
-        """Stop supervising, drain and stop replicas, drop snapshots."""
+    def stop(self, drain_timeout: float = DEFAULT_DRAIN_TIMEOUT) -> None:
+        """Refuse, drain, then tear down the fleet; idempotent.
+
+        New requests are answered ``503 shutting_down`` at once; requests
+        already inside :meth:`handle` get up to ``drain_timeout`` seconds
+        to finish while every replica still serves. Then supervision
+        stops, replicas drain and exit, and snapshots are dropped.
+        """
+        self._drain(drain_timeout)
         self._stop.set()
         if self._supervisor is not None:
             self._supervisor.join(timeout=10)
@@ -684,8 +651,6 @@ class ClusterCoordinator:
         if token is not None:
             # Continuation requests must reach the replica that served
             # page one; the cursor carries the canonical parameters.
-            from repro.serve.cluster.routes import decode_cursor
-
             endpoint = path.rstrip("/").lstrip("/") or path
             state = decode_cursor(str(token), endpoint)
             inner = state["params"]
@@ -711,7 +676,7 @@ class ClusterCoordinator:
         )
         self._metrics.record_shed(time.perf_counter() - t0)
         if tenant is not None:
-            self._record_tenant_shed(tenant)
+            self._record_shed(tenant)
         self._tracer.event(
             "shed",
             error=True,
@@ -722,109 +687,74 @@ class ClusterCoordinator:
         )
         return 429, payload
 
-    # -- tenancy gate --------------------------------------------------------
+    # -- edge hooks ----------------------------------------------------------
 
-    def _record_tenant(self, tenant: TenantSpec) -> None:
-        with self._tenant_lock:
-            self._tenant_requests[tenant.name] = (
-                self._tenant_requests.get(tenant.name, 0) + 1
-            )
-
-    def _record_tenant_shed(self, tenant: TenantSpec) -> None:
-        with self._tenant_lock:
-            self._tenant_sheds[tenant.name] = (
-                self._tenant_sheds.get(tenant.name, 0) + 1
-            )
-
-    def _tenant_forbidden(
-        self, tenant: TenantSpec, params: Mapping[str, Any]
-    ) -> tuple[int, dict[str, Any]] | None:
-        """403 when the addressed config is outside the tenant's allow-list."""
-        name = scalar(params, "config")
-        if name is None and len(self._configs) == 1:
-            name = self._configs[0].name
-        if name is not None and not tenant.allows(str(name)):
-            return 403, {
-                "error": "forbidden",
-                "message": (
+    def _check_tenant(
+        self, params: Mapping[str, Any], data: bool
+    ) -> TenantSpec | None:
+        """Resolve the tenant; on the data plane, also apply its
+        allow-list here, before admission: the coordinator has no pool
+        to enforce it."""
+        tenant = resolve_tenant(self._tenants, params, required=data)
+        if data and tenant is not None:
+            name = scalar(params, "config")
+            if name is None and len(self._configs) == 1:
+                name = self._configs[0].name
+            if name is not None and not tenant.allows(str(name)):
+                raise TenantAccessError(
                     f"tenant {tenant.name!r} may not access "
-                    f"configuration {name!r}"
-                ),
-                "tenant": tenant.name,
-            }
-        return None
+                    f"configuration {name!r}",
+                    tenant=tenant.name,
+                )
+        return tenant
 
-    def _admit_tenant(
-        self, t0: float, tenant: TenantSpec
-    ) -> tuple[int, dict[str, Any]] | None:
-        """Edge rate-limit + in-flight gate; mirrors the serve tier's.
+    def _account(
+        self,
+        endpoint: str,
+        tenant: TenantSpec | None,
+        event: str,
+        seconds: float = 0.0,
+    ) -> None:
+        if event == "shed":
+            self._metrics.record_shed(seconds)
+        elif event == "admit" and tenant is not None:
+            with self._tenant_lock:
+                self._tenant_requests[tenant.name] = (
+                    self._tenant_requests.get(tenant.name, 0) + 1
+                )
 
-        Returns a ready 429 pair to shed, or ``None`` when admitted — in
-        which case the caller owns one slot iff ``tenant.max_in_flight``
-        is set and must release it.
-        """
-        ok, retry_after = self._rate_limiter.try_acquire(tenant)
-        if not ok:
-            self._metrics.record_shed(time.perf_counter() - t0)
-            self._record_tenant_shed(tenant)
-            self._tracer.event(
-                "shed",
-                error=True,
-                reason="rate_limit",
-                tenant=tenant.name,
-                retry_after=round(retry_after, 3),
-            )
-            return 429, shed_payload(
-                f"tenant {tenant.name!r} is over its rate limit "
-                f"({tenant.qps:g} qps); retry shortly",
-                round(retry_after, 3),
-                tenant=tenant.name,
-            )
-        if tenant.max_in_flight is not None and not (
-            self._tenant_admission.try_acquire(
-                tenant.name, depth=tenant.max_in_flight
-            )
-        ):
-            self._metrics.record_shed(time.perf_counter() - t0)
-            self._record_tenant_shed(tenant)
-            self._tracer.event(
-                "shed",
-                error=True,
-                reason="in_flight",
-                tenant=tenant.name,
-                retry_after=self._retry_after,
-            )
-            return 429, shed_payload(
-                f"tenant {tenant.name!r} is at its in-flight bound "
-                f"({tenant.max_in_flight}); retry shortly",
-                self._retry_after,
-                tenant=tenant.name,
-            )
-        return None
+    # -- proxied endpoints ---------------------------------------------------
+
+    def expand(
+        self, params: Mapping[str, Any], tenant: TenantSpec | None = None
+    ) -> tuple[int, Any]:
+        return self._proxy("/expand", params, tenant)
+
+    def search(
+        self, params: Mapping[str, Any], tenant: TenantSpec | None = None
+    ) -> tuple[int, Any]:
+        return self._proxy("/search", params, tenant)
 
     def _proxy(
         self,
-        method: str,
         path: str,
         params: Mapping[str, Any],
         tenant: TenantSpec | None = None,
     ) -> tuple[int, Any]:
+        """Forward one read to its routed replica (failing over on the
+        ring walk); the replica's serialized body passes through as-is.
+        The hop is a GET: params arrive parsed, and the replica's
+        ``/expand`` and ``/search`` accept either method."""
         t0 = time.perf_counter()
         with span("cluster.route", path=path) as route_span:
-            try:
-                key = self.routing_key(path, params)
-            except Exception as exc:  # bad cursor — reject before routing
-                return 400, {"error": "serve_error", "message": str(exc)}
+            key = self.routing_key(path, params)  # a bad cursor is a 400
             candidates = self._live_preference(key)
             if route_span is not None:
                 route_span.set_attr(
                     "candidates", [handle.name for handle in candidates]
                 )
         if not candidates:
-            return 503, {
-                "error": "unavailable",
-                "message": "no live replicas (cluster is restarting or down)",
-            }
+            raise ClusterError("no live replicas (cluster is restarting or down)")
         cur = current_span()
         rpc_params = params
         if cur is not None:
@@ -847,7 +777,7 @@ class ClusterCoordinator:
                     try:
                         status, body, extras = _unpack_reply(
                             handle.request(
-                                method, path, rpc_params,
+                                "GET", path, rpc_params,
                                 timeout=self._request_timeout,
                             )
                         )
@@ -864,140 +794,7 @@ class ClusterCoordinator:
                 self._admission.release(handle.name)
             self._metrics.record_routed(handle.name, time.perf_counter() - t0)
             return status, body
-        return 503, {
-            "error": "unavailable",
-            "message": "every live replica failed the request",
-        }
-
-    # -- request entry -------------------------------------------------------
-
-    def handle(
-        self,
-        method: str,
-        path: str,
-        params: Mapping[str, Any],
-        trace_id: str | None = None,
-        parent_id: str | None = None,
-    ) -> tuple[int, Any]:
-        """Dispatch one request under a root span; never raises.
-
-        Trace context arrives as the ``trace_id``/``parent_id`` keywords
-        (the HTTP front passes the ``X-Repro-Trace`` id it chose) or in
-        the reserved ``_trace``/``_trace_parent`` params (direct
-        callers), stripped before routing. The root span plus the
-        routing/RPC child spans — and the replica's own spans, shipped
-        back over the RPC — land in the coordinator's trace buffer as
-        one stitched cross-process tree; error payloads gain the
-        ``trace_id``.
-        """
-        if TRACE_PARAM in params or TRACE_PARENT_PARAM in params:
-            params = dict(params)
-            raw_trace = scalar(params, TRACE_PARAM)
-            raw_parent = scalar(params, TRACE_PARENT_PARAM)
-            params.pop(TRACE_PARAM, None)
-            params.pop(TRACE_PARENT_PARAM, None)
-            if trace_id is None:
-                trace_id = raw_trace
-            if parent_id is None:
-                parent_id = raw_parent
-        if not self._tracer.enabled:
-            return self._dispatch(method, path, params)
-        with self._tracer.request(
-            "http.request",
-            trace_id=trace_id,
-            parent_id=parent_id,
-            method=method,
-            path=path,
-        ) as root:
-            status, payload = self._dispatch(method, path, params)
-            if root is not None:
-                root.set_attr("status", status)
-                if isinstance(payload, dict):
-                    if "tenant" in payload:
-                        root.set_attr("tenant", payload["tenant"])
-                    if status >= 400:
-                        root.mark_error(
-                            str(payload.get("message") or payload.get("error"))
-                        )
-                        payload.setdefault("trace_id", root.trace_id)
-            return status, payload
-
-    def _dispatch(
-        self, method: str, path: str, params: Mapping[str, Any]
-    ) -> tuple[int, Any]:
-        """Route + tenancy + error ladder (the pre-tracing ``handle``).
-
-        With a tenant registry configured, data-plane routes resolve
-        the request's tenant and pass its rate-limit / in-flight /
-        allow-list gates *before* routing — the cluster's edge is where
-        tenant limits are enforced, exactly once.
-        """
-        normalized = path.rstrip("/") or path
-        tenant: TenantSpec | None = None
-        if self._tenants is not None:
-            try:
-                with span("tenant.resolve") as resolve_span:
-                    tenant = resolve_tenant(
-                        self._tenants, params,
-                        required=normalized in _TENANT_DATA_ROUTES,
-                    )
-                    if resolve_span is not None and tenant is not None:
-                        resolve_span.set_attr("tenant", tenant.name)
-            except UnknownTenantError as exc:
-                return 404, {"error": "unknown_tenant", "message": str(exc)}
-            except TenancyError as exc:
-                return 400, {"error": "tenant_required", "message": str(exc)}
-        admitted = False
-        if tenant is not None and normalized in _TENANT_DATA_ROUTES:
-            forbidden = self._tenant_forbidden(tenant, params)
-            if forbidden is not None:
-                return forbidden
-            shed = self._admit_tenant(time.perf_counter(), tenant)
-            if shed is not None:
-                return shed
-            admitted = tenant.max_in_flight is not None
-            self._record_tenant(tenant)
-        try:
-            if normalized in PROXY_ROUTES:
-                if method not in PROXY_ROUTES[normalized]:
-                    return 405, {
-                        "error": "method_not_allowed",
-                        "message": f"{normalized} accepts "
-                        f"{', '.join(PROXY_ROUTES[normalized])}",
-                    }
-                return self._proxy(method, normalized, params, tenant)
-            route = self._router.match(normalized)
-            if route is None:
-                return 404, {
-                    "error": "not_found",
-                    "message": f"unknown path {path!r}",
-                    "paths": sorted(self._router.paths() + list(PROXY_ROUTES)),
-                }
-            if method not in route.methods:
-                return 405, {
-                    "error": "method_not_allowed",
-                    "message": f"{route.path} accepts {', '.join(route.methods)}",
-                }
-            try:
-                return route.handler(method, params, tenant)
-            except TenantAccessError as exc:
-                return 403, self._tenant_error("forbidden", exc, tenant)
-            except QuotaExceededError as exc:
-                return 413, self._tenant_error("quota_exceeded", exc, tenant)
-            except Exception as exc:  # noqa: BLE001 — a request must never kill the front
-                return 500, self._tenant_error("internal", exc, tenant)
-        finally:
-            if admitted:
-                self._tenant_admission.release(tenant.name)
-
-    @staticmethod
-    def _tenant_error(
-        code: str, exc: BaseException, tenant: TenantSpec | None
-    ) -> dict[str, Any]:
-        body: dict[str, Any] = {"error": code, "message": str(exc)}
-        if tenant is not None:
-            body["tenant"] = tenant.name
-        return body
+        raise ClusterError("every live replica failed the request")
 
     # -- fan-out helpers -----------------------------------------------------
 
@@ -1027,11 +824,8 @@ class ClusterCoordinator:
             for name, handle in self._replicas.items()
         }
 
-    def _healthz(
-        self,
-        method: str,
-        params: Mapping[str, Any],
-        tenant: TenantSpec | None = None,
+    def healthz(
+        self, params: Mapping[str, Any], tenant: TenantSpec | None = None
     ) -> tuple[int, Any]:
         states = self._replica_states()
         live = [name for name, info in states.items() if info["alive"]]
@@ -1095,18 +889,12 @@ class ClusterCoordinator:
             }
         return 200, payload
 
-    def _metrics_route(
-        self,
-        method: str,
-        params: Mapping[str, Any],
-        tenant: TenantSpec | None = None,
+    def metrics_snapshot(
+        self, params: Mapping[str, Any], tenant: TenantSpec | None = None
     ) -> tuple[int, Any]:
         fmt = str(scalar(params, "format", "json") or "json").lower()
         if fmt not in ("json", "prometheus"):
-            return 400, {
-                "error": "serve_error",
-                "message": f"format must be 'json' or 'prometheus', got {fmt!r}",
-            }
+            raise ServeError(f"format must be 'json' or 'prometheus', got {fmt!r}")
         per_replica: dict[str, Any] = {}
         aggregate: dict[str, dict[str, int]] = {}
         for name, handle in self._replicas.items():
@@ -1160,88 +948,8 @@ class ClusterCoordinator:
             return 200, render_prometheus(payload)
         return 200, payload
 
-    # -- debug endpoints -----------------------------------------------------
-
-    def _debug_traces(
-        self,
-        method: str,
-        params: Mapping[str, Any],
-        tenant: TenantSpec | None = None,
-    ) -> tuple[int, Any]:
-        """Recent stitched traces (``min_duration``/``status``/``tenant``).
-
-        Same contract as the serve tier's ``/debug/traces``; a resolved
-        tenant always overrides the ``for_tenant`` query filter.
-        """
-        buffer = self._tracer.buffer
-        raw = scalar(params, "min_duration")
-        try:
-            min_duration = None if raw in (None, "") else float(raw)
-        except (TypeError, ValueError):
-            return 400, {
-                "error": "serve_error",
-                "message": f"min_duration must be a number, got {raw!r}",
-            }
-        status = scalar(params, "status")
-        status = str(status) if status not in (None, "") else None
-        tenant_filter = (
-            tenant.name if tenant is not None else scalar(params, "for_tenant")
-        )
-        limit_raw = scalar(params, "limit", 50)
-        try:
-            limit = max(1, min(int(limit_raw), 500))
-        except (TypeError, ValueError):
-            return 400, {
-                "error": "serve_error",
-                "message": f"limit must be an integer, got {limit_raw!r}",
-            }
-        traces = (
-            buffer.list(
-                min_duration=min_duration,
-                status=status,
-                tenant=tenant_filter,
-                limit=limit,
-            )
-            if buffer is not None
-            else []
-        )
-        return 200, {
-            "tracing": self._tracer.enabled,
-            "held": 0 if buffer is None else len(buffer),
-            "capacity": 0 if buffer is None else buffer.capacity,
-            "traces": traces,
-        }
-
-    def _debug_slow(
-        self,
-        method: str,
-        params: Mapping[str, Any],
-        tenant: TenantSpec | None = None,
-    ) -> tuple[int, Any]:
-        """The slow-request ring: summaries of requests over threshold."""
-        slow = self._tracer.slow_log
-        limit_raw = scalar(params, "limit", 50)
-        try:
-            limit = max(1, min(int(limit_raw), 500))
-        except (TypeError, ValueError):
-            return 400, {
-                "error": "serve_error",
-                "message": f"limit must be an integer, got {limit_raw!r}",
-            }
-        if slow is None:
-            return 200, {"slow": [], "threshold_seconds": None}
-        entries = slow.entries(limit)
-        if tenant is not None:
-            entries = [e for e in entries if e.get("tenant") == tenant.name]
-        payload = slow.snapshot()
-        payload["slow"] = entries
-        return 200, payload
-
-    def _configs_route(
-        self,
-        method: str,
-        params: Mapping[str, Any],
-        tenant: TenantSpec | None = None,
+    def configs(
+        self, params: Mapping[str, Any], tenant: TenantSpec | None = None
     ) -> tuple[int, Any]:
         for handle in self._replicas.values():
             if not handle.alive():
@@ -1252,16 +960,10 @@ class ClusterCoordinator:
                 if self._tenants is not None:
                     payload["tenants"] = self._tenants.names()
                 return 200, payload
-        return 503, {
-            "error": "unavailable",
-            "message": "no live replicas to describe configurations",
-        }
+        raise ClusterError("no live replicas to describe configurations")
 
-    def _cluster_route(
-        self,
-        method: str,
-        params: Mapping[str, Any],
-        tenant: TenantSpec | None = None,
+    def cluster(
+        self, params: Mapping[str, Any], tenant: TenantSpec | None = None
     ) -> tuple[int, Any]:
         payload: dict[str, Any] = {
             "replicas": self._replica_states(),
@@ -1279,52 +981,37 @@ class ClusterCoordinator:
             payload["tenant_in_flight"] = self._tenant_admission.snapshot()
         return 200, payload
 
-    def _store_config(
-        self, params: Mapping[str, Any]
-    ) -> "ServeConfig | tuple[int, Any]":
+    def _store_config(self, params: Mapping[str, Any]) -> ServeConfig:
         """Resolve the store-backed config a feed request targets.
 
-        Returns the config, or a ready ``(status, payload)`` error pair
-        (400 when no store-backed configuration exists — the cluster has
-        nothing durable to write to or read a log from).
+        400 when no store-backed configuration exists — the cluster has
+        nothing durable to write to or read a log from.
         """
         stored = {c.name: c for c in self._configs if c.store is not None}
         if not stored:
-            return 400, {
-                "error": "serve_error",
-                "message": (
-                    "no configuration has a document store (store=<path>); "
-                    "ingest and changefeed need a store-backed configuration"
-                ),
-            }
+            raise ServeError(
+                "no configuration has a document store (store=<path>); "
+                "ingest and changefeed need a store-backed configuration"
+            )
         name = scalar(params, "config")
         if name is None:
             if len(stored) == 1:
                 return next(iter(stored.values()))
-            return 400, {
-                "error": "serve_error",
-                "message": (
-                    f"parameter 'config' is required with multiple "
-                    f"store-backed configurations; configured: "
-                    f"{', '.join(sorted(stored))}"
-                ),
-            }
+            raise ServeError(
+                f"parameter 'config' is required with multiple "
+                f"store-backed configurations; configured: "
+                f"{', '.join(sorted(stored))}"
+            )
         config = stored.get(str(name))
         if config is None:
-            return 404, {
-                "error": "unknown_config",
-                "message": (
-                    f"no store-backed configuration named {name!r}; "
-                    f"configured: {', '.join(sorted(stored))}"
-                ),
-            }
+            raise UnknownConfigError(
+                f"no store-backed configuration named {name!r}; "
+                f"configured: {', '.join(sorted(stored))}"
+            )
         return config
 
-    def _ingest(
-        self,
-        method: str,
-        params: Mapping[str, Any],
-        tenant: TenantSpec | None = None,
+    def ingest(
+        self, params: Mapping[str, Any], tenant: TenantSpec | None = None
     ) -> tuple[int, Any]:
         """Routed ingest: write the batch to the *source* store.
 
@@ -1342,14 +1029,9 @@ class ClusterCoordinator:
 
         t0 = time.perf_counter()
         config = self._store_config(params)
-        if isinstance(config, tuple):
-            return config
         raw = params.get("documents")
         if not isinstance(raw, (list, tuple)) or not raw:
-            return 400, {
-                "error": "serve_error",
-                "message": "ingest needs a non-empty 'documents' list",
-            }
+            raise ServeError("ingest needs a non-empty 'documents' list")
         # Match `repro store ingest`: unstemmed analysis for text payloads,
         # so CLI-ingested and cluster-ingested documents tokenize alike.
         analyzer = Analyzer(use_stemming=False)
@@ -1358,10 +1040,7 @@ class ClusterCoordinator:
             try:
                 documents.append(document_from_payload(payload, analyzer=analyzer))
             except (DataError, SchemaError) as exc:
-                return 400, {
-                    "error": "serve_error",
-                    "message": f"documents[{i}]: {exc}",
-                }
+                raise ServeError(f"documents[{i}]: {exc}") from None
         if tenant is not None:
             self._quota.check_batch(tenant, len(documents))
         store = self._source_store(config.store)
@@ -1388,11 +1067,8 @@ class ClusterCoordinator:
                 self._feeds[config.name] = feed
             return feed
 
-    def _changefeed_route(
-        self,
-        method: str,
-        params: Mapping[str, Any],
-        tenant: TenantSpec | None = None,
+    def changefeed(
+        self, params: Mapping[str, Any], tenant: TenantSpec | None = None
     ) -> tuple[int, Any]:
         """Serve the source store's replication log from the coordinator.
 
@@ -1401,20 +1077,15 @@ class ClusterCoordinator:
         cluster without knowing which replica holds what.
         """
         config = self._store_config(params)
-        if isinstance(config, tuple):
-            return config
-        try:
-            since, limit, consumer = resolve_read_args(
-                scalar(params, "cursor"),
-                scalar(params, "since"),
-                scalar(params, "limit"),
-                scalar(params, "consumer"),
-            )
-            batch = self._feed_for(config).read_since(
-                since, limit=limit, consumer=consumer
-            )
-        except (FeedError, ServeError) as exc:
-            return 400, {"error": "serve_error", "message": str(exc)}
+        since, limit, consumer = resolve_read_args(
+            scalar(params, "cursor"),
+            scalar(params, "since"),
+            scalar(params, "limit"),
+            scalar(params, "consumer"),
+        )
+        batch = self._feed_for(config).read_since(
+            since, limit=limit, consumer=consumer
+        )
         payload = batch_to_payload(config.name, batch, limit)
         if tenant is not None:
             payload["tenant"] = tenant.name
@@ -1422,30 +1093,12 @@ class ClusterCoordinator:
 
     # -- scatter/gather batch ------------------------------------------------
 
-    def _batch(
-        self,
-        method: str,
-        params: Mapping[str, Any],
-        tenant: TenantSpec | None = None,
+    def batch(
+        self, params: Mapping[str, Any], tenant: TenantSpec | None = None
     ) -> tuple[int, Any]:
         t0 = time.perf_counter()
-        try:
-            page = resolve_page(params, "batch", BATCH_CURSOR_KEYS)
-            run_params = dict(page.params)
-            if "queries" not in run_params:
-                queries = params.get("queries")
-                if not isinstance(queries, (list, tuple)) or not queries:
-                    from repro.errors import ServeError
-
-                    raise ServeError("batch needs a non-empty 'queries' list")
-                run_params["queries"] = [str(q) for q in queries]
-            if page.paginated:
-                page = PageRequest(
-                    params=run_params, offset=page.offset, limit=page.limit
-                )
-        except Exception as exc:  # bad cursor / bad queries
-            return 400, {"error": "serve_error", "message": str(exc)}
-
+        page = resolve_batch_page(params)
+        run_params = page.params
         queries = run_params["queries"]
         config = run_params.get("config", "")
 
@@ -1455,10 +1108,7 @@ class ClusterCoordinator:
             key = f"{config}\x00{query}"
             candidates = self._live_preference(key)
             if not candidates:
-                return 503, {
-                    "error": "unavailable",
-                    "message": "no live replicas (cluster is restarting or down)",
-                }
+                raise ClusterError("no live replicas (cluster is restarting or down)")
             groups.setdefault(candidates[0].name, []).append((index, query))
 
         # Admission: claim one slot per participating replica up front;
@@ -1497,8 +1147,6 @@ class ClusterCoordinator:
         try:
             with ThreadPoolExecutor(max_workers=len(groups)) as pool:
                 outcomes = list(pool.map(run_group, groups.items()))
-        except ClusterError as exc:
-            return 503, {"error": "unavailable", "message": str(exc)}
         finally:
             for name in claimed:
                 self._admission.release(name)
@@ -1547,9 +1195,7 @@ class ClusterCoordinator:
         if tenant is not None:
             payload["tenant"] = tenant.name
         if page.paginated:
-            paged = apply_page({"items": items}, "items", page, "batch")
-            report["items"] = paged["items"]
-            payload["page"] = paged["page"]
+            apply_batch_page(payload, page)
         return 200, payload
 
 

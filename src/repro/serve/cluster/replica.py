@@ -1,10 +1,9 @@
 """The replica worker process: hydrate, announce, serve, drain.
 
 A replica is one OS process owning a full single-node serving stack — a
-:class:`~repro.serve.pool.SessionPool`, an
-:class:`~repro.serve.app.ExpansionService`, and the pagination-aware
-:class:`~repro.serve.cluster.routes.RoutedService` face — reached over
-the :mod:`~repro.serve.cluster.transport` RPC instead of HTTP. The
+:class:`~repro.serve.pool.SessionPool` and an
+:class:`~repro.serve.app.ExpansionService` — reached over the
+:mod:`~repro.serve.cluster.transport` RPC instead of HTTP. The
 coordinator describes it with a picklable :class:`ReplicaSpec` and
 spawns :func:`replica_main` via ``multiprocessing`` (``spawn`` context:
 no inherited locks, threads, or SQLite handles).
@@ -47,7 +46,6 @@ from typing import Any, Callable, Mapping
 
 from repro.feed import Changefeed, FeedTailer
 from repro.serve.app import ExpansionService
-from repro.serve.cluster.routes import RoutedService
 from repro.serve.cluster.transport import ReplicaTransport
 from repro.serve.pool import ServeConfig, SessionPool
 from repro.tenancy import TenantRegistry, TenantSpec
@@ -98,7 +96,7 @@ class ReplicaSpec:
 class TailingReplicaService:
     """A replica service plus the feed tailers keeping it converged.
 
-    Wraps a :class:`RoutedService`, delegating everything, and:
+    Wraps an :class:`ExpansionService`, delegating everything, and:
 
     * augments ``/healthz`` and ``/metrics`` payloads with a ``feed``
       block (per-config tailer stats) so the coordinator can aggregate
@@ -112,8 +110,8 @@ class TailingReplicaService:
       restart-equals-rehydrate, not a second code path).
     """
 
-    def __init__(self, routed: RoutedService) -> None:
-        self._routed = routed
+    def __init__(self, service: ExpansionService) -> None:
+        self._service = service
         self._tailers: dict[str, FeedTailer] = {}
         self._feeds: list[Changefeed] = []
         self.on_gap: Callable[[str], None] | None = None
@@ -126,7 +124,7 @@ class TailingReplicaService:
         self, config_name: str, source_path: str, spec: ReplicaSpec
     ) -> FeedTailer:
         """Start tailing ``source_path``'s changelog into ``config_name``."""
-        entry = self._routed.pool.get(config_name)
+        entry = self._service.pool.get(config_name)
         feed = Changefeed(source_path)
 
         def _gap(_tailer: FeedTailer, _batch: Any) -> None:
@@ -142,7 +140,7 @@ class TailingReplicaService:
             consumer=f"{spec.name}:{config_name}",
             poll_interval=spec.feed_poll_interval,
             on_gap=_gap,
-            tracer=self._routed.service.tracer,
+            tracer=self._service.tracer,
         )
         self._feeds.append(feed)
         self._tailers[config_name] = tailer
@@ -155,7 +153,7 @@ class TailingReplicaService:
     def handle(
         self, method: str, path: str, params: Mapping[str, Any]
     ) -> tuple[int, Any]:
-        status, payload = self._routed.handle(method, path, params)
+        status, payload = self._service.handle(method, path, params)
         normalized = path.rstrip("/") or path
         if (
             status == 200
@@ -171,15 +169,15 @@ class TailingReplicaService:
             tailer.stop()
         for feed in self._feeds:
             feed.close()
-        self._routed.close(drain_timeout=drain_timeout)
+        self._service.close(drain_timeout=drain_timeout)
 
     def __getattr__(self, name: str) -> Any:
-        return getattr(self._routed, name)
+        return getattr(self._service, name)
 
 
 def build_replica_service(
     spec: ReplicaSpec,
-) -> RoutedService | TailingReplicaService:
+) -> ExpansionService | TailingReplicaService:
     """Assemble (and fully hydrate) one replica's serving stack."""
     tenants = None
     if spec.tenant_specs:
@@ -202,10 +200,9 @@ def build_replica_service(
     service.tracer.tags.update({"tier": "replica", "replica": spec.name})
     for name in service.pool.names():
         service.pool.get(name)  # build now: ready means warm
-    routed = RoutedService(service)
     if not spec.feed_sources:
-        return routed
-    tailing = TailingReplicaService(routed)
+        return service
+    tailing = TailingReplicaService(service)
     for config_name, source_path in spec.feed_sources.items():
         tailing.follow(config_name, source_path, spec)
     return tailing
@@ -214,17 +211,17 @@ def build_replica_service(
 def replica_main(spec: ReplicaSpec, ready: Any) -> None:
     """Process entry point (see module docstring). ``ready`` is a Pipe end."""
     try:
-        routed = build_replica_service(spec)
+        service = build_replica_service(spec)
         # trace_export ships the finished trace's spans back in the RPC
         # response so the coordinator stitches one cross-process trace.
         transport = ReplicaTransport(
-            routed.handle, span_export=routed.service.trace_export
+            service.handle, span_export=service.trace_export
         )
-        if isinstance(routed, TailingReplicaService):
+        if isinstance(service, TailingReplicaService):
             # A gap means this replica's history is gone: exit the serve
             # loop cleanly (off-thread — close() joins the accept loop)
             # and let the supervisor re-hydrate us from a fresh snapshot.
-            routed.on_gap = lambda _config: threading.Thread(
+            service.on_gap = lambda _config: threading.Thread(
                 target=transport.close,
                 name="repro-replica-gap-exit",
                 daemon=True,
@@ -250,4 +247,4 @@ def replica_main(spec: ReplicaSpec, ready: Any) -> None:
     transport.serve()
     # Graceful exit: refuse new work, drain in-flight requests, release
     # the store connections (satellite: clean replica supervision).
-    routed.close(drain_timeout=DRAIN_TIMEOUT)
+    service.close(drain_timeout=DRAIN_TIMEOUT)

@@ -1,185 +1,46 @@
 """The cluster's HTTP front: one socket, N replica processes behind it.
 
-:class:`ClusterServer` reuses the single-node HTTP plumbing
-(:class:`~repro.serve.app._Handler`'s request parsing, keep-alive, and
-TCP_NODELAY behavior) but points it at a
-:class:`~repro.serve.cluster.coordinator.ClusterCoordinator` and adds
-two cluster-specific behaviors:
-
-* **bytes passthrough** — proxied responses arrive from replicas as
-  already-serialized JSON; the handler writes them to the client socket
-  verbatim instead of re-parsing and re-dumping (the coordinator's share
-  of a cache hit stays two memcpys);
-* **Retry-After** — shed responses (429) carry a ``Retry-After`` header
-  mirroring the payload's ``retry_after``, so well-behaved clients back
-  off without parsing the body.
+:class:`ClusterServer` is the single-node HTTP front
+(:class:`~repro.serve.edge.HTTPFront`: request parsing, keep-alive,
+TCP_NODELAY, ``Retry-After`` on 429s) pointed at a
+:class:`~repro.serve.cluster.coordinator.ClusterCoordinator`. Proxied
+responses arrive from replicas as already-serialized JSON and the shared
+handler writes ``bytes`` payloads to the client socket verbatim instead
+of re-parsing and re-dumping (the coordinator's share of a cache hit
+stays two memcpys).
 """
 
 from __future__ import annotations
 
-import threading
 from typing import Any, Iterable
 
-from repro.errors import ServeError
-from repro.obs import TRACE_HEADER, PrometheusText
-from repro.serve.app import _Handler, _HTTPServer
 from repro.serve.cluster.coordinator import ClusterCoordinator
+from repro.serve.edge import HTTPFront
 from repro.serve.pool import ServeConfig
 
 
-class _ClusterHandler(_Handler):
-    """The single-node handler, taught to forward pre-serialized bytes."""
-
-    server_version = "repro-cluster/1.0"
-
-    def _respond(self, status: int, payload: Any) -> None:
-        if not isinstance(payload, bytes) or isinstance(payload, PrometheusText):
-            # Coordinator-built payloads (sheds, errors, admin routes, the
-            # Prometheus exposition) go through the single-node handler so
-            # the 429 Retry-After and content-type behavior stay defined
-            # in exactly one place.
-            super()._respond(status, payload)
-            return
-        body = payload
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json; charset=utf-8")
-        self.send_header("Content-Length", str(len(body)))
-        trace_id = getattr(self, "_trace_id", None)
-        if trace_id is not None:
-            self.send_header(TRACE_HEADER, trace_id)
-        self.end_headers()
-        self.wfile.write(body)
-
-
-class ClusterServer:
+class ClusterServer(HTTPFront):
     """HTTP front of a :class:`ClusterCoordinator` (ExpansionServer-shaped).
 
     Same embedding surface as :class:`~repro.serve.app.ExpansionServer`:
-    ``port=0`` for an ephemeral port, :meth:`start` for a daemon thread,
-    :meth:`serve_forever` for the blocking CLI path, context-manager
-    enter/exit. :meth:`stop` tears down the HTTP listener *and* the
-    coordinator (which drains and stops every replica).
+    ``port=0`` for an ephemeral port, :meth:`start` for a daemon thread
+    (it starts the coordinator first, spawning the replica fleet),
+    :meth:`serve_forever` for the blocking CLI path (replicas must
+    already be started), context-manager enter/exit. The first
+    :meth:`stop` tears down the HTTP listener *and* the coordinator,
+    which drains in-flight requests and then every replica.
     """
-
-    def __init__(
-        self,
-        coordinator: ClusterCoordinator,
-        host: str = "127.0.0.1",
-        port: int = 8080,
-    ) -> None:
-        self._coordinator = coordinator
-        self._httpd = _HTTPServer((host, port), _ClusterHandler)
-        self._httpd.service = coordinator  # _Handler calls .handle(...)
-        self._thread: threading.Thread | None = None
-        self._serving = threading.Event()  # a blocking serve_forever is live
-        self._started = threading.Event()  # start() has been called
-        self._closed = threading.Event()  # set once stop() has run
-        self._stop_lock = threading.Lock()
 
     @property
     def coordinator(self) -> ClusterCoordinator:
-        return self._coordinator
+        return self._backend
 
-    @property
-    def host(self) -> str:
-        return self._httpd.server_address[0]
+    def _open(self) -> None:
+        self._backend.start()
 
-    @property
-    def port(self) -> int:
-        return self._httpd.server_address[1]
-
-    @property
-    def url(self) -> str:
-        return f"http://{self.host}:{self.port}"
-
-    def start(self) -> "ClusterServer":
-        if self._started.is_set():
-            raise ServeError("cluster server already started")
-        self._started.set()
-        # The replica fleet spawns outside _stop_lock (process startup is
-        # slow and must not serialize against stop()); only the _thread
-        # handoff is locked — a signal handler's stop thread may run
-        # concurrently with start (same rationale as ExpansionServer).
-        self._coordinator.start()
-        with self._stop_lock:
-            self._thread = threading.Thread(
-                target=self._httpd.serve_forever,
-                name=f"repro-cluster:{self.port}",
-                daemon=True,
-            )
-            self._thread.start()
-        return self
-
-    def serve_forever(self) -> None:
-        """Blocking serve (the CLI path); replicas must already be started."""
-        if self._closed.is_set():
-            return
-        self._serving.set()
-        try:
-            self._httpd.serve_forever()
-        finally:
-            self._serving.clear()
-
-    def stop(self) -> None:
-        """Stop the HTTP front, then drain and stop the replica fleet.
-
-        Serialized under a lock: the SIGTERM handler's stop thread and
-        the CLI's ``finally: stop()`` may race here. ``shutdown()`` must
-        run for a blocking :meth:`serve_forever` too, not just the
-        :meth:`start` thread — a signal handler's stop thread reaches
-        here while the main thread is still inside ``serve_forever``,
-        and closing the listening socket under a live accept loop leaves
-        it spinning on an invalid descriptor forever.
-        """
-        # analyze: ignore[LOCK001] - shutdown() and join(timeout=5) are
-        # bounded teardown waits; serializing them under _stop_lock is the
-        # point (racing stop() calls must not double-join the thread).
-        with self._stop_lock:
-            first = not self._closed.is_set()
-            self._closed.set()
-            if self._thread is not None:
-                self._httpd.shutdown()
-                self._thread.join(timeout=5)
-                self._thread = None
-            elif self._serving.is_set():
-                self._httpd.shutdown()  # wakes the blocking serve_forever
-            self._httpd.server_close()
-        # The coordinator drain (supervisor join + per-replica process
-        # joins) is unbounded and must not run under _stop_lock: a second
-        # stop() — e.g. the signal handler racing the CLI's finally: —
-        # would block on the lock for the whole drain. Only the first
-        # caller drains; later callers return once the front is down.
-        if first:
-            self._coordinator.stop()
-
-    def install_signal_handlers(
-        self, signals: tuple[int, ...] | None = None
-    ) -> None:
-        """Make SIGTERM/SIGINT stop the front and drain the fleet.
-
-        Same shape (and same deadlock-avoidance rationale) as
-        :meth:`repro.serve.app.ExpansionServer.install_signal_handlers`:
-        the handler hands the stop to a fresh thread so the blocking
-        ``serve_forever`` thread is never the one waiting on itself.
-        """
-        import signal as _signal
-
-        if signals is None:
-            signals = (_signal.SIGTERM, _signal.SIGINT)
-
-        def _handler(signum: int, frame: Any) -> None:
-            threading.Thread(
-                target=self.stop, name="repro-cluster-shutdown", daemon=True
-            ).start()
-
-        for signum in signals:
-            _signal.signal(signum, _handler)
-
-    def __enter__(self) -> "ClusterServer":
-        return self.start()
-
-    def __exit__(self, *exc_info: Any) -> None:
-        self.stop()
+    def _release(self, drain_timeout: float) -> None:
+        # The coordinator bounds its own drain (DEFAULT_DRAIN_TIMEOUT).
+        self._backend.stop()
 
 
 def create_cluster(

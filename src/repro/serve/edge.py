@@ -1,0 +1,765 @@
+"""The request edge both serve tiers share.
+
+:class:`~repro.serve.app.ExpansionService` (one node) and
+:class:`~repro.serve.cluster.coordinator.ClusterCoordinator` (the front
+of a replica fleet) answer the same HTTP surface with the same request
+envelope. This module owns that envelope, once:
+
+* trace-param unpacking and the root ``http.request`` span
+  (:meth:`RequestEdge.handle`);
+* the drain gate: ``503 shutting_down`` once :meth:`RequestEdge._drain`
+  has begun, plus the in-flight count the drain waits on;
+* :data:`ROUTES`, the one declarative route table, and its 404/405
+  bodies;
+* tenant resolution (each tier's :meth:`RequestEdge._check_tenant`
+  hook) and the per-tenant rate-limit plus in-flight gate;
+* :func:`error_response`, the one exception -> status ladder;
+* the ``/debug/traces`` and ``/debug/slow`` handlers;
+* the HTTP front: :class:`HTTPFront`, one stdlib listener lifecycle
+  both tiers' servers share.
+
+A tier subclasses :class:`RequestEdge` and supplies the handlers its
+route table names, each ``handler(params, tenant) -> (status,
+payload)``, plus the ``_check_tenant`` hook and (optionally) the
+``_account`` metrics hook. API.md ("Request envelope") lists every
+status the envelope answers.
+"""
+
+from __future__ import annotations
+
+import json
+import threading
+import time
+from dataclasses import dataclass
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from typing import Any, Mapping
+from urllib.parse import parse_qs, urlsplit
+
+from repro.errors import (
+    ClusterError,
+    QuotaExceededError,
+    ReproError,
+    ServeError,
+    TenancyError,
+    TenantAccessError,
+    UnknownConfigError,
+    UnknownTenantError,
+)
+from repro.obs import (
+    DEFAULT_SLOW_THRESHOLD,
+    TRACE_HEADER,
+    TRACE_PARAM,
+    TRACE_PARENT_PARAM,
+    JsonLogger,
+    PrometheusText,
+    SlowLog,
+    TraceBuffer,
+    Tracer,
+    new_trace_id,
+    sanitize_trace_id,
+    span,
+)
+from repro.obs.prometheus import CONTENT_TYPE as _PROM_CONTENT_TYPE
+from repro.serve.admission import AdmissionController, shed_payload
+from repro.tenancy import TENANT_HEADER, RateLimiter, TenantRegistry, TenantSpec
+
+
+def scalar(params: Mapping[str, Any], key: str, default: Any = None) -> Any:
+    """``params[key]`` with ``parse_qs`` list unwrapping (first element)."""
+    value = params.get(key, default)
+    if isinstance(value, list):
+        value = value[0] if value else default
+    return value
+
+
+# -- the route table ---------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Route:
+    """One path: its methods, its handler's attribute name, its plane.
+
+    The handler is looked up on the tier per request, so an instance
+    attribute (a test double, a wrapper) overrides the method. ``data``
+    marks the data plane: with a tenant registry, those routes require
+    a tenant and pass its rate-limit and in-flight gate; admin routes
+    accept an optional tenant and always answer.
+    """
+
+    methods: tuple[str, ...]
+    handler: str
+    data: bool = False
+
+
+#: The routes both tiers serve. The coordinator adds ``/cluster``.
+ROUTES: Mapping[str, Route] = {
+    "/expand": Route(("GET", "POST"), "expand", data=True),
+    "/search": Route(("GET", "POST"), "search", data=True),
+    "/batch": Route(("POST",), "batch", data=True),
+    "/ingest": Route(("POST",), "ingest", data=True),
+    "/changefeed": Route(("GET",), "changefeed", data=True),
+    "/configs": Route(("GET",), "configs"),
+    "/healthz": Route(("GET",), "healthz"),
+    "/metrics": Route(("GET",), "metrics_snapshot"),
+    "/debug/traces": Route(("GET",), "debug_traces"),
+    "/debug/slow": Route(("GET",), "debug_slow"),
+}
+
+
+# -- the error ladder --------------------------------------------------------
+
+#: ``(exception type, status, error code)``, most specific first; other
+#: :class:`ReproError` types answer 400 under their class name, anything
+#: else 500 ``internal``.
+_LADDER: tuple[tuple[type[Exception], int, str], ...] = (
+    (UnknownTenantError, 404, "unknown_tenant"),
+    (TenantAccessError, 403, "forbidden"),
+    (QuotaExceededError, 413, "quota_exceeded"),
+    (TenancyError, 400, "tenant_required"),
+    (UnknownConfigError, 404, "unknown_config"),
+    (ClusterError, 503, "unavailable"),
+    (ServeError, 400, "serve_error"),
+)
+
+
+def error_body(code: str, message: str, tenant: str | None = None) -> dict[str, Any]:
+    """The one error payload shape: ``error``, ``message``, ``tenant``."""
+    body: dict[str, Any] = {"error": code, "message": message}
+    if tenant is not None:
+        body["tenant"] = tenant
+    return body
+
+
+def error_response(
+    exc: BaseException, tenant: TenantSpec | None = None
+) -> tuple[int, dict[str, Any]]:
+    """Map a handler's exception to ``(status, error body)``.
+
+    The body names ``tenant`` when the request resolved one, or when
+    the error itself names the tenant it refused (the coordinator's
+    allow-list check runs before the edge holds the tenant).
+    """
+    for kind, status, code in _LADDER:
+        if isinstance(exc, kind):
+            break
+    else:
+        status, code = (
+            (400, type(exc).__name__) if isinstance(exc, ReproError)
+            else (500, "internal")
+        )
+    name = tenant.name if tenant is not None else getattr(exc, "tenant", None)
+    return status, error_body(code, str(exc), name)
+
+
+def _limit_param(params: Mapping[str, Any]) -> int:
+    raw = scalar(params, "limit", 50)
+    try:
+        return max(1, min(int(raw), 500))
+    except (TypeError, ValueError):
+        raise ServeError(f"limit must be an integer, got {raw!r}") from None
+
+
+# -- the envelope ------------------------------------------------------------
+
+
+class RequestEdge:
+    """The request envelope (see module docstring); tiers subclass it.
+
+    ``tenant_retry_after`` is the ``Retry-After`` advertised on
+    in-flight sheds (rate-limit sheds advertise the exact token-refill
+    time). ``enforce_limits=False`` skips the rate-limit and in-flight
+    gate: cluster replicas, whose coordinator already enforced it.
+    """
+
+    routes: Mapping[str, Route] = ROUTES
+
+    def __init__(
+        self,
+        *,
+        tier: str,
+        tenants: TenantRegistry | None,
+        rate_limiter: RateLimiter | None,
+        tenant_retry_after: float,
+        enforce_limits: bool = True,
+        tracing: bool = True,
+        trace_capacity: int = 256,
+        slow_threshold: float = DEFAULT_SLOW_THRESHOLD,
+        log_json: bool = False,
+        log_stream: Any = None,
+    ) -> None:
+        self._tracer = Tracer(
+            buffer=TraceBuffer(trace_capacity),
+            slow_log=SlowLog(slow_threshold),
+            logger=(
+                JsonLogger(log_stream)
+                if (log_json or log_stream is not None)
+                else None
+            ),
+            enabled=tracing,
+            tags={"tier": tier},
+        )
+        self._tenants = tenants
+        self._rate_limiter = (
+            rate_limiter if rate_limiter is not None else RateLimiter()
+        )
+        self._tenant_retry_after = tenant_retry_after
+        self._enforce_limits = bool(enforce_limits)
+        # Every acquire passes the tenant's own max_in_flight as the
+        # depth, so the controller default is never consulted.
+        self._tenant_admission = AdmissionController(queue_depth=1)
+        self._tenant_lock = threading.Lock()
+        self._tenant_sheds: dict[str, int] = {}
+        self._closing = threading.Event()
+        self._inflight = 0
+        self._inflight_cv = threading.Condition()
+
+    @property
+    def tracer(self) -> Tracer:
+        return self._tracer
+
+    def trace_export(self, trace_id: str) -> "list[dict[str, Any]] | None":
+        """Span records of a finished trace (the RPC stitching hook)."""
+        return self._tracer.export(trace_id)
+
+    @property
+    def tenants(self) -> TenantRegistry | None:
+        return self._tenants
+
+    @property
+    def closing(self) -> bool:
+        """True once the drain has begun; new requests get 503."""
+        return self._closing.is_set()
+
+    # -- tier hooks ----------------------------------------------------------
+
+    def _check_tenant(
+        self, params: Mapping[str, Any], data: bool
+    ) -> TenantSpec | None:
+        """Resolve the request's tenant (registry configured only).
+
+        ``data`` marks a data-plane route: a tenant is required there.
+        Raises the tenancy errors :func:`error_response` maps.
+        """
+        raise NotImplementedError
+
+    def _account(
+        self,
+        endpoint: str,
+        tenant: TenantSpec | None,
+        event: str,
+        seconds: float = 0.0,
+    ) -> None:
+        """Count one ``admit``, ``shed`` or ``error`` (default: nothing).
+
+        ``seconds`` is the shed decision's latency (``shed`` only).
+        """
+
+    # -- request entry -------------------------------------------------------
+
+    def handle(
+        self,
+        method: str,
+        path: str,
+        params: Mapping[str, Any],
+        trace_id: str | None = None,
+        parent_id: str | None = None,
+    ) -> tuple[int, Any]:
+        """Dispatch one request under a root span; never raises.
+
+        Trace context arrives either as the ``trace_id``/``parent_id``
+        keywords (the HTTP front passes the ``X-Repro-Trace`` id it
+        chose directly — no params round-trip on the warm path) or in
+        the reserved ``_trace``/``_trace_parent`` params (the
+        coordinator's RPC into a replica, or direct callers); params
+        are stripped before the endpoint sees the request. Every error
+        payload gains the request's ``trace_id``; the finished trace
+        lands in the tracer's sinks.
+        """
+        if TRACE_PARAM in params or TRACE_PARENT_PARAM in params:
+            params = dict(params)
+            if trace_id is None:
+                trace_id = scalar(params, TRACE_PARAM)
+            if parent_id is None:
+                parent_id = scalar(params, TRACE_PARENT_PARAM)
+            params.pop(TRACE_PARAM, None)
+            params.pop(TRACE_PARENT_PARAM, None)
+        if not self._tracer.enabled:
+            return self._dispatch(method, path, params)
+        with self._tracer.request(
+            "http.request",
+            trace_id=trace_id,
+            parent_id=parent_id,
+            method=method,
+            path=path,
+        ) as root:
+            status, payload = self._dispatch(method, path, params)
+            if root is not None:
+                attrs = root.attrs  # direct writes: handle is the warm path
+                attrs["status"] = status
+                if isinstance(payload, dict):
+                    if "cache" in payload:
+                        attrs["cache"] = payload["cache"]
+                    if "tenant" in payload:
+                        attrs["tenant"] = payload["tenant"]
+                    if status >= 400:
+                        root.mark_error(
+                            str(payload.get("message") or payload.get("error"))
+                        )
+                        payload.setdefault("trace_id", root.trace_id)
+            return status, payload
+
+    def _dispatch(
+        self, method: str, path: str, params: Mapping[str, Any]
+    ) -> tuple[int, Any]:
+        """The drain gate, 404/405, tenant resolution and admission, then
+        the handler; everything past the gate counts as in flight."""
+        with self._inflight_cv:
+            if self._closing.is_set():
+                return 503, error_body(
+                    "shutting_down",
+                    "server is draining in-flight requests and shutting down",
+                )
+            self._inflight += 1
+        normalized = path.rstrip("/") or path
+        endpoint = normalized.strip("/")
+        tenant: TenantSpec | None = None
+        admitted = False
+        try:
+            route = self.routes.get(normalized)
+            if route is None:
+                body = error_body("not_found", f"unknown path {path!r}")
+                body["paths"] = sorted(self.routes)
+                return 404, body
+            if method not in route.methods:
+                return 405, error_body(
+                    "method_not_allowed",
+                    f"{path} accepts {', '.join(route.methods)}",
+                )
+            if self._tenants is not None:
+                with span("tenant.resolve") as resolve_span:
+                    tenant = self._check_tenant(params, route.data)
+                    if resolve_span is not None and tenant is not None:
+                        resolve_span.set_attr("tenant", tenant.name)
+                if tenant is not None and route.data and self._enforce_limits:
+                    shed = self._admit(endpoint, tenant)
+                    if shed is not None:
+                        return shed
+                    admitted = tenant.max_in_flight is not None
+            return getattr(self, route.handler)(params, tenant)
+        except Exception as exc:  # noqa: BLE001 — a request must never kill the server
+            self._account(endpoint, tenant, "error")
+            return error_response(exc, tenant)
+        finally:
+            if admitted:
+                self._tenant_admission.release(tenant.name)
+            with self._inflight_cv:
+                self._inflight -= 1
+                self._inflight_cv.notify_all()
+
+    def _admit(
+        self, endpoint: str, tenant: TenantSpec
+    ) -> "tuple[int, dict[str, Any]] | None":
+        """Rate-limit + bounded-in-flight gate for one data-plane request.
+
+        Returns a ready 429 ``(status, payload)`` to shed, or ``None``
+        when admitted — in which case the caller owns one admission slot
+        iff ``tenant.max_in_flight`` is set and must release it.
+        """
+        t0 = time.perf_counter()
+        ok, retry_after = self._rate_limiter.try_acquire(tenant)
+        if not ok:
+            reason, retry_after = "rate_limit", round(retry_after, 3)
+            message = (
+                f"tenant {tenant.name!r} is over its rate limit "
+                f"({tenant.qps:g} qps); retry shortly"
+            )
+        elif tenant.max_in_flight is not None and not (
+            self._tenant_admission.try_acquire(
+                tenant.name, depth=tenant.max_in_flight
+            )
+        ):
+            reason, retry_after = "in_flight", self._tenant_retry_after
+            message = (
+                f"tenant {tenant.name!r} is at its in-flight bound "
+                f"({tenant.max_in_flight}); retry shortly"
+            )
+        else:
+            self._account(endpoint, tenant, "admit")
+            return None
+        self._record_shed(tenant)
+        self._account(endpoint, tenant, "shed", time.perf_counter() - t0)
+        self._tracer.event(
+            "shed",
+            error=True,
+            reason=reason,
+            tenant=tenant.name,
+            path=f"/{endpoint}",
+            retry_after=retry_after,
+        )
+        return 429, shed_payload(message, retry_after, tenant=tenant.name)
+
+    def _record_shed(self, tenant: TenantSpec) -> None:
+        with self._tenant_lock:
+            self._tenant_sheds[tenant.name] = (
+                self._tenant_sheds.get(tenant.name, 0) + 1
+            )
+
+    def _drain(self, timeout: float) -> None:
+        """Refuse new requests (503), then wait up to ``timeout`` seconds
+        for the ones already past the gate. Idempotent."""
+        self._closing.set()
+        deadline = time.monotonic() + timeout
+        with self._inflight_cv:
+            while self._inflight > 0:
+                remaining = deadline - time.monotonic()
+                if remaining <= 0:
+                    break  # drain expired: tear down anyway
+                self._inflight_cv.wait(remaining)
+
+    # -- debug endpoints -----------------------------------------------------
+
+    def debug_traces(
+        self, params: Mapping[str, Any], tenant: TenantSpec | None = None
+    ) -> tuple[int, dict[str, Any]]:
+        """Recent finished traces (``min_duration``/``status``/``for_tenant``).
+
+        A tenant-scoped request sees only its own traces; anonymous
+        requests may filter by ``?for_tenant=``, but a resolved tenant
+        always wins over the query filter.
+        """
+        raw = scalar(params, "min_duration")
+        try:
+            min_duration = None if raw in (None, "") else float(raw)
+        except (TypeError, ValueError):
+            raise ServeError(f"min_duration must be a number, got {raw!r}") from None
+        status = scalar(params, "status")
+        limit = _limit_param(params)
+        buffer = self._tracer.buffer
+        traces = (
+            buffer.list(
+                min_duration=min_duration,
+                status=str(status) if status not in (None, "") else None,
+                tenant=(
+                    tenant.name if tenant is not None
+                    else scalar(params, "for_tenant")
+                ),
+                limit=limit,
+            )
+            if buffer is not None
+            else []
+        )
+        return 200, {
+            "tracing": self._tracer.enabled,
+            "held": 0 if buffer is None else len(buffer),
+            "capacity": 0 if buffer is None else buffer.capacity,
+            "traces": traces,
+        }
+
+    def debug_slow(
+        self, params: Mapping[str, Any], tenant: TenantSpec | None = None
+    ) -> tuple[int, dict[str, Any]]:
+        """The slow-request ring: summaries of requests over threshold."""
+        limit = _limit_param(params)
+        slow = self._tracer.slow_log
+        if slow is None:
+            return 200, {"slow": [], "threshold_seconds": None}
+        entries = slow.entries(limit)
+        if tenant is not None:
+            entries = [e for e in entries if e.get("tenant") == tenant.name]
+        payload = slow.snapshot()
+        payload["slow"] = entries
+        return 200, payload
+
+
+# -- the HTTP front ----------------------------------------------------------
+
+#: Lowercased header names matched by the handler's single header pass.
+_TENANT_KEY = TENANT_HEADER.lower()
+_TRACE_KEY = TRACE_HEADER.lower()
+
+
+class _Handler(BaseHTTPRequestHandler):
+    """Maps HTTP requests onto the server's ``service.handle``."""
+
+    protocol_version = "HTTP/1.1"
+    server_version = "repro-serve/1.0"
+    # Headers and body go out as separate writes; with Nagle on, that
+    # write-write-read pattern stalls keep-alive clients for a delayed-ACK
+    # interval (~40ms) per request. TCP_NODELAY keeps hits sub-millisecond.
+    disable_nagle_algorithm = True
+
+    def _params_from_query(self) -> dict[str, Any]:
+        parts = urlsplit(self.path)
+        return {k: v for k, v in parse_qs(parts.query).items()}
+
+    def _fold_headers(self, params: dict[str, Any]) -> dict[str, Any]:
+        """Fold ``X-Repro-Tenant`` and ``X-Repro-Trace`` into params.
+
+        One pass over the raw headers — ``Message.get`` re-scans the
+        whole header list per call, and a second scan per request is
+        visible in the warm-path overhead gate. The tenant param is only
+        set when absent (explicit param wins). The trace id chosen here
+        (client-supplied or fresh) is what the service roots the trace
+        on, and what :meth:`_respond` echoes back — so the header
+        round-trips and a generated id still reaches the client for
+        ``/debug/traces`` lookup.
+        """
+        tenant = trace = None
+        for key, value in self.headers.items():
+            lowered = key.lower()
+            if tenant is None and lowered == _TENANT_KEY:
+                tenant = value
+            elif trace is None and lowered == _TRACE_KEY:
+                trace = value
+        if tenant and "tenant" not in params:
+            params["tenant"] = tenant
+        tracer = getattr(self.server.service, "tracer", None)
+        if tracer is None or not tracer.enabled:
+            self._trace_id = None
+            return params
+        # The chosen id rides self._trace_id into handle()'s trace_id
+        # keyword and the response echo — never through params.
+        self._trace_id = sanitize_trace_id(trace) or new_trace_id()
+        return params
+
+    def _respond(self, status: int, payload: Any) -> None:
+        if isinstance(payload, PrometheusText):
+            body = bytes(payload)
+            content_type = _PROM_CONTENT_TYPE
+        else:
+            # Proxied cluster responses arrive as serialized JSON and go
+            # out verbatim; compact separators otherwise, since expansion
+            # reports carry full result payloads and serialization cost
+            # is visible in hit latency.
+            body = (
+                payload if isinstance(payload, bytes)
+                else json.dumps(payload, separators=(",", ":")).encode("utf-8")
+            )
+            content_type = "application/json; charset=utf-8"
+        self.send_response(status)
+        self.send_header("Content-Type", content_type)
+        self.send_header("Content-Length", str(len(body)))
+        trace_id = getattr(self, "_trace_id", None)
+        if trace_id is not None:
+            self.send_header(TRACE_HEADER, trace_id)
+        if status == 429 and isinstance(payload, Mapping):
+            # Every shed payload (rate limit or admission, either tier)
+            # carries retry_after — surface it as the standard header.
+            retry_after = payload.get("retry_after")
+            if retry_after is not None:
+                self.send_header(
+                    "Retry-After", str(max(1, round(float(retry_after))))
+                )
+        self.end_headers()
+        self.wfile.write(body)
+
+    def _reject(self, params: dict[str, Any], code: str, message: str) -> None:
+        """Answer 400 before the request reaches the service."""
+        self._fold_headers(params)
+        self._respond(400, error_body(code, message))
+
+    def _serve(self, method: str, params: dict[str, Any]) -> None:
+        path = urlsplit(self.path).path
+        params = self._fold_headers(params)
+        service = self.server.service
+        if self._trace_id is None:  # untraced (or stub) service: legacy call
+            status, payload = service.handle(method, path, params)
+        else:
+            status, payload = service.handle(
+                method, path, params, trace_id=self._trace_id
+            )
+        self._respond(status, payload)
+
+    def do_GET(self) -> None:  # noqa: N802 — http.server API
+        self._serve("GET", self._params_from_query())
+
+    def do_POST(self) -> None:  # noqa: N802 — http.server API
+        params: dict[str, Any] = self._params_from_query()
+        raw_length = self.headers.get("Content-Length")
+        try:
+            length = int(raw_length or 0)
+        except ValueError:
+            length = -1
+        if length < 0:
+            # The body's extent is unknown, so the connection cannot be
+            # reused: answer and close instead of reading.
+            self.close_connection = True
+            self._reject(
+                params, "bad_request", f"invalid Content-Length {raw_length!r}"
+            )
+            return
+        if length:
+            raw = self.rfile.read(length)
+            try:
+                body = json.loads(raw.decode("utf-8"))
+            except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+                self._reject(params, "bad_json", str(exc))
+                return
+            if not isinstance(body, dict):
+                self._reject(params, "bad_json", "body must be an object")
+                return
+            params.update(body)
+        self._serve("POST", params)
+
+    def log_message(self, format: str, *args: Any) -> None:  # noqa: A002
+        pass  # requests are observable via /metrics; stderr stays quiet
+
+
+class _HTTPServer(ThreadingHTTPServer):
+    daemon_threads = True
+    allow_reuse_address = True
+    service: Any
+
+
+class HTTPFront:
+    """The HTTP listener in front of one tier's ``handle``.
+
+    ``port=0`` binds an OS-assigned ephemeral port (read it back from
+    :attr:`port`). :meth:`start` serves on a daemon thread — the
+    embedding pattern used by tests, the benchmarks, and the examples —
+    while :meth:`serve_forever` blocks (the CLI path). Subclasses say
+    how their backend comes up (:meth:`_open`, run by :meth:`start`)
+    and goes down (:meth:`_release`, run once by :meth:`stop`).
+    """
+
+    def __init__(
+        self, backend: Any, host: str = "127.0.0.1", port: int = 8080
+    ) -> None:
+        self._backend = backend
+        self._httpd = _HTTPServer((host, port), _Handler)
+        self._httpd.service = backend
+        self._thread: threading.Thread | None = None
+        self._started = False
+        self._serving = threading.Event()  # a blocking serve_forever is live
+        self._closed = threading.Event()  # set once stop() has run
+        self._stop_lock = threading.Lock()
+        self._releasing = False  # a stop() owns the backend release
+        self._released = threading.Event()
+
+    @property
+    def host(self) -> str:
+        return self._httpd.server_address[0]
+
+    @property
+    def port(self) -> int:
+        return self._httpd.server_address[1]
+
+    @property
+    def url(self) -> str:
+        return f"http://{self.host}:{self.port}"
+
+    def _open(self) -> None:
+        """Bring the backend up before the listener serves."""
+
+    def _release(self, drain_timeout: float) -> None:
+        """Drain and release the backend after the listener stops."""
+        raise NotImplementedError
+
+    def start(self) -> Any:
+        # The backend comes up outside _stop_lock (a replica fleet spawns
+        # slowly and must not serialize against stop()); the _thread
+        # handoff is locked, because a signal handler's stop thread may
+        # run concurrently with start, and an unlocked write here could
+        # leak a started-but-never-joined serve thread.
+        with self._stop_lock:
+            if self._started:
+                raise ServeError("server already started")
+            self._started = True
+        self._open()
+        with self._stop_lock:
+            if not self._closed.is_set():  # stop() may have won the race
+                self._thread = threading.Thread(
+                    target=self._httpd.serve_forever,
+                    name=f"repro-serve:{self.port}",
+                    daemon=True,
+                )
+                self._thread.start()
+        return self
+
+    def serve_forever(self) -> None:
+        if self._closed.is_set():
+            return
+        self._serving.set()
+        try:
+            self._httpd.serve_forever()
+        finally:
+            self._serving.clear()
+
+    def stop(
+        self, close_service: bool = True, drain_timeout: float = 10.0
+    ) -> None:
+        """Graceful stop: quit accepting, drain, release everything.
+
+        ``shutdown()`` waits on an event that only ``serve_forever`` sets,
+        so it must not run unless a serve loop is live — on an unstarted
+        server it would block forever. Two loops qualify: the daemon
+        thread :meth:`start` spun, and a blocking :meth:`serve_forever`
+        on the caller's thread (the CLI path, where a signal handler's
+        stop thread reaches here *while* the main thread is still inside
+        ``serve_forever`` — skipping ``shutdown()`` there would close the
+        listening socket under the live accept loop and leave it
+        spinning on an invalid descriptor forever).
+
+        With ``close_service`` (the default) the backend is then drained
+        and released (:meth:`_release`) exactly once, outside the lock:
+        a racing second stop() — the signal handler against the CLI's
+        ``finally:`` — waits for that release to finish instead of
+        running it again, so neither caller returns (and lets the
+        process exit) mid-drain. Pass ``close_service=False`` to stop
+        only the HTTP front.
+        """
+        # analyze: ignore[LOCK001] - shutdown() and join(timeout=5) are
+        # bounded teardown waits; serializing them under _stop_lock is the
+        # point (racing stop() calls must not double-join the thread).
+        with self._stop_lock:
+            self._closed.set()
+            if self._thread is not None:
+                self._httpd.shutdown()
+                self._thread.join(timeout=5)
+                self._thread = None
+            elif self._serving.is_set():
+                self._httpd.shutdown()  # wakes the blocking serve_forever
+            self._httpd.server_close()
+            release = close_service and not self._releasing
+            if release:
+                self._releasing = True
+        if release:
+            try:
+                self._release(drain_timeout)
+            finally:
+                self._released.set()
+        elif close_service:
+            self._released.wait()
+
+    def install_signal_handlers(
+        self, signals: tuple[int, ...] | None = None
+    ) -> None:
+        """Make SIGTERM/SIGINT trigger a graceful :meth:`stop`.
+
+        Main-thread only (a CPython constraint on ``signal.signal``).
+        The handler spawns a thread to run :meth:`stop`: calling
+        ``httpd.shutdown()`` inline would deadlock the blocking
+        :meth:`serve_forever` path, where the handler interrupts the
+        very thread ``shutdown()`` waits on. Once the stop thread closes
+        the loop, ``serve_forever`` returns and the caller unwinds
+        normally — so a server under SIGTERM drains in-flight requests
+        and exits 0 instead of dying mid-response.
+        """
+        import signal as _signal
+
+        if signals is None:
+            signals = (_signal.SIGTERM, _signal.SIGINT)
+
+        def _handler(signum: int, frame: Any) -> None:
+            threading.Thread(
+                target=self.stop, name="repro-serve-shutdown", daemon=True
+            ).start()
+
+        for signum in signals:
+            _signal.signal(signum, _handler)
+
+    def __enter__(self) -> Any:
+        return self.start()
+
+    def __exit__(self, *exc_info: Any) -> None:
+        self.stop()

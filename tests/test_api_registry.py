@@ -12,26 +12,6 @@ class TestCanonicalModule:
 
         assert canonical is Registry
 
-    def test_deprecated_alias_warns_and_reexports(self):
-        # The single shim test (see ISSUE 4): everything else imports
-        # repro.api.registries (or repro.api) directly.
-        import importlib
-        import sys
-
-        sys.modules.pop("repro.api.registry", None)
-        with pytest.warns(DeprecationWarning, match="repro.api.registry"):
-            legacy = importlib.import_module("repro.api.registry")
-        assert legacy.Registry is Registry
-        # The registry *instances* re-export too — same objects, so
-        # legacy registrations land in the canonical registries.
-        import repro.api.registries as canonical
-
-        for axis in (
-            "ALGORITHMS", "BACKENDS", "CLUSTERERS", "DATASETS",
-            "SCORERS", "STAGES",
-        ):
-            assert getattr(legacy, axis) is getattr(canonical, axis)
-
     def test_stages_registry_covers_default_pipeline(self):
         from repro.pipeline import default_pipeline
 

@@ -3,7 +3,7 @@
 Four layers, cheapest first:
 
 * pure units — :class:`HashRing`, cursors, :class:`AdmissionController`;
-* :class:`RoutedService` pagination over an in-process service;
+* ``limit``/``cursor`` pagination over an in-process service;
 * :class:`ClusterCoordinator` behavior (routing affinity, load shedding,
   failover, supervision) against *fake* replica handles, so admission
   control is tested deterministically without processes;
@@ -30,12 +30,11 @@ from repro.serve.cluster import (
     AdmissionController,
     ClusterCoordinator,
     HashRing,
-    RoutedService,
     create_cluster,
     decode_cursor,
     encode_cursor,
+    resolve_page,
 )
-from repro.serve.cluster.routes import resolve_page
 from repro.serve.cluster.transport import ReplicaClient, ReplicaTransport
 from repro.store import DocumentStore
 
@@ -172,7 +171,7 @@ def routed():
         ],
         cache_size=64,
     )
-    yield RoutedService(service)
+    yield service
     service.close(drain_timeout=2.0)
 
 
@@ -591,6 +590,45 @@ class TestCoordinatorWithFakes:
         assert status == 405
         status, _ = fake_cluster.handle("POST", "/healthz", {})
         assert status == 405
+
+    def test_stop_drains_in_flight_request_and_refuses_new_ones(
+        self, fake_cluster
+    ):
+        owner = fake_cluster.replicas[_routed_replica(fake_cluster, "java")]
+        owner.gate = threading.Event()  # the replica answers slowly
+        params = {"config": "c", "query": "java"}
+        results = []
+        request = threading.Thread(
+            target=lambda: results.append(
+                fake_cluster.handle("GET", "/expand", params)
+            )
+        )
+        request.start()
+        deadline = time.time() + 5
+        while not owner.requests and time.time() < deadline:
+            time.sleep(0.01)
+        assert owner.requests, "the request never reached its replica"
+
+        closer = threading.Thread(
+            target=lambda: fake_cluster.stop(drain_timeout=10.0)
+        )
+        closer.start()
+        while not fake_cluster.closing and time.time() < deadline:
+            time.sleep(0.01)
+        # Draining: new work is refused at once, replicas keep serving.
+        status, payload = fake_cluster.handle("GET", "/expand", params)
+        assert status == 503
+        assert payload["error"] == "shutting_down"
+        closer.join(0.3)
+        assert closer.is_alive()
+        assert owner.alive()
+
+        owner.gate.set()
+        request.join(10.0)
+        closer.join(10.0)
+        assert not closer.is_alive()
+        assert results and results[0][0] == 200
+        assert not owner.alive()  # stopped only after the drain
 
     def test_healthz_degrades_with_dead_replicas(self, fake_cluster):
         status, payload = fake_cluster.handle("GET", "/healthz", {})

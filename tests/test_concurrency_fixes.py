@@ -224,3 +224,29 @@ class TestExpansionServerStartStopRace:
         for t in threads:
             t.join(timeout=10)
         assert not any(t.is_alive() for t in threads), "stop() deadlocked"
+
+    def test_second_stop_returns_only_after_the_drain(self):
+        # The signal handler's stop and the CLI's finally: stop race; the
+        # loser must not return (and let the process exit) mid-drain.
+        entered, release = threading.Event(), threading.Event()
+
+        class _SlowService(_StubService):
+            def close(self, drain_timeout=10.0):
+                entered.set()
+                release.wait(10)
+                super().close(drain_timeout)
+
+        service = _SlowService()
+        server = ExpansionServer(service, port=0).start()
+        first = threading.Thread(target=server.stop)
+        first.start()
+        assert entered.wait(10)
+        second = threading.Thread(target=server.stop)
+        second.start()
+        second.join(0.3)
+        assert second.is_alive(), "second stop() returned mid-drain"
+        release.set()
+        first.join(10)
+        second.join(10)
+        assert not first.is_alive() and not second.is_alive()
+        assert service.closed == 1

@@ -731,7 +731,7 @@ class TestGracefulShutdown:
         started = threading.Event()
         release = threading.Event()
 
-        def slow_healthz(params):
+        def slow_healthz(params, tenant=None):
             started.set()
             assert release.wait(10.0), "test gate never released"
             return 200, {"status": "slow"}
