@@ -11,7 +11,10 @@ queries — and every page of a cursor walk — land on the replica whose
 caches already hold them. Responses are forwarded as raw JSON bytes;
 the coordinator never re-parses proxied payloads. ``/batch`` is
 scattered: queries are grouped by their routed replica, sub-batches run
-in parallel, and the items are merged back in request order.
+in parallel, and the items are merged back in request order — as the
+replicas' pre-encoded item bytes, spliced into the coordinator's own
+envelope, so ``/batch`` items are never re-parsed either (only the small
+sub-batch envelopes are, for their totals).
 
 **Admission control** — each replica has a bounded in-flight budget
 (``queue_depth``). A request routed to a saturated replica is shed
@@ -70,7 +73,11 @@ from repro.obs import (
 from repro.serve.admission import AdmissionController, shed_payload
 from repro.serve.cluster.hashring import DEFAULT_VNODES, HashRing
 from repro.serve.cluster.replica import ReplicaSpec, replica_main
-from repro.serve.cluster.transport import DEFAULT_REQUEST_TIMEOUT, ReplicaClient
+from repro.serve.cluster.transport import (
+    DEFAULT_REQUEST_TIMEOUT,
+    ReplicaClient,
+    encode_body,
+)
 from repro.serve.edge import ROUTES, RequestEdge, Route, scalar
 from repro.serve.metrics import LatencyHistogram
 from repro.serve.paging import apply_batch_page, decode_cursor, resolve_batch_page
@@ -228,7 +235,7 @@ class ProcessReplica:
         path: str,
         params: Mapping[str, Any],
         timeout: float | None = None,
-    ) -> tuple[int, bytes]:
+    ) -> tuple[int, bytes, dict[str, Any]]:
         with self._lock:
             client = self._client
         if client is None:
@@ -284,18 +291,21 @@ class CoordinatorMetrics:
 # -- the coordinator ---------------------------------------------------------
 
 
-def _unpack_reply(reply: Any) -> tuple[int, Any, dict[str, Any]]:
-    """A replica reply → ``(status, body, extras)``.
+def _append_member(obj: Mapping[str, Any], key: str, raw: bytes) -> bytes:
+    """``obj`` as JSON plus one last member whose value is ``raw``,
+    bytes that are already JSON."""
+    encoded = encode_body(obj)
+    comma = b"," if obj else b""
+    return encoded[:-1] + comma + encode_body(key) + b":" + raw + b"}"
 
-    Process replicas answer the 3-tuple wire (see
-    :mod:`~repro.serve.cluster.transport`); in-process test fakes still
-    reply ``(status, body)`` and simply contribute no extras.
-    """
-    if len(reply) == 3:
-        status, body, extras = reply
-        return int(status), body, dict(extras or {})
-    status, body = reply
-    return int(status), body, {}
+
+def _encode_batch(body: Mapping[str, Any]) -> bytes:
+    """A ``/batch`` body whose report items are JSON bytes, encoded by
+    splicing the items in: nothing already encoded is encoded again."""
+    report = {k: v for k, v in body["report"].items() if k != "items"}
+    items = b"[" + b",".join(body["report"]["items"]) + b"]"
+    head = {k: v for k, v in body.items() if k != "report"}
+    return _append_member(head, "report", _append_member(report, "items", items))
 
 
 #: Counter fields summed when aggregating replica request metrics.
@@ -775,11 +785,9 @@ class ClusterCoordinator(RequestEdge):
                     if rpc is not None:
                         rpc_params[TRACE_PARENT_PARAM] = rpc.span_id
                     try:
-                        status, body, extras = _unpack_reply(
-                            handle.request(
-                                "GET", path, rpc_params,
-                                timeout=self._request_timeout,
-                            )
+                        status, body, extras = handle.request(
+                            "GET", path, rpc_params,
+                            timeout=self._request_timeout,
                         )
                     except ClusterError as exc:
                         # A crashed/unreachable replica leaves an
@@ -802,8 +810,8 @@ class ClusterCoordinator(RequestEdge):
         self, handle: Any, path: str, timeout: float = 10.0
     ) -> dict[str, Any] | None:
         try:
-            status, body, _extras = _unpack_reply(
-                handle.request("GET", path, {}, timeout=timeout)
+            status, body, _extras = handle.request(
+                "GET", path, {}, timeout=timeout
             )
             if status != 200:
                 return None
@@ -1137,10 +1145,8 @@ class ClusterCoordinator(RequestEdge):
             if cur is not None:
                 sub[TRACE_PARAM] = cur.trace_id
                 sub[TRACE_PARENT_PARAM] = cur.span_id
-            status, body, extras = _unpack_reply(
-                self._replicas[name].request(
-                    "POST", "/batch", sub, timeout=self._request_timeout
-                )
+            status, body, extras = self._replicas[name].request(
+                "POST", "/batch", sub, timeout=self._request_timeout
             )
             return name, members, status, body, extras
 
@@ -1151,33 +1157,38 @@ class ClusterCoordinator(RequestEdge):
             for name in claimed:
                 self._admission.release(name)
 
-        items: list[Any] = [None] * len(queries)
-        cache_hits = 0
+        # Each replica's items arrive as JSON bytes (see transport); only
+        # the small sub-batch envelopes are decoded, for their totals.
+        items: list[bytes] = [b""] * len(queries)
+        cache_hits = n_ok = n_failed = 0
         for name, members, status, body, extras in outcomes:
             absorb_spans(extras.get("spans"))
-            try:
-                payload = json.loads(body)
-            except ValueError:
-                payload = None
-            if status != 200 or payload is None:
-                message = (payload or {}).get("message", f"status {status}")
-                for index, query in members:
-                    items[index] = {
-                        "query": query,
-                        "ok": False,
-                        "report": None,
-                        "error_type": "ClusterError",
-                        "error_message": f"replica {name}: {message}",
-                        "seconds": 0.0,
-                        "cache": "miss",
-                    }
+            if status == 200:
+                sub = json.loads(body)
+                for (index, _query), item in zip(
+                    members, extras["items"], strict=True
+                ):
+                    items[index] = item
+                cache_hits += int(sub["cache_hits"])
+                n_ok += int(sub["n_ok"])
+                n_failed += int(sub["n_failed"])
+                self._metrics.record_routed(name, time.perf_counter() - t0)
                 continue
-            self._metrics.record_routed(name, time.perf_counter() - t0)
-            for (index, _query), item in zip(
-                members, payload["report"]["items"]
-            ):
-                items[index] = item
-            cache_hits += int(payload.get("cache_hits", 0))
+            try:
+                message = json.loads(body).get("message", f"status {status}")
+            except ValueError:
+                message = f"status {status}"
+            for index, query in members:
+                items[index] = encode_body({
+                    "query": query,
+                    "ok": False,
+                    "report": None,
+                    "error_type": "ClusterError",
+                    "error_message": f"replica {name}: {message}",
+                    "seconds": 0.0,
+                    "cache": "miss",
+                })
+            n_failed += len(members)
 
         seconds = time.perf_counter() - t0
         report = schema.make_envelope(
@@ -1187,16 +1198,16 @@ class ClusterCoordinator(RequestEdge):
         payload = {
             "config": scalar(run_params, "config"),
             "cache_hits": cache_hits,
-            "n_ok": sum(1 for i in items if i and i.get("ok")),
-            "n_failed": sum(1 for i in items if not (i and i.get("ok"))),
+            "n_ok": n_ok,
+            "n_failed": n_failed,
             "replicas": sorted(groups),
             "report": report,
         }
         if tenant is not None:
             payload["tenant"] = tenant.name
         if page.paginated:
-            apply_batch_page(payload, page)
-        return 200, payload
+            apply_batch_page(payload, page)  # n_ok/n_failed stay pre-page
+        return 200, _encode_batch(payload)
 
 
 def create_coordinator(

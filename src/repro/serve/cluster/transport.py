@@ -2,20 +2,32 @@
 
 ``multiprocessing.connection`` gives exactly what a local cluster needs
 — authenticated (HMAC challenge), length-prefixed message framing over a
-loopback socket — without HTTP parsing on the inter-process hop. One
+loopback TCP socket — without HTTP parsing on the inter-process hop. One
 request is the tuple ``(method, path, params)``; one response is
 ``(status, body_bytes, extras)`` where ``body_bytes`` is the replica's
 already **serialized JSON payload** and ``extras`` is a small metadata
-dict — today carrying ``spans`` (the replica's finished trace spans,
-when the request propagated trace context, so the coordinator can
-stitch one cross-process trace). Older 2-tuple responses are still
-accepted on the read side: in-process test fakes and mid-upgrade
-replicas reply without extras and simply contribute no spans. Shipping
+dict — carrying ``spans`` (the replica's finished trace spans, when the
+request propagated trace context, so the coordinator can stitch one
+cross-process trace) and, on a ``/batch`` reply, ``items``. Shipping
 bytes instead of objects is the cluster's hot-path trick: the
 coordinator forwards them to the client socket verbatim, so proxying a
 cache hit costs the coordinator an HTTP parse and two memcpys while the
 replica pays the (much larger) JSON serialization — which is what lets
 N replicas outrun one.
+
+``/batch`` items travel pre-encoded too (:func:`encode_reply`): a 200
+``/batch`` reply's body is the sub-batch envelope without its report,
+and ``extras["items"]`` holds each report item as its own JSON bytes.
+The coordinator sums the small envelopes and splices the item bytes
+into its merged response in request order, so a scattered batch is
+never decoded and re-encoded on the way through.
+
+Both ends of every connection set ``TCP_NODELAY``. Above 16 KB,
+``Connection._send_bytes`` writes the 4-byte length header and the
+payload as two ``send`` calls; with Nagle on, the payload then waits
+for the peer's delayed ACK of the header — about 40 ms on Linux — so
+every reply past 16 KB (a full ``/expand`` report, most ``/batch``
+sub-replies) would stall for that long on an otherwise idle loopback.
 
 * :class:`ReplicaTransport` — replica side: an ephemeral-port listener
   plus a thread per coordinator connection, each looping recv →
@@ -31,6 +43,7 @@ from __future__ import annotations
 
 import json
 import os
+import socket
 import threading
 from multiprocessing.connection import Client, Connection, Listener
 from typing import Any, Callable, Mapping
@@ -45,8 +58,39 @@ DEFAULT_REQUEST_TIMEOUT = 60.0
 Handle = Callable[[str, str, Mapping[str, Any]], tuple[int, Any]]
 
 
-def _encode_body(payload: Any) -> bytes:
+def encode_body(payload: Any) -> bytes:
+    """Compact JSON bytes, the encoding of every body on the wire."""
     return json.dumps(payload, separators=(",", ":")).encode("utf-8")
+
+
+def encode_reply(path: str, status: int, payload: Any) -> tuple[bytes, dict[str, Any]]:
+    """One handler result → the ``(body, extras)`` a replica sends.
+
+    A 200 ``/batch`` payload ships its report items pre-encoded in
+    ``extras["items"]``, and its body is the envelope without the
+    report (see module docstring); every other payload is one body.
+    """
+    if isinstance(payload, bytes):
+        return payload, {}
+    if path == "/batch" and status == 200:
+        envelope = {k: v for k, v in payload.items() if k != "report"}
+        items = [encode_body(item) for item in payload["report"]["items"]]
+        return encode_body(envelope), {"items": items}
+    return encode_body(payload), {}
+
+
+def _no_delay(conn: Connection) -> Connection:
+    """Set ``TCP_NODELAY`` on ``conn``'s socket (see module docstring).
+
+    The temporary socket object only borrows the descriptor: ``detach``
+    hands it back without closing it.
+    """
+    sock = socket.socket(fileno=conn.fileno())
+    try:
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+    finally:
+        sock.detach()
+    return conn
 
 
 class ReplicaTransport:
@@ -69,7 +113,6 @@ class ReplicaTransport:
         self._authkey = os.urandom(16)
         self._listener = Listener((host, 0), authkey=self._authkey)
         self._closed = threading.Event()
-        self._conn_threads: list[threading.Thread] = []
 
     @property
     def address(self) -> tuple[str, int]:
@@ -91,14 +134,12 @@ class ReplicaTransport:
                 if self._closed.is_set():
                     break
                 continue
-            worker = threading.Thread(
+            threading.Thread(
                 target=self._serve_connection,
-                args=(conn,),
+                args=(_no_delay(conn),),
                 name="repro-cluster-replica-conn",
                 daemon=True,
-            )
-            worker.start()
-            self._conn_threads.append(worker)
+            ).start()
 
     def _serve_connection(self, conn: Connection) -> None:
         try:
@@ -107,7 +148,6 @@ class ReplicaTransport:
                     message = conn.recv()
                 except (EOFError, OSError):
                     break
-                extras: dict[str, Any] = {}
                 try:
                     method, path, params = message
                     # The handler strips the trace params from its own
@@ -116,14 +156,14 @@ class ReplicaTransport:
                     if isinstance(params, Mapping):
                         trace_id = params.get(TRACE_PARAM)
                     status, payload = self._handle(str(method), str(path), params)
-                    body = payload if isinstance(payload, bytes) else _encode_body(payload)
+                    body, extras = encode_reply(str(path), int(status), payload)
                     if trace_id is not None and self._span_export is not None:
                         spans = self._span_export(str(trace_id))
                         if spans:
                             extras["spans"] = spans
                 except Exception as exc:  # noqa: BLE001 — a request must not kill the loop
-                    status = 500
-                    body = _encode_body(
+                    status, extras = 500, {}
+                    body = encode_body(
                         {"error": "internal", "message": f"{type(exc).__name__}: {exc}"}
                     )
                 try:
@@ -165,11 +205,12 @@ class ReplicaClient:
             if self._idle:
                 return self._idle.pop()
         try:
-            return Client(self._address, authkey=self._authkey)
+            conn = Client(self._address, authkey=self._authkey)
         except Exception as exc:  # noqa: BLE001 — refused/reset/auth all mean "down"
             raise ClusterError(
                 f"cannot connect to replica at {self._address}: {exc}"
             ) from None
+        return _no_delay(conn)
 
     def _checkin(self, conn: Connection) -> None:
         with self._lock:
@@ -187,8 +228,7 @@ class ReplicaClient:
     ) -> tuple[int, bytes, dict[str, Any]]:
         """One RPC round-trip; broken connections are discarded, not reused.
 
-        Returns ``(status, body, extras)``; a legacy 2-tuple reply (no
-        extras on the wire) comes back with empty extras.
+        Returns ``(status, body, extras)``.
         """
         conn = self._checkout()
         try:
@@ -197,11 +237,7 @@ class ReplicaClient:
                 raise ClusterError(
                     f"replica at {self._address} timed out on {path}"
                 )
-            reply = conn.recv()
-            if len(reply) == 3:
-                status, body, extras = reply
-            else:
-                (status, body), extras = reply, {}
+            status, body, extras = conn.recv()
         except ClusterError:
             conn.close()
             raise

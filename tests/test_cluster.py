@@ -15,6 +15,7 @@ Four layers, cheapest first:
 from __future__ import annotations
 
 import json
+import socket
 import threading
 import time
 import urllib.error
@@ -23,9 +24,10 @@ import urllib.request
 
 import pytest
 
+from repro.api import schema
 from repro.data.documents import Document
 from repro.errors import ClusterError, ConfigError, ServeError
-from repro.serve import ExpansionService, ServeConfig
+from repro.serve import ExpansionService, ServeConfig, SessionPool
 from repro.serve.cluster import (
     AdmissionController,
     ClusterCoordinator,
@@ -35,8 +37,14 @@ from repro.serve.cluster import (
     encode_cursor,
     resolve_page,
 )
-from repro.serve.cluster.transport import ReplicaClient, ReplicaTransport
+from repro.serve.cluster.transport import (
+    ReplicaClient,
+    ReplicaTransport,
+    encode_reply,
+)
+from repro.serve.paging import apply_batch_page, resolve_batch_page
 from repro.store import DocumentStore
+from repro.tenancy import TenantRegistry, TenantSpec
 
 
 # -- hash ring ----------------------------------------------------------------
@@ -277,6 +285,30 @@ class TestAdmissionController:
 # -- transport ----------------------------------------------------------------
 
 
+WIRE_BATCH_ITEMS = [{"query": "a", "ok": True}, {"query": "b", "ok": False}]
+
+
+@pytest.fixture(scope="class")
+def wire():
+    """A client of one live transport: ``/batch`` answers a two-item
+    batch payload, every other path a 32 KB body."""
+
+    def handle(method, path, params):
+        if path == "/batch":
+            report = {"items": WIRE_BATCH_ITEMS}
+            return 200, {"n_ok": 1, "n_failed": 1, "report": report}
+        return 200, {"blob": "r" * 32768}
+
+    transport = ReplicaTransport(handle)
+    server = threading.Thread(target=transport.serve, daemon=True)
+    server.start()
+    client = ReplicaClient(transport.address, transport.authkey)
+    yield client
+    client.close()
+    transport.close()
+    server.join(timeout=5)
+
+
 class TestTransport:
     def test_roundtrip_and_bytes_passthrough(self):
         def handle(method, path, params):
@@ -325,6 +357,38 @@ class TestTransport:
             transport.close()
             server.join(timeout=5)
 
+    def test_large_messages_do_not_wait_on_delayed_ack(self, wire):
+        # Past 16 KB a message goes out as two sends (length header, then
+        # payload); without TCP_NODELAY the payload waits ~40 ms for the
+        # peer's delayed ACK, so 20 round trips would need >= 0.8 s.
+        params = {"blob": "q" * 32768}
+        wire.request("GET", "/big", params)  # connect + handshake
+        t0 = time.perf_counter()
+        for _ in range(20):
+            status, body, _ = wire.request("GET", "/big", params)
+            assert status == 200 and len(body) > 32768
+        assert time.perf_counter() - t0 < 0.4
+
+    def test_pooled_connection_sets_tcp_nodelay(self, wire):
+        wire.request("GET", "/x", {})
+        (conn,) = wire._idle
+        # A socket object over the connection's fd, detached after, so
+        # the pooled connection keeps sole ownership.
+        sock = socket.socket(fileno=conn.fileno())
+        try:
+            nodelay = sock.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY)
+        finally:
+            sock.detach()
+        assert nodelay == 1
+        status, _, _ = wire.request("GET", "/y", {})  # still usable
+        assert status == 200
+
+    def test_batch_reply_ships_items_pre_encoded(self, wire):
+        status, body, extras = wire.request("POST", "/batch", {})
+        assert status == 200
+        assert json.loads(body) == {"n_ok": 1, "n_failed": 1}
+        assert [json.loads(i) for i in extras["items"]] == WIRE_BATCH_ITEMS
+
     def test_connect_to_dead_replica_is_cluster_error(self):
         transport = ReplicaTransport(lambda m, p, q: (200, {}))
         address = transport.address
@@ -347,6 +411,7 @@ class FakeReplica:
         self.requests: list[tuple[str, str, dict]] = []
         self.gate: threading.Event | None = None  # block requests while set
         self.fail = False  # raise ClusterError on request
+        self.batch_status = 200  # answer /batch with this status
         self.pid = None
 
     def start(self) -> None:
@@ -376,17 +441,38 @@ class FakeReplica:
         self.requests.append((method, path, dict(params)))
         if self.gate is not None:
             self.gate.wait(10)
+        if path == "/batch" and self.batch_status != 200:
+            payload = {"error": "internal", "message": "boom"}
+            return self.batch_status, json.dumps(payload).encode("utf-8"), {}
         if path == "/batch":
-            items = [
-                {"query": q, "ok": True, "report": {"from": self.name},
-                 "error_type": None, "error_message": None,
-                 "seconds": 0.0, "cache": "hit"}
-                for q in params["queries"]
-            ]
-            payload = {"report": {"items": items}, "cache_hits": len(items)}
+            items = [_fake_batch_item(self.name, q) for q in params["queries"]]
+            payload = {
+                "config": params.get("config"),
+                "cache_hits": sum(1 for i in items if i["cache"] == "hit"),
+                "n_ok": sum(1 for i in items if i["ok"]),
+                "n_failed": sum(1 for i in items if not i["ok"]),
+                "report": schema.make_envelope(
+                    schema.KIND_BATCH,
+                    {"items": items, "workers": 1, "seconds": 0.001},
+                ),
+            }
         else:
             payload = {"replica": self.name, "path": path}
-        return 200, json.dumps(payload).encode("utf-8")
+        return (200, *encode_reply(path, 200, payload))
+
+
+def _fake_batch_item(replica: str, query: str) -> dict:
+    """A replica's /batch item: ``bad-*`` queries fail, the rest hit."""
+    ok = not query.startswith("bad-")
+    return {
+        "query": query,
+        "ok": ok,
+        "report": {"from": replica, "query": query} if ok else None,
+        "error_type": None if ok else "ExpansionError",
+        "error_message": None if ok else "no results",
+        "seconds": 0.001,
+        "cache": "hit" if ok else "miss",
+    }
 
 
 @pytest.fixture()
@@ -534,10 +620,11 @@ class TestCoordinatorWithFakes:
 
     def test_batch_scatter_gather_preserves_order(self, fake_cluster):
         queries = [f"query-{i}" for i in range(12)]
-        status, payload = fake_cluster.handle(
+        status, body = fake_cluster.handle(
             "POST", "/batch", {"config": "c", "queries": queries}
         )
         assert status == 200
+        payload = json.loads(body)
         items = payload["report"]["items"]
         assert [i["query"] for i in items] == queries
         assert payload["n_ok"] == len(queries)
@@ -637,6 +724,128 @@ class TestCoordinatorWithFakes:
         status, payload = fake_cluster.handle("GET", "/healthz", {})
         assert payload["status"] == "degraded"
         assert payload["replicas_live"] == 2
+
+
+# -- /batch gather: spliced item bytes ----------------------------------------
+
+#: Four queries that alternate r0, r1, r0, r1 on a 2-node ring; the
+#: ``bad-`` one fails inside its replica (an ok=False item, not a 500).
+GATHER_QUERIES = ["java", "cell", "bad-rockets", "domino"]
+
+
+@pytest.fixture()
+def gather_cluster():
+    registry = TenantRegistry()
+    registry.create(TenantSpec(name="t"))
+    coordinator = ClusterCoordinator(
+        ["c:dataset=wikipedia"],
+        replicas=2,
+        replica_factory=lambda name, factory: FakeReplica(name, factory),
+        tenants=registry,
+    )
+    coordinator.start()
+    yield coordinator
+    coordinator.stop()
+
+
+def _reference_batch(coordinator, params: dict) -> dict:
+    """The merged /batch body, built the way the gather did before it
+    spliced bytes: items decoded and placed in request order, a
+    non-200 replica's items as ClusterError items, totals counted over
+    all items before paging."""
+    page = resolve_batch_page(params)
+    items, used = [], set()
+    for query in page.params["queries"]:
+        owner = next(
+            name for name in coordinator.ring.preference(f"c\x00{query}")
+            if coordinator.replicas[name].alive()
+        )
+        used.add(owner)
+        if coordinator.replicas[owner].batch_status != 200:
+            items.append({
+                "query": query, "ok": False, "report": None,
+                "error_type": "ClusterError",
+                "error_message": f"replica {owner}: boom",
+                "seconds": 0.0, "cache": "miss",
+            })
+        else:
+            items.append(_fake_batch_item(owner, query))
+    body = {
+        "config": "c",
+        "cache_hits": sum(1 for i in items if i["cache"] == "hit"),
+        "n_ok": sum(1 for i in items if i["ok"]),
+        "n_failed": sum(1 for i in items if not i["ok"]),
+        "replicas": sorted(used),
+        "report": schema.make_envelope(
+            schema.KIND_BATCH,
+            {"items": items, "workers": len(used), "seconds": 0.0},
+        ),
+        "tenant": "t",
+    }
+    if page.paginated:
+        apply_batch_page(body, page)
+    return body
+
+
+def _masked(body: dict) -> dict:
+    """``body`` with every ``seconds`` field zeroed."""
+    body["report"]["seconds"] = 0.0
+    for item in body["report"]["items"]:
+        item["seconds"] = 0.0
+    return body
+
+
+class TestBatchGather:
+    def _batch(self, coordinator, params: dict) -> dict:
+        status, body = coordinator.handle("POST", "/batch", dict(params))
+        assert status == 200
+        assert isinstance(body, bytes)  # spliced, not a dict to re-encode
+        return _masked(json.loads(body))
+
+    def test_all_ok(self, gather_cluster):
+        params = {"config": "c", "queries": GATHER_QUERIES, "tenant": "t"}
+        got = self._batch(gather_cluster, params)
+        assert got == _masked(_reference_batch(gather_cluster, params))
+        assert [i["query"] for i in got["report"]["items"]] == GATHER_QUERIES
+        assert (got["n_ok"], got["n_failed"], got["cache_hits"]) == (3, 1, 3)
+        assert got["replicas"] == ["r0", "r1"]
+        assert got["tenant"] == "t"
+
+    def test_replica_500_becomes_cluster_error_items(self, gather_cluster):
+        gather_cluster.replicas["r1"].batch_status = 500
+        params = {"config": "c", "queries": GATHER_QUERIES, "tenant": "t"}
+        got = self._batch(gather_cluster, params)
+        assert got == _masked(_reference_batch(gather_cluster, params))
+        failed = [i["query"] for i in got["report"]["items"]
+                  if i["error_type"] == "ClusterError"]
+        assert failed == ["cell", "domino"]
+        assert (got["n_ok"], got["n_failed"], got["cache_hits"]) == (1, 3, 1)
+        assert got["replicas"] == ["r0", "r1"]
+
+    def test_down_replica_fails_over_on_the_ring(self, gather_cluster):
+        gather_cluster.replicas["r1"].stop()
+        params = {"config": "c", "queries": GATHER_QUERIES, "tenant": "t"}
+        got = self._batch(gather_cluster, params)
+        assert got == _masked(_reference_batch(gather_cluster, params))
+        assert got["replicas"] == ["r0"]
+        served = {i["report"]["from"] for i in got["report"]["items"] if i["ok"]}
+        assert served == {"r0"}
+        assert (got["n_ok"], got["n_failed"], got["cache_hits"]) == (3, 1, 3)
+
+    def test_limit_and_cursor_pages(self, gather_cluster):
+        gather_cluster.replicas["r1"].batch_status = 500
+        params = {"config": "c", "queries": GATHER_QUERIES, "tenant": "t", "limit": 3}
+        first = self._batch(gather_cluster, params)
+        assert first == _masked(_reference_batch(gather_cluster, params))
+        assert [i["query"] for i in first["report"]["items"]] == GATHER_QUERIES[:3]
+        # Totals are over the whole batch, not the page.
+        assert (first["n_ok"], first["n_failed"]) == (1, 3)
+        cursor = first["page"]["next_cursor"]
+        params = {"cursor": cursor, "tenant": "t"}
+        second = self._batch(gather_cluster, params)
+        assert second == _masked(_reference_batch(gather_cluster, params))
+        assert [i["query"] for i in second["report"]["items"]] == GATHER_QUERIES[3:]
+        assert second["page"]["next_cursor"] is None
 
 
 # -- the real thing: a 2-replica process cluster over a store -----------------
@@ -749,6 +958,38 @@ class TestProcessCluster:
         assert status == 200
         assert [i["query"] for i in payload["report"]["items"]] == [
             "java", "python", "coffee",
+        ]
+
+    def test_batch_items_match_single_node(self, process_cluster, tmp_path):
+        server, store_path = process_cluster
+        queries = ["java", "python", "coffee", "island"]
+        status, _, clustered = _http(
+            server, "POST", "/batch", body={"config": "db", "queries": queries}
+        )
+        assert status == 200
+        snapshot = tmp_path / "single.sqlite"
+        with DocumentStore(store_path) as source:
+            source.snapshot(snapshot)
+        single = ExpansionService(
+            SessionPool([ServeConfig.parse(
+                f"db:dataset=wikipedia,backend=sqlite,store={snapshot}"
+            )]),
+            workers=1,
+        )
+        try:
+            status, alone = single.handle(
+                "POST", "/batch", {"config": "db", "queries": queries}
+            )
+        finally:
+            single.close()
+        assert status == 200
+        assert (clustered["n_ok"], clustered["n_failed"]) == (alone["n_ok"], 0)
+
+        def content(item):
+            return (item["query"], item["ok"], schema.report_content(item["report"]))
+
+        assert [content(i) for i in clustered["report"]["items"]] == [
+            content(i) for i in json.loads(json.dumps(alone["report"]["items"]))
         ]
 
     def test_metrics_aggregated_across_replicas(self, process_cluster):

@@ -60,7 +60,7 @@ class FakeReplica:
         return self._state == "serving"
 
     def request(self, method, path, params, timeout=None):
-        return 200, json.dumps({"replica": self.name, "path": path}).encode()
+        return 200, json.dumps({"replica": self.name, "path": path}).encode(), {}
 
 
 def _registry() -> TenantRegistry:

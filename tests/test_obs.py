@@ -713,7 +713,7 @@ class FakeReplica:
             raise ClusterError(f"{self.name} is down")
         self.requests.append((method, path, dict(params)))
         payload = {"replica": self.name, "path": path}
-        return 200, json.dumps(payload).encode("utf-8")
+        return 200, json.dumps(payload).encode("utf-8"), {}
 
 
 @pytest.fixture()

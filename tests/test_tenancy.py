@@ -20,6 +20,7 @@ from repro.serve import ExpansionService, ServeConfig, SessionPool
 from repro.serve.admission import AdmissionController, shed_payload
 from repro.serve.app import ExpansionServer
 from repro.serve.cluster import ClusterCoordinator
+from repro.serve.cluster.transport import encode_reply
 from repro.store import DocumentStore
 from repro.tenancy import (
     QuotaManager,
@@ -556,7 +557,7 @@ class _FakeReplica:
 
     def request(self, method, path, params, timeout=None):
         self.requests.append((method, path, dict(params)))
-        return 200, json.dumps({"replica": self.name, "path": path}).encode()
+        return 200, json.dumps({"replica": self.name, "path": path}).encode(), {}
 
 
 class _TenantedBatchReplica(_FakeReplica):
@@ -568,7 +569,7 @@ class _TenantedBatchReplica(_FakeReplica):
         self.requests.append((method, path, dict(params)))
         if "tenant" not in params:
             body = {"error": "tenant_required", "message": "tenant required"}
-            return 400, json.dumps(body).encode()
+            return 400, json.dumps(body).encode(), {}
         items = [
             {"query": q, "ok": True, "report": {"from": self.name},
              "error_type": None, "error_message": None,
@@ -576,8 +577,9 @@ class _TenantedBatchReplica(_FakeReplica):
             for q in params["queries"]
         ]
         body = {"report": {"items": items}, "cache_hits": 0,
+                "n_ok": len(items), "n_failed": 0,
                 "tenant": params["tenant"]}
-        return 200, json.dumps(body).encode()
+        return (200, *encode_reply(path, 200, body))
 
 
 def _fake_coordinator(registry, clock, replica=_FakeReplica, **kwargs):
@@ -685,11 +687,12 @@ class TestClusterTenancy:
         )
         try:
             queries = ["java", "rockets", "columbia", "eclipse", "mouse"]
-            status, payload = coordinator.handle(
+            status, body = coordinator.handle(
                 "POST", "/batch",
                 {"config": "c", "queries": queries, "tenant": "t"},
             )
             assert status == 200
+            payload = json.loads(body)
             assert payload["n_failed"] == 0, payload["report"]["items"]
             assert payload["n_ok"] == len(queries)
             assert payload["tenant"] == "t"
@@ -714,7 +717,7 @@ class TestClusterTenancy:
         assert payload["error"] == "internal"
         assert payload["tenant"] == "a"
 
-        # The plain fake answers /batch without a report, which breaks
+        # The plain fake answers /batch without its items, which breaks
         # the coordinator's gather: its catch-all 500.
         registry = TenantRegistry()
         registry.create(TenantSpec(name="t"))
