@@ -4,15 +4,17 @@ Measures one expansion (retrieve → ... → expand) on the sample corpus
 three ways:
 
 * **direct** — calling each stage's ``run(ctx)`` in a bare loop, no
-  Pipeline, no middleware, no timing;
-* **pipeline** — ``default_pipeline().run(ctx)`` (the built-in timing
-  middleware records per-stage wall clock, as every Session does);
-* **pipeline+trace** — plus :class:`TraceMiddleware` and a callback
-  middleware, the heaviest observability stack shipped.
+  Pipeline, no timing;
+* **pipeline** — ``default_pipeline().run(ctx)`` outside any trace: each
+  stage's timing, ``StageStats`` sample and (no-op) span, as every
+  Session pays;
+* **pipeline, traced** — the same run inside a live
+  ``Tracer().request(...)`` root, so every stage also records a
+  ``stage.<name>`` span, as a traced served request does.
 
-The contract asserted here (and in CI via ``--smoke``): the pipeline's
-middleware machinery costs **< 5%** over the direct call — observability
-is effectively free next to the actual retrieval/clustering/expansion
+The contract asserted here (and in CI via ``--smoke``): both pipeline
+rows cost **< 5%** over the direct call — the per-stage instrument is
+effectively free next to the actual retrieval/clustering/expansion
 work. Comparisons use best-of-N wall times to shed scheduler noise.
 
 Run: ``PYTHONPATH=src python benchmarks/bench_pipeline.py [--smoke]``
@@ -28,16 +30,11 @@ from repro.core.config import ExpansionConfig
 from repro.datasets.wikipedia import build_wikipedia_corpus
 from repro.eval.reporting import format_table
 from repro.index.search import SearchEngine
-from repro.pipeline import (
-    CallbackMiddleware,
-    ExecutionContext,
-    TraceMiddleware,
-    default_pipeline,
-    default_stages,
-)
+from repro.obs import Tracer
+from repro.pipeline import ExecutionContext, default_pipeline, default_stages
 from repro.text.analyzer import Analyzer
 
-MAX_OVERHEAD = 0.05  # middleware machinery must stay under 5%
+MAX_OVERHEAD = 0.05  # the per-stage instrument must stay under 5%
 
 
 def _make_context(smoke: bool) -> ExecutionContext:
@@ -87,25 +84,24 @@ def run_bench(smoke: bool) -> int:
             out = stage.run(out)
         return out
 
-    plain = default_pipeline()
-    traced = default_pipeline(
-        middleware=(
-            TraceMiddleware(),
-            CallbackMiddleware(on_end=lambda c, s, sec: None),
-        )
-    )
+    pipeline = default_pipeline()
+    tracer = Tracer()
+
+    def traced():
+        with tracer.request("bench.pipeline"):
+            return pipeline.run(ctx)
 
     # Warm up once per path (imports, numpy buffers), then measure.
-    direct(), plain.run(ctx), traced.run(ctx)
+    direct(), pipeline.run(ctx), traced()
     t_direct, t_plain, t_traced = _best_of_each(
-        [direct, lambda: plain.run(ctx), lambda: traced.run(ctx)], repeats
+        [direct, lambda: pipeline.run(ctx), traced], repeats
     )
 
     rows = [
         ["direct stage loop", f"{t_direct * 1e3:.3f}", "—"],
-        ["pipeline (timing)", f"{t_plain * 1e3:.3f}",
+        ["Pipeline.run", f"{t_plain * 1e3:.3f}",
          f"{(t_plain / t_direct - 1.0):+.2%}"],
-        ["pipeline (timing+trace)", f"{t_traced * 1e3:.3f}",
+        ["Pipeline.run, traced", f"{t_traced * 1e3:.3f}",
          f"{(t_traced / t_direct - 1.0):+.2%}"],
     ]
     table = format_table(
@@ -121,16 +117,22 @@ def run_bench(smoke: bool) -> int:
     except ImportError:  # running from another cwd; still print
         print(table)
 
-    overhead = t_plain / t_direct - 1.0
-    if overhead >= MAX_OVERHEAD:
-        print(
-            f"FAIL: timing-middleware overhead {overhead:.2%} "
-            f">= {MAX_OVERHEAD:.0%}",
-            file=sys.stderr,
-        )
-        return 1
-    print(f"ok: timing-middleware overhead {overhead:+.2%} < {MAX_OVERHEAD:.0%}")
-    return 0
+    status = 0
+    for label, seconds in (("untraced", t_plain), ("traced", t_traced)):
+        overhead = seconds / t_direct - 1.0
+        if overhead >= MAX_OVERHEAD:
+            print(
+                f"FAIL: {label} pipeline overhead {overhead:.2%} "
+                f">= {MAX_OVERHEAD:.0%}",
+                file=sys.stderr,
+            )
+            status = 1
+        else:
+            print(
+                f"ok: {label} pipeline overhead {overhead:+.2%} "
+                f"< {MAX_OVERHEAD:.0%}"
+            )
+    return status
 
 
 def main(argv=None) -> int:

@@ -12,7 +12,7 @@ story over real HTTP requests:
    listener invalidates cached responses, so the next ``/expand`` is a
    *miss* with fresh (changed) content, never a stale answer;
 5. ``/metrics`` — request counters, all three cache tiers, and the
-   per-stage latency histograms fed by ServerMetricsMiddleware.
+   per-stage latency histograms the pipeline records as it runs.
 
 Run:  PYTHONPATH=src python examples/expansion_service.py
 Shell equivalent: ``repro serve --configs wiki:dataset=wikipedia`` + curl.

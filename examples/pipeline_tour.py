@@ -14,13 +14,14 @@ This tour shows the four things the pipeline API adds on top of
    need intermediate artifacts;
 3. inserting a custom stage (a reranker) and swapping a built-in one
    (the candidate miner) from the session builder;
-4. middleware observing every stage (``on_stage_start/end/error``).
+4. timings for every stage of the composed pipeline, custom stages
+   included (``Pipeline.run`` records them itself).
 
 Run:  python examples/pipeline_tour.py
 """
 
 from repro import Session
-from repro.pipeline import CandidateStage, TraceMiddleware
+from repro.pipeline import CandidateStage
 
 
 # -- a custom stage: boost title matches before clustering --------------------
@@ -82,15 +83,13 @@ def main() -> None:
         f"{len(ctx.tasks)} tasks, {len(ctx.candidates)} candidate keywords"
     )
 
-    # 3 + 4. Compose: insert the reranker, swap the miner, attach a tracer.
-    trace = TraceMiddleware()
+    # 3. Compose: insert the reranker, swap the miner.
     custom = (
         Session.builder()
         .dataset("wikipedia")
         .config(n_clusters=3, top_k_results=30)
         .stage(TitleBoostReranker(), after="retrieve")
         .replace_stage("candidates", NarrowMiner())
-        .middleware(trace)
         .build()
     )
     print(f"\ncustom pipeline: {' -> '.join(custom.stage_names)}")
@@ -101,13 +100,13 @@ def main() -> None:
     for eq in report.expanded:
         print(f"  [cluster {eq.cluster_id}] {eq.display()}")
 
-    # The custom stage is observable wherever timings are: the report,
+    # 4. The custom stage is observable wherever timings are: the report,
     # its JSON payload, and describe().
     assert "title_boost" in [t.stage for t in report.stage_timings]
     assert "title_boost" in custom.describe()["stages"]
-
-    events = [f"{e.stage}:{e.event}" for e in custom.run_stages("java").trace]
-    print(f"\ntrace events (middleware): {', '.join(events[:6])}, ...")
+    print("\nper-stage timings (custom pipeline):")
+    for t in report.stage_timings:
+        print(f"  {t.stage:12s} {t.seconds * 1e3:8.3f} ms")
 
 
 if __name__ == "__main__":

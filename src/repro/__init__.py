@@ -120,8 +120,6 @@ from repro.pipeline import (
     ExecutionContext,
     Pipeline,
     StageTiming,
-    TimingMiddleware,
-    TraceMiddleware,
     default_pipeline,
 )
 from repro.prf import KLDivergencePRF, RobertsonPRF, RocchioPRF
@@ -198,8 +196,6 @@ __all__ = [
     "ShardedIndex",
     "StageTiming",
     "TfVectorizer",
-    "TimingMiddleware",
-    "TraceMiddleware",
     "UserStudySimulator",
     "VectorSpaceRefinement",
     "all_queries",

@@ -18,9 +18,8 @@ Version history:
 * **v1** — initial envelope (PR 1).
 * **v2** — reports carry structured per-stage observability:
   ``stage_timings`` (``[{"stage": ..., "seconds": ...}, ...]`` in
-  execution order, from the pipeline's timing middleware). v1 payloads
-  remain readable: they round-trip losslessly with empty
-  ``stage_timings``.
+  execution order). v1 payloads remain readable: they round-trip
+  losslessly with empty ``stage_timings``.
 """
 
 from __future__ import annotations

@@ -42,7 +42,6 @@ interleaving, and the step methods. Compose it at build time::
                .dataset("wikipedia")
                .stage(MyReranker(), after="retrieve")
                .replace_stage("candidates", MyMiner())
-               .middleware(TraceMiddleware())
                .build())
     ctx = session.run_stages("java", until="tasks")   # partial run
 """
@@ -71,7 +70,7 @@ from repro.core.expander import ClusterQueryExpander, ExpansionReport
 from repro.core.universe import ResultUniverse
 from repro.errors import ConfigError, SchemaError
 from repro.index.search import SearchEngine, SearchResult
-from repro.pipeline import ExecutionContext, Middleware, Pipeline, default_pipeline
+from repro.pipeline import ExecutionContext, Pipeline, default_pipeline
 from repro.text.analyzer import Analyzer
 
 if TYPE_CHECKING:
@@ -287,7 +286,6 @@ class SessionBuilder:
         self._candidate_cache_size: int = DEFAULT_CANDIDATE_CACHE_SIZE
         self._stage_inserts: list[tuple[Any, str | None, str | None]] = []
         self._stage_replacements: list[tuple[str, Any]] = []
-        self._middleware: list[Middleware] = []
 
     @staticmethod
     def _norm(name: str) -> str:
@@ -411,15 +409,6 @@ class SessionBuilder:
         self._stage_replacements.append((name, stage))
         return self
 
-    def middleware(self, *middleware: Middleware) -> "SessionBuilder":
-        """Attach observability middleware (``on_stage_start/end/error``).
-
-        Hook failures are isolated: a raising hook never corrupts a
-        report. See :mod:`repro.pipeline.middleware`.
-        """
-        self._middleware.extend(middleware)
-        return self
-
     # -- validation + construction ------------------------------------------
 
     def build(self) -> "Session":
@@ -528,8 +517,6 @@ class SessionBuilder:
             pipeline = pipeline.with_stage(
                 self._resolve_stage(stage), after=after, before=before
             )
-        if self._middleware:
-            pipeline = pipeline.with_middleware(*self._middleware)
         return pipeline
 
     def _build_config(self) -> ExpansionConfig:

@@ -10,7 +10,7 @@ Since the pipeline redesign, :class:`ClusterQueryExpander` is a thin
 binding of runtime components (engine, algorithm, config, clusterer,
 caches) to a :class:`~repro.pipeline.Pipeline` of stage objects — every
 step method executes the same stage instances that ``expand`` runs, and
-per-stage wall clock is recorded by the pipeline's timing middleware
+per-stage wall clock is recorded by ``Pipeline.run`` itself
 (``ExpansionReport.stage_timings``), retrieval included.
 """
 
@@ -165,7 +165,7 @@ class ClusterQueryExpander:
         TF-IDF candidate statistics.
     pipeline:
         Optional :class:`~repro.pipeline.Pipeline` override (custom or
-        reordered stages, extra middleware). Defaults to
+        reordered stages). Defaults to
         :func:`repro.pipeline.default_pipeline`.
     """
 

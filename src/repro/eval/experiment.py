@@ -159,8 +159,8 @@ class ExperimentSuite:
         )
         engine = session.engine
         # One partial pipeline run supplies every cluster-based system with
-        # identical artifacts; clustering time comes from the pipeline's
-        # timing middleware instead of an ad-hoc stopwatch.
+        # identical artifacts; clustering time comes from the stage
+        # timings Pipeline.run records instead of an ad-hoc stopwatch.
         ctx = session.run_stages(query.text, until="tasks")
         results = list(ctx.results)
         labels = ctx.labels

@@ -8,12 +8,15 @@ The stack's observability layer, stdlib-only:
 * :mod:`repro.obs.sinks` — the bounded :class:`TraceBuffer` behind
   ``/debug/traces``, the always-on :class:`SlowLog` behind
   ``/debug/slow``, and the ``--log-json`` :class:`JsonLogger`.
+* :mod:`repro.obs.histogram` — the :class:`LatencyHistogram` behind
+  every latency partition of ``/metrics``.
 * :mod:`repro.obs.prometheus` — ``/metrics?format=prometheus`` text
   exposition of the existing metrics partitions.
 
 See API.md § Observability for the header contract and span vocabulary.
 """
 
+from repro.obs.histogram import LatencyHistogram
 from repro.obs.prometheus import CONTENT_TYPE, PrometheusText, render_prometheus
 from repro.obs.sinks import (
     DEFAULT_SLOW_THRESHOLD,
@@ -30,18 +33,17 @@ from repro.obs.tracing import (
     absorb_spans,
     current_span,
     current_trace_id,
-    end_stage_span,
     leaf_span,
     new_trace_id,
     sanitize_trace_id,
     span,
-    start_stage_span,
 )
 
 __all__ = [
     "CONTENT_TYPE",
     "DEFAULT_SLOW_THRESHOLD",
     "JsonLogger",
+    "LatencyHistogram",
     "PrometheusText",
     "SlowLog",
     "Span",
@@ -53,11 +55,9 @@ __all__ = [
     "absorb_spans",
     "current_span",
     "current_trace_id",
-    "end_stage_span",
     "leaf_span",
     "new_trace_id",
     "render_prometheus",
     "sanitize_trace_id",
     "span",
-    "start_stage_span",
 ]

@@ -8,7 +8,7 @@ standard families:
 * request counters → ``repro_requests_total`` / ``repro_request_errors_total``
   / ``repro_cache_hits_total`` / ``repro_cache_misses_total`` (by
   ``endpoint``, plus ``replica`` on per-replica rows)
-* :class:`~repro.serve.metrics.LatencyHistogram` snapshots → native
+* :class:`~repro.obs.histogram.LatencyHistogram` snapshots → native
   histograms (cumulative ``_bucket{le=...}`` + ``_sum`` + ``_count``)
   using the histogram's existing bounds
 * cache tiers, tenant partitions, coordinator routing/shed/failover and

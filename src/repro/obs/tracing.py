@@ -38,12 +38,10 @@ __all__ = [
     "absorb_spans",
     "current_span",
     "current_trace_id",
-    "end_stage_span",
     "leaf_span",
     "new_trace_id",
     "sanitize_trace_id",
     "span",
-    "start_stage_span",
 ]
 
 #: HTTP header carrying (and echoing) the request's trace id.
@@ -266,29 +264,6 @@ def leaf_span(name: str, **attrs: Any) -> Span | None:
     if parent is None:
         return None
     return Span(name, parent.trace_id, parent.span_id, parent._sink, attrs or None)
-
-
-def start_stage_span(name: str, **attrs: Any) -> Span | None:
-    """Open a child span across paired hook calls (pipeline middleware).
-
-    The pipeline's ``on_stage_start``/``on_stage_end`` hooks are separate
-    invocations, not a ``with`` block, so the span is parked on the
-    context variable and closed by :func:`end_stage_span`.
-    """
-    parent = _CURRENT.get()
-    if parent is None:
-        return None
-    return _push(parent, name, attrs or None)
-
-
-def end_stage_span(name: str, exc: BaseException | None = None) -> None:
-    """Close the span :func:`start_stage_span` opened, if it is current."""
-    cur = _CURRENT.get()
-    if cur is None or cur.name != name or cur._token is None:
-        return  # not ours (start saw no trace, or hooks were unpaired)
-    if exc is not None:
-        cur.mark_error(exc)
-    _pop(cur)
 
 
 def absorb_spans(spans: Any) -> int:

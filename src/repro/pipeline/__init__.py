@@ -6,13 +6,13 @@ one expanded query per cluster. This package makes the *pipeline* the
 pluggable axis:
 
 * :class:`ExecutionContext` — the typed, immutable-by-convention carrier
-  of every artifact a run produces (plus per-stage timings and trace
-  events);
+  of every artifact a run produces (plus per-stage timings);
 * :class:`Stage` — the ``name`` + ``run(ctx) -> ctx`` protocol; the
   built-ins live in :mod:`repro.pipeline.stages`;
-* :class:`Pipeline` — the composer (insert / replace / slice stages),
-  with middleware hooks (``on_stage_start/end/error``) wrapped around
-  every stage;
+* :class:`Pipeline` — the composer (insert / replace / slice stages)
+  and the one per-stage instrument: its ``run`` opens the
+  ``stage.<name>`` span, appends the :class:`StageTiming`, and feeds
+  the pipeline's :class:`StageStats`;
 * :func:`default_pipeline` — the paper's six-stage sequence.
 
 Every execution path — ``Session.expand``, ``ClusterQueryExpander``,
@@ -22,15 +22,8 @@ these same stage objects; the ``STAGES`` registry in
 (``Session.builder().stage(...)``/``.replace_stage(...)``).
 """
 
-from repro.pipeline.context import ExecutionContext, StageTiming, TraceEvent
-from repro.pipeline.middleware import (
-    CallbackMiddleware,
-    Middleware,
-    TimingMiddleware,
-    TraceMiddleware,
-    TracingMiddleware,
-)
-from repro.pipeline.pipeline import Pipeline, Stage, default_pipeline
+from repro.pipeline.context import ExecutionContext, StageTiming
+from repro.pipeline.pipeline import Pipeline, Stage, StageStats, default_pipeline
 from repro.pipeline.stages import (
     CandidateStage,
     ClusterStage,
@@ -43,22 +36,17 @@ from repro.pipeline.stages import (
 )
 
 __all__ = [
-    "CallbackMiddleware",
     "CandidateStage",
     "ClusterStage",
     "ExecutionContext",
     "ExpandStage",
-    "Middleware",
     "Pipeline",
     "ReassignStage",
     "RetrieveStage",
     "Stage",
+    "StageStats",
     "StageTiming",
     "TasksStage",
-    "TimingMiddleware",
-    "TraceEvent",
-    "TraceMiddleware",
-    "TracingMiddleware",
     "UniverseStage",
     "default_pipeline",
     "default_stages",

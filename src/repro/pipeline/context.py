@@ -3,14 +3,12 @@
 An :class:`ExecutionContext` holds everything the expansion pipeline
 produces for one seed query — the artifacts that used to flow as
 positional returns between ``retrieve``/``cluster``/``build_universe``/
-``tasks``/``expand`` — plus the observability channel (per-stage wall
-clock timings and trace events).
+``tasks``/``expand`` — plus the per-stage wall-clock timings.
 
 Contexts are immutable by convention: stages never mutate the context
 they receive; they return a new one via :meth:`ExecutionContext.evolve`.
-That makes middleware error isolation trivial (a failing hook simply
-leaves the previous context in force) and lets harnesses keep any
-intermediate context alive without defensive copying.
+That lets harnesses keep any intermediate context alive without
+defensive copying.
 
 Two kinds of fields:
 
@@ -18,9 +16,9 @@ Two kinds of fields:
   algorithm, clusterer, candidate cache). Set once when the context is
   created; stages read but never replace them.
 * **artifacts** — what the stages produce (results, labels, universe,
-  candidates, tasks, expanded queries, score) plus ``timings``/``trace``
-  appended by the pipeline's middleware and a free-form ``extras``
-  mapping for custom stages.
+  candidates, tasks, expanded queries, score) plus ``timings`` appended
+  by :meth:`Pipeline.run <repro.pipeline.Pipeline.run>` and a free-form
+  ``extras`` mapping for custom stages.
 """
 
 from __future__ import annotations
@@ -52,24 +50,6 @@ class StageTiming:
 
 
 @dataclass(frozen=True)
-class TraceEvent:
-    """One observability event emitted while a pipeline runs."""
-
-    stage: str
-    event: str  # "start", "end", or "error"
-    detail: str = ""
-    seconds: float = 0.0
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "stage": self.stage,
-            "event": self.event,
-            "detail": self.detail,
-            "seconds": float(self.seconds),
-        }
-
-
-@dataclass(frozen=True)
 class ExecutionContext:
     """Everything one pipeline run reads and produces; see module docstring."""
 
@@ -94,7 +74,6 @@ class ExecutionContext:
 
     # -- observability -------------------------------------------------------
     timings: tuple[StageTiming, ...] = ()
-    trace: tuple[TraceEvent, ...] = ()
 
     def evolve(self, **changes: Any) -> "ExecutionContext":
         """A copy of this context with ``changes`` applied."""

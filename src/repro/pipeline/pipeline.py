@@ -1,18 +1,21 @@
-"""The :class:`Pipeline` composer: ordered stages + middleware hooks.
+"""The :class:`Pipeline` composer: ordered stages, timed once each.
 
 A pipeline is an immutable sequence of :class:`Stage` objects executed
-over an :class:`~repro.pipeline.context.ExecutionContext`, with
-middleware wrapped around every stage (see
-:mod:`repro.pipeline.middleware`). Composition methods return *new*
-pipelines, so a customized pipeline can be derived from the default one
-without affecting other sessions::
+over an :class:`~repro.pipeline.context.ExecutionContext`. Composition
+methods return *new* pipelines, so a customized pipeline can be derived
+from the default one without affecting other sessions::
 
     pipe = (default_pipeline()
             .replace_stage("candidates", MyMiner())
-            .with_stage(MyReranker(), after="retrieve")
-            .with_middleware(TraceMiddleware()))
+            .with_stage(MyReranker(), after="retrieve"))
     ctx = pipe.run(ExecutionContext(engine=..., config=..., algorithm=...,
                                     query="java"))
+
+:meth:`Pipeline.run` is the only per-stage instrument. Each stage gets
+one ``stage.<name>`` span (a no-op outside a request trace), one
+``perf_counter`` pair whose :class:`StageTiming` is appended to the
+context, and one sample (or error) in the pipeline's :class:`StageStats`,
+which the serve tier publishes under ``/metrics`` ``stages``.
 
 ``run`` accepts ``stop_after`` for partial execution (harnesses that
 need intermediate artifacts) — the same stage objects execute whether
@@ -22,11 +25,13 @@ the pipeline runs whole or in slices.
 from __future__ import annotations
 
 import time
+from threading import Lock
 from typing import Any, Iterable, Protocol, runtime_checkable
 
 from repro.errors import PipelineError
-from repro.pipeline.context import ExecutionContext
-from repro.pipeline.middleware import Middleware, TimingMiddleware
+from repro.obs.histogram import LatencyHistogram
+from repro.obs.tracing import span
+from repro.pipeline.context import ExecutionContext, StageTiming
 from repro.pipeline.stages import default_stages
 
 
@@ -50,29 +55,72 @@ def _check_stage(stage: Any) -> Any:
     return stage
 
 
-class Pipeline:
-    """An immutable stage sequence with middleware; see module docstring.
+class StageStats:
+    """Per-stage latency histograms and error counts, in first-run order.
 
-    Parameters
-    ----------
-    stages:
-        Ordered :class:`Stage` objects. Names must be unique (lookups,
-        replacement, and per-stage timings are keyed by name).
-    middleware:
-        Extra middleware appended after the built-in
-        :class:`~repro.pipeline.middleware.TimingMiddleware`.
-    record_timings:
-        Install the built-in timing middleware (default). Disable only
-        for overhead measurements; reports built from an untimed run
-        carry zero per-stage seconds.
+    One instance belongs to a pipeline and every pipeline derived from it,
+    so it aggregates across all request threads of a session's serving
+    lifetime, not per request.
     """
 
-    def __init__(
-        self,
-        stages: Iterable[Stage],
-        middleware: Iterable[Middleware] = (),
-        record_timings: bool = True,
-    ) -> None:
+    def __init__(self) -> None:
+        self._stages: dict[str, LatencyHistogram] = {}
+        self._errors: dict[str, int] = {}
+        self._order: list[str] = []
+        self._lock = Lock()
+
+    def _histogram(self, stage: str) -> LatencyHistogram:
+        with self._lock:
+            hist = self._stages.get(stage)
+            if hist is None:
+                hist = self._stages[stage] = LatencyHistogram()
+                self._order.append(stage)
+            return hist
+
+    def observe(self, stage: str, seconds: float) -> None:
+        """Record one completed run of ``stage``."""
+        self._histogram(stage).observe(seconds)
+
+    def error(self, stage: str) -> None:
+        """Count one failed run of ``stage``.
+
+        Count only: a placeholder duration would drag the stage's latency
+        percentiles toward zero (see ``ServerMetrics.record``).
+        """
+        self._histogram(stage)  # ensure the stage appears in order
+        with self._lock:
+            self._errors[stage] = self._errors.get(stage, 0) + 1
+
+    def snapshot(self) -> dict[str, Any]:
+        """``{stage: histogram snapshot (+ errors)}`` in first-run order."""
+        with self._lock:
+            order = list(self._order)
+            errors = dict(self._errors)
+            # Copy the map itself too: reading it lock-free would race
+            # _histogram inserting a first-seen stage (a torn read:
+            # "dictionary changed size during iteration"). The histograms
+            # are internally locked, so holding references outside the
+            # lock is fine.
+            stages = dict(self._stages)
+        out: dict[str, Any] = {}
+        for name in order:
+            stats = stages[name].snapshot()
+            if name in errors:
+                stats["errors"] = errors[name]
+            out[name] = stats
+        return out
+
+
+class Pipeline:
+    """An immutable stage sequence; see module docstring.
+
+    ``stages`` are ordered :class:`Stage` objects. Names must be unique
+    (lookups, replacement, and per-stage timings are keyed by name).
+    :attr:`stage_stats` is fresh per constructed pipeline and shared with
+    every pipeline derived from it.
+    """
+
+    def __init__(self, stages: Iterable[Stage]) -> None:
         self._stages = tuple(_check_stage(s) for s in stages)
         if not self._stages:
             raise PipelineError("a pipeline needs at least one stage")
@@ -80,10 +128,7 @@ class Pipeline:
         if len(set(names)) != len(names):
             dupes = sorted({n for n in names if names.count(n) > 1})
             raise PipelineError(f"duplicate stage names: {', '.join(dupes)}")
-        self._record_timings = record_timings
-        builtin = (TimingMiddleware(),) if record_timings else ()
-        self._middleware: tuple[Middleware, ...] = builtin + tuple(middleware)
-        self._user_middleware = tuple(middleware)
+        self.stage_stats = StageStats()
 
     # -- introspection -------------------------------------------------------
 
@@ -95,11 +140,6 @@ class Pipeline:
     def names(self) -> tuple[str, ...]:
         """Stage names in execution order."""
         return tuple(s.name for s in self._stages)
-
-    @property
-    def middleware(self) -> tuple[Middleware, ...]:
-        """User middleware (the built-in timing middleware is implicit)."""
-        return self._user_middleware
 
     def get_stage(self, name: str) -> Stage:
         """The stage called ``name`` (case-insensitive, like registries)."""
@@ -115,11 +155,9 @@ class Pipeline:
     # -- composition (every method returns a new Pipeline) -------------------
 
     def _derive(self, stages: tuple[Stage, ...]) -> "Pipeline":
-        return Pipeline(
-            stages,
-            middleware=self._user_middleware,
-            record_timings=self._record_timings,
-        )
+        derived = Pipeline(stages)
+        derived.stage_stats = self.stage_stats
+        return derived
 
     def _index_of(self, name: str) -> int:
         key = name.lower() if isinstance(name, str) else name
@@ -177,7 +215,7 @@ class Pipeline:
     def slice(self, start: str, stop: str) -> "Pipeline":
         """The sub-pipeline from stage ``start`` through ``stop`` inclusive.
 
-        Shares the stage objects and middleware with this pipeline — used
+        Shares the stage objects and stage stats with this pipeline — used
         by the interleaved loop to re-run ``tasks -> expand`` per round.
         """
         i, j = self._index_of(start), self._index_of(stop)
@@ -191,7 +229,7 @@ class Pipeline:
         """``(stages before name, stages from name to the end)``.
 
         The prefix is ``None`` when ``name`` is the first stage. Both
-        halves share this pipeline's stage objects and middleware — the
+        halves share this pipeline's stage objects and stage stats — the
         interleaved loop runs the prefix once and the suffix per round,
         so inserted custom stages execute on the correct side.
         """
@@ -199,36 +237,7 @@ class Pipeline:
         prefix = self._derive(self._stages[:index]) if index else None
         return prefix, self._derive(self._stages[index:])
 
-    def with_middleware(self, *middleware: Middleware) -> "Pipeline":
-        """A pipeline with additional middleware appended."""
-        return Pipeline(
-            self._stages,
-            middleware=self._user_middleware + tuple(middleware),
-            record_timings=self._record_timings,
-        )
-
     # -- execution -----------------------------------------------------------
-
-    def _apply_hook(
-        self, hook_name: str, ctx: ExecutionContext, *args: Any
-    ) -> ExecutionContext:
-        """Run one hook across the middleware stack, isolating failures.
-
-        A hook may return a new context; a raising hook leaves the last
-        good context in force (contexts are immutable, so a partially
-        applied hook cannot corrupt anything).
-        """
-        for mw in self._middleware:
-            hook = getattr(mw, hook_name, None)
-            if hook is None:
-                continue
-            try:
-                out = hook(ctx, *args)
-            except Exception:  # noqa: BLE001 — hook isolation is the contract
-                continue
-            if isinstance(out, ExecutionContext):
-                ctx = out
-        return ctx
 
     def run(
         self, ctx: ExecutionContext, stop_after: str | None = None
@@ -237,35 +246,35 @@ class Pipeline:
 
         ``stop_after`` (a stage name) halts after that stage — partial
         runs for harnesses that need intermediate artifacts. Stage
-        exceptions propagate to the caller after every middleware's
-        ``on_stage_error`` has observed them.
+        exceptions propagate to the caller after they are counted in
+        :attr:`stage_stats` and marked on the stage's span.
         """
         last = None if stop_after is None else self._index_of(stop_after)
+        stats = self.stage_stats
         for index, stage in enumerate(self._stages):
-            ctx = self._apply_hook("on_stage_start", ctx, stage)
-            t0 = time.perf_counter()
-            try:
-                out = stage.run(ctx)
-            except Exception as exc:
-                self._apply_hook("on_stage_error", ctx, stage, exc)
-                raise
-            if not isinstance(out, ExecutionContext):
-                raise PipelineError(
-                    f"stage {stage.name!r} returned "
-                    f"{type(out).__name__}, not an ExecutionContext"
-                )
-            ctx = self._apply_hook(
-                "on_stage_end", out, stage, time.perf_counter() - t0
+            name = stage.name
+            with span(f"stage.{name}"):
+                t0 = time.perf_counter()
+                try:
+                    out = stage.run(ctx)
+                    seconds = time.perf_counter() - t0
+                    if not isinstance(out, ExecutionContext):
+                        raise PipelineError(
+                            f"stage {name!r} returned "
+                            f"{type(out).__name__}, not an ExecutionContext"
+                        )
+                except Exception:
+                    stats.error(name)
+                    raise
+            stats.observe(name, seconds)
+            ctx = out.evolve(
+                timings=out.timings + (StageTiming(stage=name, seconds=seconds),)
             )
             if index == last:
                 break
         return ctx
 
 
-def default_pipeline(
-    middleware: Iterable[Middleware] = (), record_timings: bool = True
-) -> Pipeline:
+def default_pipeline() -> Pipeline:
     """The paper's six-stage pipeline (retrieve → ... → expand)."""
-    return Pipeline(
-        default_stages(), middleware=middleware, record_timings=record_timings
-    )
+    return Pipeline(default_stages())

@@ -33,11 +33,7 @@ from repro.serve.app import (
     create_server,
 )
 from repro.serve.cache import LRUTTLCache
-from repro.serve.metrics import (
-    LatencyHistogram,
-    ServerMetrics,
-    ServerMetricsMiddleware,
-)
+from repro.serve.metrics import ServerMetrics
 from repro.serve.pool import PooledSession, ServeConfig, SessionPool
 
 __all__ = [
@@ -45,11 +41,9 @@ __all__ = [
     "ExpansionServer",
     "ExpansionService",
     "LRUTTLCache",
-    "LatencyHistogram",
     "PooledSession",
     "ServeConfig",
     "ServerMetrics",
-    "ServerMetricsMiddleware",
     "SessionPool",
     "create_server",
 ]

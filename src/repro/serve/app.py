@@ -44,6 +44,7 @@ ingestion staleness.
 
 from __future__ import annotations
 
+import contextvars
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -55,6 +56,7 @@ from repro.feed import Changefeed, batch_to_payload
 from repro.feed.changefeed import resolve_read_args
 from repro.obs import (
     DEFAULT_SLOW_THRESHOLD,
+    current_span,
     leaf_span,
     render_prometheus,
     span,
@@ -386,7 +388,7 @@ class ExpansionService(RequestEdge):
             return payload, "hit"
         # /search bypasses the pipeline (retrieval only), so the compute
         # gets an explicit stage.retrieve span — the search-path analogue
-        # of the per-stage spans TracingMiddleware emits under /expand.
+        # of the per-stage spans Pipeline.run emits under /expand.
         # Opened before the entry lock, so lock-wait shows in the span.
         with span("stage.retrieve", semantics=semantics):
             with entry.locked():  # lock-then-slot, as in _expand_cached
@@ -524,10 +526,24 @@ class ExpansionService(RequestEdge):
         if workers == 1 or len(queries) <= 1:
             items = [run_one(q) for q in queries]
         else:
+            # Pool threads do not inherit the request's contextvars, so
+            # each item runs in its own copy of them (one Context cannot
+            # be entered by two threads at once). The parent's span id is
+            # minted lazily: mint it here, before the threads race to.
+            parent = current_span()
+            if parent is not None:
+                parent.span_id
+            contexts = [contextvars.copy_context() for _ in queries]
             with ThreadPoolExecutor(
                 max_workers=min(workers, len(queries))
             ) as executor:
-                items = list(executor.map(run_one, queries))
+                items = list(
+                    executor.map(
+                        lambda context, q: context.run(run_one, q),
+                        contexts,
+                        queries,
+                    )
+                )
         seconds = time.perf_counter() - t0
         self._record(
             "batch",

@@ -65,6 +65,7 @@ from repro.obs import (
     DEFAULT_SLOW_THRESHOLD,
     TRACE_PARAM,
     TRACE_PARENT_PARAM,
+    LatencyHistogram,
     absorb_spans,
     current_span,
     render_prometheus,
@@ -79,7 +80,6 @@ from repro.serve.cluster.transport import (
     encode_body,
 )
 from repro.serve.edge import ROUTES, RequestEdge, Route, scalar
-from repro.serve.metrics import LatencyHistogram
 from repro.serve.paging import apply_batch_page, decode_cursor, resolve_batch_page
 from repro.serve.pool import ServeConfig
 from repro.tenancy import (
@@ -1132,7 +1132,10 @@ class ClusterCoordinator(RequestEdge):
         # Scatter threads have no ambient span (contextvars stay with the
         # request thread), so trace context is injected into the sub-batch
         # params here and the replicas' spans absorbed after the gather.
+        # The span id is minted lazily, so it is read once here: threads
+        # minting it at once could hand replicas different parent ids.
         cur = current_span()
+        parent_id = None if cur is None else cur.span_id
 
         def run_group(item: tuple[str, list[tuple[int, str]]]):
             name, members = item
@@ -1144,7 +1147,7 @@ class ClusterCoordinator(RequestEdge):
                 sub["tenant"] = tenant.name
             if cur is not None:
                 sub[TRACE_PARAM] = cur.trace_id
-                sub[TRACE_PARENT_PARAM] = cur.span_id
+                sub[TRACE_PARENT_PARAM] = parent_id
             status, body, extras = self._replicas[name].request(
                 "POST", "/batch", sub, timeout=self._request_timeout
             )

@@ -1,165 +1,19 @@
-"""Serving metrics: latency histograms, request counters, stage timings.
+"""Serving metrics: request counters and latencies, one row per endpoint.
 
 Everything here is thread-safe (the HTTP server handles each connection
 on its own thread) and snapshots to plain JSON types — ``/metrics`` is
-just :meth:`ServerMetrics.snapshot` serialized.
-
-:class:`ServerMetricsMiddleware` is the bridge to the PR-3 pipeline: one
-instance is installed per pooled session at build time, its
-``on_stage_end`` hook feeds every stage execution's wall clock into a
-per-stage :class:`LatencyHistogram`, and the service surfaces the result
-under ``"stages"`` in ``/metrics``. Sessions and their pipelines are
-shared across request threads, so the middleware aggregates across the
-whole serving lifetime, not per request.
+just :meth:`ServerMetrics.snapshot` serialized. The per-stage
+``"stages"`` partition comes from each pooled session's
+:class:`~repro.pipeline.StageStats`, which ``Pipeline.run`` feeds.
 """
 
 from __future__ import annotations
 
-import math
 import time
-from collections import deque
 from threading import Lock
 from typing import Any
 
-#: Upper bounds (seconds) of the histogram buckets; the last is +inf.
-DEFAULT_BUCKETS = (
-    0.0001, 0.00025, 0.0005, 0.001, 0.0025, 0.005, 0.01, 0.025,
-    0.05, 0.1, 0.25, 0.5, 1.0, 2.5, 5.0, 10.0,
-)
-
-#: Recent samples kept per histogram for percentile estimation.
-RESERVOIR_SIZE = 2048
-
-
-class LatencyHistogram:
-    """Bucketed latencies + a bounded reservoir for p50/p95/p99.
-
-    Buckets give the long-run shape (cheap, fixed memory); the reservoir
-    of the most recent :data:`RESERVOIR_SIZE` samples gives accurate
-    recent percentiles without storing the full history.
-    """
-
-    def __init__(self, buckets: tuple[float, ...] = DEFAULT_BUCKETS) -> None:
-        self._bounds = tuple(sorted(buckets))
-        self._counts = [0] * (len(self._bounds) + 1)  # +1 for +inf
-        self._count = 0
-        self._total = 0.0
-        self._max = 0.0
-        self._recent: deque[float] = deque(maxlen=RESERVOIR_SIZE)
-        self._lock = Lock()
-
-    def observe(self, seconds: float) -> None:
-        seconds = float(seconds)
-        with self._lock:
-            index = len(self._bounds)
-            for i, bound in enumerate(self._bounds):
-                if seconds <= bound:
-                    index = i
-                    break
-            self._counts[index] += 1
-            self._count += 1
-            self._total += seconds
-            if seconds > self._max:
-                self._max = seconds
-            self._recent.append(seconds)
-
-    @property
-    def count(self) -> int:
-        with self._lock:
-            return self._count
-
-    def snapshot(self) -> dict[str, Any]:
-        """Counters, buckets, and percentile estimates as plain JSON types.
-
-        The ``p50/p95/p99_seconds`` values are **estimated from the
-        recent-sample reservoir** (the last :data:`RESERVOIR_SIZE`
-        observations), *not* from the full bucket counts: once ``count``
-        exceeds ``sample_count`` the percentiles describe recent traffic
-        while ``buckets``/``count``/``total_seconds`` describe the whole
-        serving lifetime. ``sample_count`` reports how many samples the
-        percentiles were computed over so dashboards can tell the two
-        populations apart.
-        """
-        with self._lock:
-            if not self._count:
-                return {"count": 0}
-            counts = list(self._counts)
-            count, total, peak = self._count, self._total, self._max
-            ordered = sorted(self._recent)
-
-        def pct(q: float) -> float:
-            rank = min(len(ordered) - 1, max(0, math.ceil(q * len(ordered)) - 1))
-            return ordered[rank]
-
-        buckets = {f"le_{bound:g}": c for bound, c in zip(self._bounds, counts)}
-        buckets["le_inf"] = counts[-1]
-        return {
-            "count": count,
-            "total_seconds": total,
-            "mean_seconds": total / count,
-            "max_seconds": peak,
-            "p50_seconds": pct(0.50),
-            "p95_seconds": pct(0.95),
-            "p99_seconds": pct(0.99),
-            "sample_count": len(ordered),
-            "buckets": buckets,
-        }
-
-
-class ServerMetricsMiddleware:
-    """Pipeline middleware: per-stage latency histograms for ``/metrics``.
-
-    Conforms to :class:`repro.pipeline.Middleware`; install with
-    ``Session.builder().middleware(mw)`` (the pool does this for every
-    configuration it builds). Hook errors are isolated by the pipeline,
-    and the hook itself never replaces the context.
-    """
-
-    def __init__(self) -> None:
-        self._stages: dict[str, LatencyHistogram] = {}
-        self._errors: dict[str, int] = {}
-        self._order: list[str] = []
-        self._lock = Lock()
-
-    def _histogram(self, stage_name: str) -> LatencyHistogram:
-        with self._lock:
-            hist = self._stages.get(stage_name)
-            if hist is None:
-                hist = self._stages[stage_name] = LatencyHistogram()
-                self._order.append(stage_name)
-            return hist
-
-    def on_stage_start(self, ctx, stage) -> None:
-        return None
-
-    def on_stage_end(self, ctx, stage, seconds: float) -> None:
-        self._histogram(stage.name).observe(seconds)
-        return None
-
-    def on_stage_error(self, ctx, stage, exc) -> None:
-        # Count only — a placeholder duration would drag the stage's
-        # latency percentiles toward zero (see ServerMetrics.record).
-        self._histogram(stage.name)  # ensure the stage appears in order
-        with self._lock:
-            self._errors[stage.name] = self._errors.get(stage.name, 0) + 1
-
-    def snapshot(self) -> dict[str, Any]:
-        """``{stage: histogram snapshot (+ errors)}`` in first-run order."""
-        with self._lock:
-            order = list(self._order)
-            errors = dict(self._errors)
-            # Copy the map itself too: reading it lock-free would race
-            # _histogram inserting a first-seen stage (the PR 6 torn-read
-            # shape). The histograms are internally locked, so holding
-            # references outside the lock is fine.
-            stages = dict(self._stages)
-        out: dict[str, Any] = {}
-        for name in order:
-            stats = stages[name].snapshot()
-            if name in errors:
-                stats["errors"] = errors[name]
-            out[name] = stats
-        return out
+from repro.obs.histogram import LatencyHistogram
 
 
 class ServerMetrics:

@@ -11,9 +11,9 @@ CLI form::
 
 The :class:`SessionPool` owns one lazily-built session per configuration
 (first request pays construction; everyone after shares the warm index,
-retrieval cache, and candidate cache), installs a
-:class:`~repro.serve.metrics.ServerMetricsMiddleware` on each session's
-pipeline, and — for mutable backends — subscribes to
+retrieval cache, and candidate cache), exposes each session pipeline's
+:class:`~repro.pipeline.StageStats` for ``/metrics``, and — for mutable
+backends — subscribes to
 :class:`~repro.index.dynamic.DynamicIndex` mutation listeners so every
 ingestion immediately:
 
@@ -43,8 +43,6 @@ from repro.errors import (
     TenantAccessError,
     UnknownConfigError,
 )
-from repro.pipeline.middleware import TracingMiddleware
-from repro.serve.metrics import ServerMetricsMiddleware
 
 if TYPE_CHECKING:
     from repro.store import DocumentStore
@@ -172,7 +170,6 @@ class ServeConfig:
 
     def build_session(
         self,
-        middleware: Iterable[Any] = (),
         retrieval_cache_size: int | None = None,
         candidate_cache_size: int | None = None,
         store: "DocumentStore | None" = None,
@@ -223,8 +220,6 @@ class ServeConfig:
         builder.cache_capacity(
             retrieval=retrieval_cache_size, candidates=candidate_cache_size
         )
-        if middleware:
-            builder.middleware(*middleware)
         return builder.build()
 
     def describe(self) -> dict[str, Any]:
@@ -245,7 +240,7 @@ class ServeConfig:
 
 
 class PooledSession:
-    """A built session plus its serving plumbing (metrics, locking).
+    """A built session plus its serving plumbing (locking, invalidations).
 
     ``tenant`` is the owning tenant's name for dedicated per-tenant
     entries (private store path or per-tenant dynamic index) and
@@ -261,7 +256,6 @@ class PooledSession:
         self.config = config
         self.session = session
         self.tenant = tenant
-        self.stage_metrics = _find_metrics_middleware(session)
         caps = session.engine.index.capabilities()
         self._exclusive = not caps.concurrent_reads
         self._lock = RLock()
@@ -302,16 +296,6 @@ class PooledSession:
                 yield
         else:
             yield
-
-
-def _find_metrics_middleware(session: Session) -> ServerMetricsMiddleware:
-    for mw in session.execution_pipeline.middleware:
-        if isinstance(mw, ServerMetricsMiddleware):
-            return mw
-    raise ServeError(
-        "pooled sessions must carry a ServerMetricsMiddleware; "
-        "build them through SessionPool"
-    )
 
 
 class SessionPool:
@@ -467,11 +451,7 @@ class SessionPool:
             if effective.store is not None
             else None
         )
-        # TracingMiddleware contributes per-stage spans to whatever
-        # request trace is ambient when the pipeline runs; outside a
-        # traced request it costs one contextvar read per stage.
         session = effective.build_session(
-            middleware=(ServerMetricsMiddleware(), TracingMiddleware()),
             retrieval_cache_size=self._retrieval_cache_size,
             candidate_cache_size=self._candidate_cache_size,
             store=store,
@@ -625,7 +605,7 @@ class SessionPool:
         with self._lock:
             entries = dict(self._entries)
         return {
-            name: entry.stage_metrics.snapshot()
+            name: entry.session.execution_pipeline.stage_stats.snapshot()
             for name, entry in entries.items()
         }
 

@@ -1,6 +1,6 @@
 """Fixed twin of ``bad_torn_read``: the snapshot copies under the lock.
 
-Same shape as the real ``ServerMetricsMiddleware.snapshot`` fix —
+Same shape as the real ``StageStats.snapshot`` fix —
 every read of the guarded dicts happens inside ``with self._lock``.
 """
 

@@ -11,38 +11,33 @@ import threading
 import pytest
 
 from repro.data.documents import make_text_document
-from repro.text.analyzer import Analyzer
+from repro.pipeline import StageStats
 from repro.serve.app import ExpansionServer
 from repro.serve.cluster.server import ClusterServer
-from repro.serve.metrics import ServerMetricsMiddleware
 from repro.serve.pool import ServeConfig, SessionPool
 from repro.store.store import DocumentStore
-
-
-class _Stage:
-    def __init__(self, name):
-        self.name = name
+from repro.text.analyzer import Analyzer
 
 
 class TestMetricsSnapshotTornRead:
     def test_snapshot_races_first_seen_stage_insertion(self):
         # PR 6 shape: snapshot() iterated the live _stages dict while
-        # on_stage_end inserted first-seen stages -> "dictionary changed
+        # observe() inserted first-seen stages -> "dictionary changed
         # size during iteration". Hammer both sides concurrently.
-        mw = ServerMetricsMiddleware()
+        stats = StageStats()
         stop = threading.Event()
         errors = []
 
         def writer():
             i = 0
             while not stop.is_set():
-                mw.on_stage_end(None, _Stage(f"stage-{i}"), 0.001)
+                stats.observe(f"stage-{i}", 0.001)
                 i += 1
 
         def reader():
             while not stop.is_set():
                 try:
-                    mw.snapshot()
+                    stats.snapshot()
                 except RuntimeError as exc:  # pragma: no cover - the bug
                     errors.append(exc)
                     return
@@ -57,7 +52,7 @@ class TestMetricsSnapshotTornRead:
         for t in threads:
             t.join(timeout=5)
         assert errors == []
-        snap = mw.snapshot()
+        snap = stats.snapshot()
         assert snap  # writers made progress
         assert all("count" in stats for stats in snap.values())
 

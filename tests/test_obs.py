@@ -13,6 +13,7 @@ from __future__ import annotations
 import io
 import json
 import threading
+from collections import Counter
 import urllib.error
 import urllib.parse
 import urllib.request
@@ -25,6 +26,7 @@ from repro.obs import (
     TRACE_HEADER,
     TRACE_PARAM,
     JsonLogger,
+    LatencyHistogram,
     PrometheusText,
     SlowLog,
     TraceBuffer,
@@ -32,18 +34,17 @@ from repro.obs import (
     absorb_spans,
     current_span,
     current_trace_id,
-    end_stage_span,
     new_trace_id,
     render_prometheus,
     sanitize_trace_id,
     span,
-    start_stage_span,
 )
+from repro.obs.histogram import RESERVOIR_SIZE
 from repro.obs.sinks import iter_json_lines
+from repro.pipeline import ExecutionContext, Pipeline
 from repro.serve import ServeConfig, create_server
 from repro.serve.app import ExpansionService
 from repro.serve.cluster import ClusterCoordinator, create_cluster
-from repro.serve.metrics import RESERVOIR_SIZE, LatencyHistogram
 from repro.serve.pool import SessionPool
 from repro.store import DocumentStore
 
@@ -109,28 +110,19 @@ class TestSpans:
         assert "kaput" in by_name["boom"]["error"]
         assert trace["status"] == "error"
 
-    def test_stage_spans_pair_across_hook_calls(self):
-        tracer = Tracer(buffer=TraceBuffer())
-        with tracer.request("root", trace_id="t-stage"):
-            assert start_stage_span("stage.alpha") is not None
-            end_stage_span("stage.alpha")
-            started = start_stage_span("stage.beta")
-            assert current_span() is started
-            end_stage_span("stage.beta", exc=RuntimeError("stage died"))
-        spans = tracer.buffer.get("t-stage")["spans"]
-        by_name = {s["name"]: s for s in spans}
-        assert by_name["stage.alpha"]["status"] == "ok"
-        assert by_name["stage.beta"]["status"] == "error"
-
-    def test_mismatched_stage_end_is_ignored(self):
-        tracer = Tracer(buffer=TraceBuffer())
-        with tracer.request("root", trace_id="t-mis") as root:
-            end_stage_span("stage.never-started")  # no-op, root survives
-            assert current_span() is root
-
     def test_stage_span_outside_trace_is_noop(self):
-        assert start_stage_span("stage.orphan") is None
-        end_stage_span("stage.orphan")  # must not raise
+        seen = []
+
+        class Probe:
+            name = "probe"
+
+            def run(self, ctx):
+                seen.append(current_span())
+                return ctx
+
+        ctx = Pipeline([Probe()]).run(ExecutionContext())
+        assert seen == [None]
+        assert [t.stage for t in ctx.timings] == ["probe"]
 
     def test_absorb_spans_splices_remote_records(self):
         tracer = Tracer(buffer=TraceBuffer())
@@ -611,6 +603,91 @@ class TestServiceTracing:
             assert sheds[0]["tenant"] == "acme"
         finally:
             svc.close(drain_timeout=5.0)
+
+
+# -- one measurement: spans, report timings and /metrics agree ---------------
+
+
+@pytest.fixture()
+def fresh_service():
+    svc = ExpansionService(
+        SessionPool([ServeConfig(name="wiki", n_clusters=3)]),
+        cache_size=32,
+        workers=2,
+    )
+    yield svc
+    svc.close(drain_timeout=5.0)
+
+
+def _stage_counts(svc):
+    _, metrics = svc.handle("GET", "/metrics", {})
+    return metrics["stages"].get("wiki", {})
+
+
+class TestOneStageMeasurement:
+    """Pipeline.run times each stage once; every reader sees that record."""
+
+    def test_cold_expand_spans_timings_and_stats_agree(self, fresh_service):
+        svc = fresh_service
+        before = _stage_counts(svc)
+        status, payload = svc.handle(
+            "GET", "/expand",
+            {"config": "wiki", "query": "java", TRACE_PARAM: "one-cold"},
+        )
+        assert status == 200 and payload["cache"] == "miss"
+        timed = [t["stage"] for t in payload["report"]["stage_timings"]]
+        spans = svc.tracer.buffer.get("one-cold")["spans"]
+        root = next(s for s in spans if s["name"] == "http.request")
+        stage_spans = [s for s in spans if s["name"].startswith("stage.")]
+        assert [s["name"] for s in stage_spans] == [f"stage.{t}" for t in timed]
+        assert all(s["parent_id"] == root["span_id"] for s in stage_spans)
+        after = _stage_counts(svc)
+        assert list(after) == timed
+        for stage in timed:
+            was = before.get(stage, {}).get("count", 0)
+            assert after[stage]["count"] == was + 1
+
+    def test_failed_expand_counts_one_error_and_no_latency(self, fresh_service):
+        svc = fresh_service
+        svc.handle("GET", "/expand", {"config": "wiki", "query": "java"})
+        before = _stage_counts(svc)["retrieve"]
+        status, payload = svc.handle(
+            "GET", "/expand",
+            {"config": "wiki", "query": "zzzqqq", TRACE_PARAM: "one-err"},
+        )
+        assert status == 400 and payload["error"] == "ExpansionError"
+        after = _stage_counts(svc)["retrieve"]
+        assert after["errors"] == before.get("errors", 0) + 1
+        assert after["count"] == before["count"]
+        spans = svc.tracer.buffer.get("one-err")["spans"]
+        retrieve = [s for s in spans if s["name"] == "stage.retrieve"]
+        assert [s["status"] for s in retrieve] == ["error"]
+
+    def test_batch_items_keep_their_spans_at_any_worker_count(
+        self, fresh_service
+    ):
+        svc = fresh_service
+        query_sets = {
+            1: ["eclipse", "cell", "mouse", "domino"],
+            2: ["rockets", "columbia", "cvs", "san jose"],
+        }
+        counts = {}
+        for workers, queries in query_sets.items():
+            trace_id = f"one-batch-{workers}"
+            status, payload = svc.handle(
+                "POST", "/batch",
+                {"config": "wiki", "queries": queries, "workers": workers,
+                 TRACE_PARAM: trace_id},
+            )
+            assert status == 200 and payload["n_ok"] == len(queries)
+            spans = svc.tracer.buffer.get(trace_id)["spans"]
+            ids = {s["span_id"] for s in spans}
+            roots = [s for s in spans if s["parent_id"] is None]
+            assert [s["name"] for s in roots] == ["http.request"]
+            assert all(s["parent_id"] in ids for s in spans if s not in roots)
+            counts[workers] = Counter(s["name"] for s in spans)
+        assert counts[2] == counts[1]
+        assert counts[2]["stage.retrieve"] == 4
 
 
 # -- HTTP layer: header round-trip -------------------------------------------

@@ -1,4 +1,4 @@
-"""Tests for repro.pipeline: stages, composer, middleware, session wiring."""
+"""Tests for repro.pipeline: stages, composer, stage stats, session wiring."""
 
 from __future__ import annotations
 
@@ -12,12 +12,11 @@ from repro.datasets.wikipedia import build_wikipedia_corpus
 from repro.errors import ExpansionError, PipelineError
 from repro.index.search import SearchEngine
 from repro.pipeline import (
-    CallbackMiddleware,
     CandidateStage,
     ExecutionContext,
     Pipeline,
+    StageStats,
     StageTiming,
-    TraceMiddleware,
     default_pipeline,
 )
 from repro.text.analyzer import Analyzer
@@ -152,6 +151,7 @@ class TestComposition:
         part = pipe.slice("tasks", "expand")
         assert part.names == ("tasks", "expand")
         assert part.get_stage("tasks") is pipe.get_stage("tasks")
+        assert part.stage_stats is pipe.stage_stats
         with pytest.raises(PipelineError, match="after"):
             pipe.slice("expand", "tasks")
 
@@ -169,75 +169,75 @@ class TestComposition:
         assert "stamp" not in base.names
 
 
-# -- middleware ---------------------------------------------------------------
+# -- stage stats -------------------------------------------------------------
 
 
-class _Boom:
-    def __init__(self, hook):
-        self._hook = hook
-
-    def _raise(self, *a, **k):
-        raise RuntimeError("middleware boom")
-
-    def __getattr__(self, name):
-        if name == self._hook:
-            return self._raise
-        raise AttributeError(name)
-
-
-class TestMiddleware:
-    def _session(self, *middleware) -> Session:
-        builder = (
-            Session.builder()
-            .dataset("wikipedia", docs_per_sense=8, terms=["java"])
-            .config(n_clusters=3, top_k_results=16)
-        )
-        if middleware:
-            builder.middleware(*middleware)
-        return builder.build()
-
-    @pytest.mark.parametrize(
-        "hook", ["on_stage_start", "on_stage_end", "on_stage_error"]
+def _fresh_session() -> Session:
+    return (
+        Session.builder()
+        .dataset("wikipedia", docs_per_sense=8, terms=["java"])
+        .config(n_clusters=3, top_k_results=16)
+        .build()
     )
-    def test_raising_hook_does_not_corrupt_report(self, hook):
-        baseline = self._session().expand("java")
-        report = self._session(_Boom(hook)).expand("java")
-        assert report.score == baseline.score
-        assert report.expanded == baseline.expanded
-        assert [t.stage for t in report.stage_timings] == [
-            t.stage for t in baseline.stage_timings
-        ]
 
-    def test_raising_hook_does_not_mask_stage_errors(self):
-        session = self._session(_Boom("on_stage_error"))
-        with pytest.raises(ExpansionError, match="no results"):
-            session.expand("zzz-no-such-term")
 
-    def test_trace_middleware_records_events(self):
-        trace = TraceMiddleware()
-        ctx = self._session(trace).run_stages("java")
-        events = [(e.stage, e.event) for e in ctx.trace]
-        assert ("retrieve", "start") in events
-        assert ("expand", "end") in events
-        assert len(ctx.trace) == 2 * len(ctx.timings)
+class TestStageStats:
+    def test_stage_errors_counted_without_polluting_latency(self):
+        stats = StageStats()
+        stats.observe("cluster", 0.25)
+        stats.error("cluster")
+        snap = stats.snapshot()
+        assert snap["cluster"]["errors"] == 1
+        assert snap["cluster"]["count"] == 1  # only the real sample
+        assert snap["cluster"]["p50_seconds"] == pytest.approx(0.25)
 
-    def test_trace_middleware_observes_errors(self):
-        trace = TraceMiddleware()
-        session = self._session(trace)
-        with pytest.raises(ExpansionError):
-            session.expand("zzz-no-such-term")
-        assert [e.stage for e in trace.error_events] == ["retrieve"]
-        assert "ExpansionError" in trace.error_events[0].detail
-
-    def test_callback_middleware(self):
-        seen = []
-        mw = CallbackMiddleware(
-            on_end=lambda ctx, stage, seconds: seen.append(stage.name)
+    def test_records_stage_latencies_from_a_pipeline(self):
+        session = (
+            Session.builder()
+            .dataset("wikipedia")
+            .config(n_clusters=3)
+            .build()
         )
-        self._session(mw).expand("java")
-        assert seen == [
+        session.expand("java")
+        snap = session.execution_pipeline.stage_stats.snapshot()
+        assert list(snap) == [
             "retrieve", "cluster", "universe", "candidates", "tasks", "expand",
         ]
+        assert all(stats["count"] == 1 for stats in snap.values())
+
+    def test_partial_run_counts_only_the_stages_it_ran(self):
+        session = _fresh_session()
+        ctx = session.run_stages("java", until="tasks")
+        snap = session.execution_pipeline.stage_stats.snapshot()
+        assert list(snap) == [t.stage for t in ctx.timings]
+        assert all(stats["count"] == 1 for stats in snap.values())
+
+    def test_timings_accumulate_across_split_runs(self):
+        session = _fresh_session()
+        prefix, rest = session.execution_pipeline.split("tasks")
+        ctx = prefix.run(session.pipeline().context("java"))
+        ctx = rest.run(rest.run(ctx))
+        assert [t.stage for t in ctx.timings] == [
+            "retrieve", "cluster", "universe", "candidates",
+            "tasks", "expand", "tasks", "expand",
+        ]
+        snap = session.execution_pipeline.stage_stats.snapshot()
+        assert snap["tasks"]["count"] == snap["expand"]["count"] == 2
+
+    def test_interleaved_rounds_feed_the_session_stats(self):
+        session = _fresh_session()
+        report = session.expand_interleaved("java", max_rounds=3)
+        snap = session.execution_pipeline.stage_stats.snapshot()
+        assert snap["retrieve"]["count"] == 1
+        for stage in ("tasks", "expand", "reassign"):
+            assert snap[stage]["count"] == len(report.rounds)
+
+    def test_stage_error_is_counted_and_propagates(self):
+        session = _fresh_session()
+        with pytest.raises(ExpansionError, match="no results"):
+            session.expand("zzz-no-such-term")
+        snap = session.execution_pipeline.stage_stats.snapshot()
+        assert snap == {"retrieve": {"count": 0, "errors": 1}}
 
 
 # -- session-level composition ------------------------------------------------

@@ -13,14 +13,12 @@ from repro.api import BACKENDS, schema
 from repro.data.documents import make_text_document
 from repro.errors import ConfigError, ServeError
 from repro.index.dynamic import DynamicIndex
-from repro.pipeline import Middleware
+from repro.obs import LatencyHistogram
 from repro.serve import (
     ExpansionService,
     LRUTTLCache,
-    LatencyHistogram,
     ServeConfig,
     ServerMetrics,
-    ServerMetricsMiddleware,
     SessionPool,
     create_server,
 )
@@ -157,41 +155,6 @@ class TestLatencyHistogram:
         hist.observe(5.0)
         snap = hist.snapshot()
         assert snap["buckets"] == {"le_0.001": 1, "le_0.01": 1, "le_inf": 1}
-
-
-class TestServerMetricsMiddleware:
-    def test_conforms_to_middleware_protocol(self):
-        assert isinstance(ServerMetricsMiddleware(), Middleware)
-
-    def test_stage_errors_counted_without_polluting_latency(self):
-        class Stage:
-            name = "cluster"
-
-        middleware = ServerMetricsMiddleware()
-        middleware.on_stage_end(None, Stage(), 0.25)
-        middleware.on_stage_error(None, Stage(), RuntimeError("boom"))
-        snap = middleware.snapshot()
-        assert snap["cluster"]["errors"] == 1
-        assert snap["cluster"]["count"] == 1  # only the real sample
-        assert snap["cluster"]["p50_seconds"] == pytest.approx(0.25)
-
-    def test_records_stage_latencies_from_a_pipeline(self):
-        from repro.api import Session
-
-        middleware = ServerMetricsMiddleware()
-        session = (
-            Session.builder()
-            .dataset("wikipedia")
-            .middleware(middleware)
-            .config(n_clusters=3)
-            .build()
-        )
-        session.expand("java")
-        snap = middleware.snapshot()
-        assert list(snap) == [
-            "retrieve", "cluster", "universe", "candidates", "tasks", "expand",
-        ]
-        assert all(stats["count"] == 1 for stats in snap.values())
 
 
 # -- configs and pool --------------------------------------------------------
