@@ -9,8 +9,7 @@ end-to-end figures.
 import numpy as np
 
 from repro.cluster.kmeans import CosineKMeans
-from repro.cluster.vectorizer import TfVectorizer
-from repro.core.universe import ResultUniverse
+from repro.core.universe import ResultUniverse, TermCounts
 from repro.index.inverted_index import InvertedIndex
 
 
@@ -39,7 +38,7 @@ def test_micro_ranked_search(benchmark, suite):
 def test_micro_kmeans(benchmark, suite):
     engine = suite.engine("wikipedia")
     docs = [r.document for r in engine.search("java", top_k=30)]
-    matrix = TfVectorizer(docs).matrix()
+    matrix = TermCounts(docs).tf_matrix()
     result = benchmark(lambda: CosineKMeans(n_clusters=3, seed=0).fit(matrix))
     assert 1 <= result.n_clusters <= 3
 

@@ -12,7 +12,7 @@ backend when you want to inspect the per-query selection.
 Run:  python examples/dynamic_clustering.py
 """
 
-from repro import CLUSTERERS, Session, TfVectorizer
+from repro import CLUSTERERS, Session, TermCounts
 
 QUERIES = [("java", 3), ("rockets", 3), ("columbia", 3)]
 
@@ -30,7 +30,7 @@ def main() -> None:
         # silhouettes behind the choice.
         backend = CLUSTERERS.create("auto", k, seed=0)
         docs = [r.document for r in dynamic.with_config(n_clusters=k).retrieve(query)]
-        backend.fit_predict(TfVectorizer(docs).matrix())
+        backend.fit_predict(TermCounts(docs).tf_matrix())
         sils = ", ".join(f"{n}={s:.2f}" for n, s in sorted(backend.scores.items()))
 
         print(f"=== {query!r}")

@@ -65,7 +65,6 @@ from repro.cluster import (
     BisectingKMeans,
     CosineKMeans,
     KMedoids,
-    TfVectorizer,
 )
 from repro.core import (
     ClusterQueryExpander,
@@ -79,6 +78,7 @@ from repro.core import (
     ISKR,
     PEBC,
     ResultUniverse,
+    TermCounts,
     VectorSpaceRefinement,
     eq1_score,
     fmeasure,
@@ -195,7 +195,7 @@ __all__ = [
     "SessionBuilder",
     "ShardedIndex",
     "StageTiming",
-    "TfVectorizer",
+    "TermCounts",
     "UserStudySimulator",
     "VectorSpaceRefinement",
     "all_queries",

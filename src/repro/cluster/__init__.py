@@ -1,10 +1,10 @@
-"""Clustering substrate: TF vector space, cosine k-means, agglomerative.
+"""Clustering substrate: cosine k-means, agglomerative, k selection.
 
 The paper clusters seed-query results with k-means over TF vectors under
-cosine similarity (§C). Clustering is pluggable — any
-``ClusteringBackend`` can be passed to the expansion pipeline, supporting
-the paper's future-work question of how clustering methods affect the
-expanded queries.
+cosine similarity (§C), from ``TermCounts.tf_matrix()``. Clustering is
+pluggable — any ``ClusteringBackend`` can be passed to the expansion
+pipeline, supporting the paper's future-work question of how clustering
+methods affect the expanded queries.
 """
 
 from repro.cluster.agglomerative import AgglomerativeClustering
@@ -19,7 +19,6 @@ from repro.cluster.quality import (
 )
 from repro.cluster.selection import AutoClustering, default_backends
 from repro.cluster.similarity import cosine_similarity, cosine_similarity_matrix
-from repro.cluster.vectorizer import TfVectorizer
 
 __all__ = [
     "AdaptiveKClusterer",
@@ -31,7 +30,6 @@ __all__ = [
     "KMedoids",
     "KMedoidsResult",
     "KSelection",
-    "TfVectorizer",
     "cosine_similarity",
     "choose_k",
     "cluster_representatives",

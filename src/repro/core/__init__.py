@@ -8,7 +8,7 @@ objective (Eq. 1) is the harmonic mean of per-cluster F-measures.
 Modules
 -------
 - :mod:`~repro.core.universe` — vectorized result-set algebra over the seed
-  query's results (``R(q)``, ``E(k)``, weighted ``S(·)``).
+  query's results (``R(q)``, ``E(k)``, weighted ``S(·)``, ``TermCounts``).
 - :mod:`~repro.core.metrics` — weighted precision / recall / F-measure and
   the Eq. 1 score.
 - :mod:`~repro.core.keyword_stats` — candidate-keyword selection (top
@@ -29,7 +29,7 @@ from repro.core.interleaved import InterleavedExpander, InterleavedReport
 from repro.core.iskr import ISKR
 from repro.core.metrics import eq1_score, fmeasure, precision_recall_f
 from repro.core.pebc import PEBC
-from repro.core.universe import ExpansionTask, ResultUniverse
+from repro.core.universe import ExpansionTask, ResultUniverse, TermCounts
 from repro.core.vsm import VectorSpaceRefinement
 
 __all__ = [
@@ -45,6 +45,7 @@ __all__ = [
     "ISKR",
     "PEBC",
     "ResultUniverse",
+    "TermCounts",
     "VectorSpaceRefinement",
     "eq1_score",
     "fmeasure",

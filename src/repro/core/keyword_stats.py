@@ -192,10 +192,10 @@ def select_candidates(
 
     Reproduces the experimental setup of §C: "we consider the top-20% words
     in the results in terms of tfidf for query expansion". TF is the total
-    term frequency over the universe's results; IDF comes from the full
-    corpus index. Terms present in *every* universe result are excluded —
-    they can never eliminate anything, under AND semantics they are dead
-    weight.
+    term frequency over the universe's results (a column sum of its term
+    counts); IDF comes from the full corpus index. Terms present in
+    *every* universe result are excluded — they can never eliminate
+    anything, under AND semantics they are dead weight.
 
     ``min_candidates`` keeps tiny universes useful: at least this many terms
     are returned (when available).
@@ -204,17 +204,13 @@ def select_candidates(
         raise ValueError(f"fraction must be in (0, 1], got {fraction}")
     n_docs = max(index.num_documents, 1)
     seed = set(seed_terms)
+    counts = universe.counts
+    tfs = counts.term_tf().tolist()
+    present = np.count_nonzero(counts.counts, axis=0).tolist()
     scored: list[tuple[float, str]] = []
-    for term in universe.terms:
-        if term in seed:
-            continue
-        has = universe.has_mask(term)
-        n_has = int(has.sum())
-        if n_has == universe.n:
+    for term, tf, n_has in zip(counts.vocabulary, tfs, present):
+        if term in seed or n_has == universe.n:
             continue  # appears everywhere: E(k) empty, useless under AND
-        tf = 0
-        for doc in universe.documents:
-            tf += doc.terms.get(term, 0)
         df = max(index.document_frequency(term), 1)
         idf = math.log(1.0 + n_docs / df)
         scored.append((tf * idf, term))

@@ -9,11 +9,16 @@ keyword k) is the negated row of a term-incidence matrix.
 This representation makes the per-keyword benefit/cost quantities of §3 and
 the affected-keyword test ("keywords that do not appear in all delta
 results") single vectorized operations.
+
+One :class:`TermCounts` per seed result set feeds clustering (its TF
+matrix), the universe (its incidence) and candidate mining (its tf).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from types import MappingProxyType
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -22,6 +27,50 @@ from repro.errors import ExpansionError
 
 AND = "and"
 OR = "or"
+
+
+class TermCounts:
+    """Integer doc × term counts of a fixed document list.
+
+    ``counts[row, col]`` is the frequency of ``vocabulary[col]`` (the sorted
+    distinct terms; ``columns`` maps term → col) in ``documents[row]``.
+    Immutable (the array is read-only), so one instance is shared per run.
+    """
+
+    def __init__(self, documents: Sequence[Document]) -> None:
+        if not documents:
+            raise ExpansionError("term counts need at least one document")
+        self.documents = tuple(documents)
+        self.vocabulary = tuple(sorted({t for d in self.documents for t in d.terms}))
+        column = {t: i for i, t in enumerate(self.vocabulary)}
+        self.columns: Mapping[str, int] = MappingProxyType(column)
+        self.counts = np.zeros((len(self.documents), len(column)), dtype=np.int64)
+        for row, doc in enumerate(self.documents):
+            self.counts[row, [column[t] for t in doc.terms]] = list(doc.terms.values())
+        self.counts.flags.writeable = False
+
+    def tf_matrix(self) -> np.ndarray:
+        """The L2-normalised ``(n_docs, n_terms)`` TF matrix (§C), a fresh copy."""
+        mat = self.counts.astype(np.float64)
+        norms = np.linalg.norm(mat, axis=1, keepdims=True)
+        norms[norms == 0.0] = 1.0
+        return mat / norms
+
+    def incidence(self) -> np.ndarray:
+        """Term-major bool incidence ``(n_terms, n_docs)``: ``counts > 0``."""
+        return np.ascontiguousarray(self.counts.T > 0)
+
+    def term_tf(self) -> np.ndarray:
+        """Total frequency of each term over all documents (column sums)."""
+        return self.counts.sum(axis=0)
+
+    def term_columns(self, terms: Sequence[str]) -> np.ndarray:
+        """``(n_docs, len(terms))`` counts of ``terms``; unseen terms count 0."""
+        out = np.zeros((len(self.documents), len(terms)), dtype=np.int64)
+        for i, t in enumerate(terms):
+            if t in self.columns:
+                out[:, i] = self.counts[:, self.columns[t]]
+        return out
 
 
 class ResultUniverse:
@@ -35,16 +84,24 @@ class ResultUniverse:
         Optional ranking scores (§2's weighted precision/recall). ``None``
         means unweighted, i.e. unit weights. All weights must be positive —
         a zero-weight result would silently drop out of every ``S(·)``.
+    counts:
+        The :class:`TermCounts` of ``documents``, if already built.
     """
 
     def __init__(
         self,
         documents: list[Document],
         weights: list[float] | np.ndarray | None = None,
+        counts: TermCounts | None = None,
     ) -> None:
         if not documents:
             raise ExpansionError("a result universe needs at least one result")
-        self._documents = list(documents)
+        if counts is None:
+            counts = TermCounts(documents)
+        elif counts.documents != tuple(documents):
+            raise ExpansionError("term counts were built over other documents")
+        self._counts = counts
+        self._documents = counts.documents
         n = len(self._documents)
         if weights is None:
             w = np.ones(n, dtype=np.float64)
@@ -57,14 +114,7 @@ class ResultUniverse:
             if np.any(w <= 0.0) or not np.all(np.isfinite(w)):
                 raise ExpansionError("weights must be positive and finite")
         self._weights = w
-        terms = sorted({t for doc in self._documents for t in doc.terms})
-        self._terms = terms
-        self._term_row = {t: i for i, t in enumerate(terms)}
-        incidence = np.zeros((len(terms), n), dtype=bool)
-        for col, doc in enumerate(self._documents):
-            for t in doc.terms:
-                incidence[self._term_row[t], col] = True
-        self._incidence = incidence
+        self._incidence = counts.incidence()
 
     # -- basic accessors ---------------------------------------------------
 
@@ -84,7 +134,12 @@ class ResultUniverse:
     @property
     def terms(self) -> list[str]:
         """All distinct terms over the universe, sorted."""
-        return list(self._terms)
+        return list(self._counts.vocabulary)
+
+    @property
+    def counts(self) -> TermCounts:
+        """The doc × term counts the universe was built from."""
+        return self._counts
 
     def document(self, pos: int) -> Document:
         return self._documents[pos]
@@ -99,11 +154,11 @@ class ResultUniverse:
     # -- term incidence ------------------------------------------------------
 
     def __contains__(self, term: object) -> bool:
-        return term in self._term_row
+        return term in self._counts.columns
 
     def has_mask(self, term: str) -> np.ndarray:
         """Mask of results containing ``term`` (all-False for unseen terms)."""
-        row = self._term_row.get(term)
+        row = self._counts.columns.get(term)
         if row is None:
             return np.zeros(self.n, dtype=bool)
         return self._incidence[row].copy()
@@ -116,7 +171,7 @@ class ResultUniverse:
         """Stacked has-masks for ``terms`` (unseen terms become all-False rows)."""
         out = np.zeros((len(terms), self.n), dtype=bool)
         for i, t in enumerate(terms):
-            row = self._term_row.get(t)
+            row = self._counts.columns.get(t)
             if row is not None:
                 out[i] = self._incidence[row]
         return out

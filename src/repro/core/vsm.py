@@ -54,12 +54,10 @@ class VectorSpaceRefinement:
 
         # Universe-level TF-IDF document vectors, one column per candidate.
         candidates = list(task.candidates)
-        tf = np.zeros((n, len(candidates)), dtype=np.float64)
-        for col, term in enumerate(candidates):
-            for row, doc in enumerate(uni.documents):
-                count = doc.terms.get(term, 0)
-                if count:
-                    tf[row, col] = 1.0 + math.log(count)
+        raw = uni.counts.term_columns(candidates)
+        tf = np.zeros(raw.shape, dtype=np.float64)
+        present = raw > 0
+        tf[present] = [1.0 + math.log(count) for count in raw[present].tolist()]
         df = (tf > 0).sum(axis=0)
         idf = np.log(1.0 + n / np.maximum(df, 1))
         mat = tf * idf[None, :]

@@ -15,10 +15,10 @@ Two kinds of fields:
 * **runtime** — the components the stages execute with (engine, config,
   algorithm, clusterer, candidate cache). Set once when the context is
   created; stages read but never replace them.
-* **artifacts** — what the stages produce (results, labels, universe,
-  candidates, tasks, expanded queries, score) plus ``timings`` appended
-  by :meth:`Pipeline.run <repro.pipeline.Pipeline.run>` and a free-form
-  ``extras`` mapping for custom stages.
+* **artifacts** — what the stages produce (results, counts, labels,
+  universe, candidates, tasks, expanded queries, score) plus
+  ``timings`` appended by :meth:`Pipeline.run <repro.pipeline.Pipeline.run>`
+  and a free-form ``extras`` mapping for custom stages.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ if TYPE_CHECKING:  # pragma: no cover — typing only, avoids import cycles
     import numpy as np
 
     from repro.core.config import ExpansionConfig
-    from repro.core.universe import ExpansionTask, ResultUniverse
+    from repro.core.universe import ExpansionTask, ResultUniverse, TermCounts
     from repro.index.search import SearchResult
 
 
@@ -64,6 +64,7 @@ class ExecutionContext:
     query: str = ""
     seed_terms: tuple[str, ...] = ()
     results: "tuple[SearchResult, ...]" = ()
+    counts: "TermCounts | None" = None  # the results' doc × term counts
     labels: "np.ndarray | None" = None
     universe: "ResultUniverse | None" = None
     candidates: tuple[str, ...] | None = None

@@ -11,7 +11,7 @@ Default order (see :func:`repro.pipeline.default_pipeline`):
 
 ==============  ==========================================================
 ``retrieve``    seed-query search (AND semantics, ranked, top-k)
-``cluster``     cluster the results over TF vectors
+``cluster``     build the results' term counts; cluster over TF vectors
 ``universe``    the (optionally ranking-weighted) result universe
 ``candidates``  candidate-keyword mining (top-fraction TF-IDF, memoized)
 ``tasks``       one :class:`ExpansionTask` per cluster, largest first
@@ -20,6 +20,10 @@ Default order (see :func:`repro.pipeline.default_pipeline`):
 
 plus ``reassign`` (not in the default pipeline), the §7 interleaving
 step that moves each result to the best-F expanded query claiming it.
+
+``cluster`` builds the results' :class:`~repro.core.universe.TermCounts`
+once and leaves it on the context as ``counts``; ``universe`` reuses it.
+Either stage run without it builds it from ``ctx.results``.
 """
 
 from __future__ import annotations
@@ -29,12 +33,19 @@ from typing import Any, Sequence
 import numpy as np
 
 from repro.cluster.kmeans import CosineKMeans
-from repro.cluster.vectorizer import TfVectorizer
 from repro.core.keyword_stats import select_candidates
 from repro.core.metrics import eq1_score
-from repro.core.universe import ExpansionTask, ResultUniverse
+from repro.core.universe import ExpansionTask, ResultUniverse, TermCounts
 from repro.errors import ExpansionError, PipelineError
 from repro.pipeline.context import ExecutionContext
+
+
+def _term_counts(ctx: ExecutionContext) -> TermCounts:
+    """The context's ``counts`` artifact, or a fresh build over its results."""
+    docs = tuple(r.document for r in ctx.results)
+    if ctx.counts is not None and ctx.counts.documents == docs:
+        return ctx.counts
+    return TermCounts(docs)
 
 
 class RetrieveStage:
@@ -60,8 +71,8 @@ class ClusterStage:
     name = "cluster"
 
     def run(self, ctx: ExecutionContext) -> ExecutionContext:
-        docs = [r.document for r in ctx.results]
-        matrix = TfVectorizer(docs).matrix()
+        counts = _term_counts(ctx)
+        matrix = counts.tf_matrix()
         backend = ctx.clusterer
         if backend is None:
             kmeans = CosineKMeans(
@@ -71,12 +82,12 @@ class ClusterStage:
         else:
             labels = backend.fit_predict(matrix)
         labels = np.asarray(labels, dtype=np.int64)
-        if labels.shape != (len(docs),):
+        if labels.shape != (len(ctx.results),):
             raise ExpansionError(
                 f"clusterer returned labels of shape {labels.shape} "
-                f"for {len(docs)} results"
+                f"for {len(ctx.results)} results"
             )
-        return ctx.evolve(labels=labels)
+        return ctx.evolve(labels=labels, counts=counts)
 
 
 class UniverseStage:
@@ -85,17 +96,16 @@ class UniverseStage:
     name = "universe"
 
     def run(self, ctx: ExecutionContext) -> ExecutionContext:
-        docs = [r.document for r in ctx.results]
+        counts = _term_counts(ctx)
+        weights: np.ndarray | None = None
         if ctx.config.use_ranking_weights:
             # Guard against zero scores (can happen only for degenerate
             # scorers); shift into positive territory.
             raw = np.array([r.score for r in ctx.results], dtype=np.float64)
             floor = raw[raw > 0.0].min() * 0.5 if np.any(raw > 0.0) else 1.0
             weights = np.maximum(raw, floor)
-            universe = ResultUniverse(docs, weights)
-        else:
-            universe = ResultUniverse(docs)
-        return ctx.evolve(universe=universe)
+        universe = ResultUniverse(list(counts.documents), weights, counts=counts)
+        return ctx.evolve(universe=universe, counts=counts)
 
 
 class CandidateStage:

@@ -1,7 +1,7 @@
 """Configurable text-analysis pipeline: tokenize → stopword-filter → stem.
 
 An :class:`Analyzer` converts raw text into the normalized terms used by the
-inverted index, the clustering vectorizer, and candidate-keyword selection.
+inverted index, the clustering TF vectors, and candidate-keyword selection.
 All layers must share one analyzer instance (or equal configurations) so that
 query terms and document terms land in the same term space.
 """

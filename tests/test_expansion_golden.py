@@ -1,0 +1,108 @@
+"""Golden expansions: the paper's method pinned bit-for-bit across commits.
+
+Every benchmark query of Table 1 (``repro.datasets.queries``) runs on its
+dataset at seed 0 — wikipedia at 40 documents per sense, shopping at
+scale 1 — under the paper's setup (per-query k; top-30 results on
+wikipedia, all results on shopping), once with ISKR and once with PEBC.
+For each run the file pins the candidate tuple, the cluster labels, each
+expanded query's terms and F-measure, and the Eq. 1 score. Floats are
+compared through ``repr``, so any last-bit drift fails.
+
+Regenerate (only when an intended behaviour change moves the pins)::
+
+    PYTHONPATH=src python -m tests.test_expansion_golden --write
+"""
+
+from __future__ import annotations
+
+import json
+import sys
+from pathlib import Path
+
+import pytest
+
+from repro import Session
+from repro.datasets.queries import all_queries
+
+GOLDEN = Path(__file__).parent / "data" / "expansion_golden.json"
+ALGORITHMS = ("iskr", "pebc")
+
+
+def _sessions() -> dict[str, Session]:
+    return {
+        "wikipedia": (
+            Session.builder().dataset("wikipedia", docs_per_sense=40).seed(0).build()
+        ),
+        "shopping": Session.builder().dataset("shopping").seed(0).build(),
+    }
+
+
+def _run(
+    session: Session, text: str, n_clusters: int, wikipedia: bool, alg: str
+) -> dict:
+    view = session.with_config(
+        n_clusters=n_clusters,
+        top_k_results=30 if wikipedia else None,
+        cluster_seed=0,
+    )
+    ctx = view.run_stages(text, algorithm=alg)
+    return {
+        "candidates": list(ctx.candidates),
+        "labels": [int(lab) for lab in ctx.labels],
+        "expanded": [
+            {"terms": list(eq.terms), "fmeasure": repr(float(eq.fmeasure))}
+            for eq in ctx.expanded
+        ],
+        "score": repr(float(ctx.score)),
+    }
+
+
+def compute_golden() -> dict[str, dict]:
+    """``"<qid>/<algorithm>" -> pins`` for every benchmark query."""
+    sessions = _sessions()
+    out = {}
+    for query in all_queries():
+        for alg in ALGORITHMS:
+            out[f"{query.qid}/{alg}"] = _run(
+                sessions[query.dataset],
+                query.text,
+                query.n_clusters,
+                query.dataset == "wikipedia",
+                alg,
+            )
+    return out
+
+
+@pytest.fixture(scope="module")
+def actual() -> dict[str, dict]:
+    return compute_golden()
+
+
+@pytest.fixture(scope="module")
+def expected() -> dict[str, dict]:
+    return json.loads(GOLDEN.read_text())
+
+
+def test_covers_every_benchmark_query(expected):
+    keys = {f"{q.qid}/{alg}" for q in all_queries() for alg in ALGORITHMS}
+    assert set(expected) == keys
+
+
+@pytest.mark.parametrize(
+    "key", [f"{q.qid}/{alg}" for q in all_queries() for alg in ALGORITHMS]
+)
+def test_expansion_matches_golden(key, actual, expected):
+    assert actual[key] == expected[key]
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["--write"]:
+        sys.exit("usage: python -m tests.test_expansion_golden --write")
+    GOLDEN.parent.mkdir(parents=True, exist_ok=True)
+    golden = compute_golden()
+    lines = [
+        f"{json.dumps(key)}: {json.dumps(golden[key], sort_keys=True)}"
+        for key in sorted(golden)
+    ]
+    GOLDEN.write_text("{\n" + ",\n".join(lines) + "\n}\n")
+    print(f"wrote {GOLDEN}")

@@ -1,57 +1,38 @@
-"""Tests for repro.cluster.vectorizer."""
+"""Tests for the clustering TF vectors: ``TermCounts.tf_matrix()``."""
 
 import numpy as np
 import pytest
 
-from repro.cluster.vectorizer import TfVectorizer
-from repro.errors import ClusteringError
+from repro.core.universe import TermCounts
+from repro.errors import ExpansionError
 from tests.conftest import make_doc
 
 
 class TestTfVectorizer:
     def test_shape(self):
         docs = [make_doc("a", {"x": 1}), make_doc("b", {"x": 1, "y": 2})]
-        v = TfVectorizer(docs)
-        assert v.matrix().shape == (2, 2)
-        assert v.vocabulary == ["x", "y"]
+        counts = TermCounts(docs)
+        assert counts.tf_matrix().shape == (2, 2)
+        assert counts.vocabulary == ("x", "y")
 
     def test_rows_l2_normalized(self):
         docs = [make_doc("a", {"x": 3, "y": 4})]
-        m = TfVectorizer(docs).matrix()
+        m = TermCounts(docs).tf_matrix()
         assert np.linalg.norm(m[0]) == pytest.approx(1.0)
 
     def test_tf_weights(self):
         docs = [make_doc("a", {"x": 3, "y": 4})]
-        m = TfVectorizer(docs).matrix()
+        m = TermCounts(docs).tf_matrix()
         # Before normalization the weights are 3 and 4 -> ratio preserved.
         assert m[0][1] / m[0][0] == pytest.approx(4.0 / 3.0)
 
-    def test_sublinear_tf(self):
-        docs = [make_doc("a", {"x": 1, "y": 100})]
-        linear = TfVectorizer(docs).matrix()
-        sub = TfVectorizer(docs, sublinear_tf=True).matrix()
-        # Sublinear scaling compresses the dominant term.
-        assert sub[0][1] / sub[0][0] < linear[0][1] / linear[0][0]
-
-    def test_term_column(self):
-        docs = [make_doc("a", {"x": 1, "y": 1})]
-        v = TfVectorizer(docs)
-        assert v.term_column("y") == 1
-        with pytest.raises(ClusteringError):
-            v.term_column("ghost")
-
     def test_empty_rejected(self):
-        with pytest.raises(ClusteringError):
-            TfVectorizer([])
+        with pytest.raises(ExpansionError):
+            TermCounts([])
 
     def test_matrix_is_copy(self):
         docs = [make_doc("a", {"x": 1})]
-        v = TfVectorizer(docs)
-        m = v.matrix()
+        counts = TermCounts(docs)
+        m = counts.tf_matrix()
         m[0, 0] = 99.0
-        assert v.matrix()[0, 0] != 99.0
-
-    def test_vector_matches_matrix_row(self):
-        docs = [make_doc("a", {"x": 1}), make_doc("b", {"y": 2})]
-        v = TfVectorizer(docs)
-        assert np.allclose(v.vector(1), v.matrix()[1])
+        assert counts.tf_matrix()[0, 0] != 99.0

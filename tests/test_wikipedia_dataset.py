@@ -4,7 +4,7 @@ import pytest
 
 from repro.cluster.kmeans import CosineKMeans
 from repro.cluster.quality import purity
-from repro.cluster.vectorizer import TfVectorizer
+from repro.core.universe import TermCounts
 from repro.datasets.queries import WIKIPEDIA_QUERIES
 from repro.datasets.vocab import WIKIPEDIA_SENSES
 from repro.datasets.wikipedia import (
@@ -84,7 +84,7 @@ class TestSenseStructure:
             seed=0, docs_per_sense=20, terms=["java"], analyzer=analyzer
         )
         truth = true_sense_labels(corpus, "java", 20)
-        matrix = TfVectorizer(list(corpus)).matrix()
+        matrix = TermCounts(list(corpus)).tf_matrix()
         result = CosineKMeans(n_clusters=3, seed=0).fit(matrix)
         assert purity(result.labels.tolist(), truth) >= 0.6
 
