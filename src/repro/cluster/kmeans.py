@@ -13,6 +13,7 @@ result may have fewer clusters.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -125,22 +126,27 @@ class CosineKMeans:
         labels = np.zeros(matrix.shape[0], dtype=np.int64)
         iterations = 0
         for iterations in range(1, self._max_iter + 1):
-            sims = matrix @ centroids.T
-            new_labels = np.argmax(sims, axis=1)
-            new_centroids = centroids.copy()
-            for c in range(k):
-                members = matrix[new_labels == c]
-                if members.shape[0] == 0:
+            new_labels = np.argmax(matrix @ centroids.T, axis=1)
+            if iterations == 1:
+                stale = range(k)
+            else:
+                moved = new_labels != labels
+                if not moved.any():
+                    break  # converged: every mean below would come out the same
+                # A cluster no point entered or left keeps its members (in
+                # index order), so its mean, and centroid, are unchanged.
+                stale = np.union1d(labels[moved], new_labels[moved]).tolist()
+            sizes = np.bincount(new_labels, minlength=k)
+            for c in stale:
+                if not sizes[c]:
                     continue
-                mean = members.mean(axis=0)
-                norm = np.linalg.norm(mean)
+                # ``.mean`` and ``linalg.norm``, operation for operation.
+                mean = matrix[new_labels == c].sum(axis=0)
+                mean /= sizes[c]
+                norm = math.sqrt(mean @ mean)
                 if norm > 0:
-                    new_centroids[c] = mean / norm
-            if np.array_equal(new_labels, labels) and iterations > 1:
-                centroids = new_centroids
-                break
+                    np.divide(mean, norm, out=centroids[c])
             labels = new_labels
-            centroids = new_centroids
         labels, centroids = _compact(labels, centroids)
         sims = matrix @ centroids.T
         inertia = float(matrix.shape[0] - sims[np.arange(matrix.shape[0]), labels].sum())
@@ -151,7 +157,5 @@ class CosineKMeans:
 
 def _compact(labels: np.ndarray, centroids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Drop empty clusters and renumber labels to 0..m-1."""
-    used = np.unique(labels)
-    remap = {int(old): new for new, old in enumerate(used)}
-    new_labels = np.array([remap[int(lab)] for lab in labels], dtype=np.int64)
-    return new_labels, centroids[used]
+    used, new_labels = np.unique(labels, return_inverse=True)
+    return new_labels.astype(np.int64), centroids[used]

@@ -8,7 +8,8 @@ objective (Eq. 1) is the harmonic mean of per-cluster F-measures.
 Modules
 -------
 - :mod:`~repro.core.universe` — vectorized result-set algebra over the seed
-  query's results (``R(q)``, ``E(k)``, weighted ``S(·)``, ``TermCounts``).
+  query's results (``R(q)``, ``E(k)``, weighted ``S(·)``, ``TermCounts``,
+  ``CandidateIncidence``).
 - :mod:`~repro.core.metrics` — weighted precision / recall / F-measure and
   the Eq. 1 score.
 - :mod:`~repro.core.keyword_stats` — candidate-keyword selection (top

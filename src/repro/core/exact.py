@@ -11,8 +11,6 @@ from __future__ import annotations
 
 from itertools import combinations
 
-import numpy as np
-
 from repro.core.metrics import precision_recall_f
 from repro.core.universe import AND, ExpansionOutcome, ExpansionTask
 from repro.errors import ExpansionError
@@ -58,7 +56,7 @@ class ExhaustiveOptimalExpansion:
                 f"({self._max_candidates}); use ISKR/PEBC instead"
             )
         uni = task.universe
-        has = uni.incidence_rows(list(task.candidates))
+        has = task.incidence.has
         seed_mask = uni.results_mask(task.seed_terms, semantics=AND)
 
         best_terms: tuple[str, ...] = ()

@@ -27,7 +27,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.keyword_stats import BenefitCostTable, KeywordValue, value_ratio
+from repro.core.keyword_stats import (
+    BenefitCostTable,
+    KeywordValue,
+    best_row,
+    value_ratio,
+    value_ratios,
+    weigh,
+)
 from repro.core.metrics import precision_recall_f
 from repro.core.universe import AND, OR, ExpansionOutcome, ExpansionTask
 from repro.errors import ExpansionError
@@ -87,10 +94,12 @@ class ISKR:
 
     def _expand_and(self, task: ExpansionTask) -> ExpansionOutcome:
         uni = task.universe
-        table = BenefitCostTable(uni, task.candidates, task.cluster_mask)
+        inc = task.incidence
+        table = BenefitCostTable(uni, task.candidates, task.cluster_mask, inc)
 
         added: list[str] = []
-        q_mask = uni.results_mask(task.seed_terms, semantics=AND)
+        seed_mask = uni.results_mask(task.seed_terms, semantics=AND)
+        q_mask = seed_mask
         table.refresh_all(q_mask)
 
         trace: list[str] = []
@@ -98,23 +107,20 @@ class ISKR:
         iterations = 0
 
         while iterations < self._max_iterations:
-            move = self._best_move(task, table, added, q_mask)
+            move = self._best_move(task, table, added, seed_mask)
             if move is None or move.value <= 1.0:
                 break
             if move.kind == "add":
                 new_added = added + [move.keyword]
-                new_mask = q_mask & uni.has_mask(move.keyword)
-                delta = q_mask & ~new_mask  # results eliminated
             else:
                 new_added = [k for k in added if k != move.keyword]
-                new_mask = self._mask_for(task, new_added)
-                delta = new_mask & ~q_mask  # results regained
             state = frozenset(new_added)
             if state in seen_states:
                 break  # would revisit a previous query: cycle guard
             seen_states.add(state)
-            added = new_added
-            q_mask = new_mask
+            new_mask = uni.results_mask(tuple(task.seed_terms) + tuple(new_added))
+            delta = q_mask ^ new_mask  # results eliminated (add) or regained
+            added, q_mask = new_added, new_mask
             iterations += 1
             trace.append(("+" if move.kind == "add" else "-") + move.keyword)
             table.refresh_affected(q_mask, delta)
@@ -134,62 +140,29 @@ class ISKR:
             cluster_id=task.cluster_id,
         )
 
-    def _mask_for(self, task: ExpansionTask, added: list[str]) -> np.ndarray:
-        return task.universe.results_mask(
-            tuple(task.seed_terms) + tuple(added), semantics=AND
-        )
-
     def _best_move(
         self,
         task: ExpansionTask,
         table: BenefitCostTable,
         added: list[str],
-        q_mask: np.ndarray,
+        seed_mask: np.ndarray,
     ) -> _Move | None:
         moves: list[_Move] = []
-        best_add: KeywordValue | None = table.best_addition(excluded=set(added))
-        if best_add is not None:
+        best: KeywordValue | None = table.best_addition(excluded=added)
+        if best is not None:
             moves.append(
-                _Move(
-                    kind="add",
-                    keyword=best_add.keyword,
-                    benefit=best_add.benefit,
-                    cost=best_add.cost,
-                    changed=best_add.eliminated,
-                )
+                _Move("add", best.keyword, best.benefit, best.cost, best.eliminated)
             )
-        if self._allow_removal:
-            moves.extend(self._removal_moves(task, added, q_mask))
+        if self._allow_removal and added:
+            # D(k) = R(q \ k) \ R(q): the seed results lacking k and no
+            # other added keyword. benefit = S(D ∩ C) (recall up), cost =
+            # S(D ∩ U) (precision down).
+            lacks = task.incidence.missing[[task.incidence.row_of[k] for k in added]]
+            regained = lacks & (seed_mask & (lacks.sum(axis=0) == 1))
+            moves.extend(_removals(task, added, regained, task.cluster_mask))
         if not moves:
             return None
         return min(moves, key=_Move.sort_key)
-
-    def _removal_moves(
-        self, task: ExpansionTask, added: list[str], q_mask: np.ndarray
-    ) -> list[_Move]:
-        """Value of removing each previously added keyword (§3).
-
-        D(k) = R(q \\ k) \\ R(q): the results regained by dropping k.
-        benefit = S(D ∩ C) (recall up), cost = S(D ∩ U) (precision down).
-        """
-        uni = task.universe
-        out: list[_Move] = []
-        for kw in added:
-            rest = [k for k in added if k != kw]
-            mask_without = self._mask_for(task, rest)
-            regained = mask_without & ~q_mask
-            benefit = uni.weight_of(regained & task.cluster_mask)
-            cost = uni.weight_of(regained & task.other_mask)
-            out.append(
-                _Move(
-                    kind="remove",
-                    keyword=kw,
-                    benefit=benefit,
-                    cost=cost,
-                    changed=int(regained.sum()),
-                )
-            )
-        return out
 
     # -- OR semantics (paper appendix) -------------------------------------
 
@@ -203,7 +176,9 @@ class ISKR:
         constrain R (every universe member already matches the seed).
         """
         uni = task.universe
+        inc = task.incidence
         selected: list[str] = []
+        chosen = np.zeros(len(task.candidates), dtype=bool)
         q_mask = uni.empty_mask()
         trace: list[str] = []
         seen_states: set[frozenset[str]] = {frozenset()}
@@ -211,27 +186,21 @@ class ISKR:
         value_updates = 0
 
         while iterations < self._max_iterations:
-            moves: list[_Move] = []
-            for kw in task.candidates:
-                if kw in selected:
-                    continue
-                gained = ~q_mask & uni.has_mask(kw)
-                benefit = uni.weight_of(gained & task.cluster_mask)
-                cost = uni.weight_of(gained & task.other_mask)
-                moves.append(_Move("add", kw, benefit, cost, int(gained.sum())))
-                value_updates += 1
+            open_rows = np.flatnonzero(~chosen)
+            gained = inc.has[open_rows] & ~q_mask
+            weighed = weigh(uni, gained, task.cluster_mask)
+            values = value_ratios(weighed[0], weighed[1])
+            value_updates += open_rows.size
+            best_add = _best_addition(task, open_rows, weighed, values)
+            moves = [] if best_add is None else [best_add]
             # Removing the last keyword would empty R(q) — F = 0, the
             # global minimum — so a sole keyword is never a removal
             # candidate.
-            removable = selected if len(selected) > 1 else []
-            for kw in removable:
-                rest = tuple(k for k in selected if k != kw)
-                mask_without = uni.results_mask(rest, semantics=OR)
-                lost = q_mask & ~mask_without
-                benefit = uni.weight_of(lost & task.other_mask)
-                cost = uni.weight_of(lost & task.cluster_mask)
-                moves.append(_Move("remove", kw, benefit, cost, int(lost.sum())))
-                value_updates += 1
+            if len(selected) > 1:
+                has = inc.has[[inc.row_of[k] for k in selected]]
+                lost = has & (has.sum(axis=0) == 1)  # results only k retrieves
+                moves.extend(_removals(task, selected, lost, task.other_mask))
+                value_updates += len(selected)
             if not moves:
                 break
             move = min(moves, key=_Move.sort_key)
@@ -242,12 +211,11 @@ class ISKR:
                 # so any addition gaining cluster weight strictly improves
                 # it even when its benefit/cost ratio is <= 1. Pick the
                 # best-ratio move among the positive-benefit additions.
-                useful = [
-                    m for m in moves if m.kind == "add" and m.benefit > 0.0
-                ]
-                if not useful:
+                useful = np.where(weighed[0] > 0.0, values, -np.inf)
+                best_add = _best_addition(task, open_rows, weighed, useful)
+                if best_add is None:
                     break
-                move = min(useful, key=_Move.sort_key)
+                move = best_add
             if move.kind == "add":
                 selected.append(move.keyword)
             else:
@@ -256,6 +224,7 @@ class ISKR:
             if state in seen_states:
                 break
             seen_states.add(state)
+            chosen[inc.row_of[move.keyword]] = move.kind == "add"
             q_mask = uni.results_mask(tuple(selected), semantics=OR)
             iterations += 1
             trace.append(("+" if move.kind == "add" else "-") + move.keyword)
@@ -271,3 +240,34 @@ class ISKR:
             trace=tuple(trace),
             cluster_id=task.cluster_id,
         )
+
+
+def _best_addition(
+    task: ExpansionTask,
+    rows: np.ndarray,
+    weighed: tuple[np.ndarray, np.ndarray, np.ndarray],
+    values: np.ndarray,
+) -> _Move | None:
+    """The best addition among candidate ``rows`` by ``values`` (``-inf``
+    marks an ineligible row), ties per :meth:`_Move.sort_key`."""
+    benefit, cost, changed = weighed
+    i = best_row(values, changed, task.incidence.name_rank[rows])
+    if i is None:
+        return None
+    keyword = task.candidates[rows[i]]
+    return _Move("add", keyword, float(benefit[i]), float(cost[i]), int(changed[i]))
+
+
+def _removals(
+    task: ExpansionTask,
+    keywords: list[str],
+    changes: np.ndarray,
+    benefit_side: np.ndarray,
+) -> list[_Move]:
+    """One removal move per keyword; ``changes[i]`` are the results that
+    removing ``keywords[i]`` regains (AND) or loses (OR)."""
+    benefit, cost, changed = weigh(task.universe, changes, benefit_side)
+    return [
+        _Move("remove", kw, float(b), float(c), int(n))
+        for kw, b, c, n in zip(keywords, benefit, cost, changed)
+    ]

@@ -16,10 +16,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Collection
 
 import numpy as np
 
-from repro.core.universe import ResultUniverse
+from repro.core.universe import CandidateIncidence, ResultUniverse
 from repro.index.backend import IndexBackend
 
 
@@ -63,13 +64,16 @@ class KeywordValue:
 class BenefitCostTable:
     """Benefit/cost/value for a fixed candidate set, updatable in batches.
 
-    The table owns the candidate incidence matrix H (one row per candidate,
-    one column per result). Given the current R(q) mask it computes, per
-    candidate k::
+    The table reads the candidate incidence H (one row per candidate, one
+    column per result) from a :class:`CandidateIncidence`. Given the
+    current R(q) mask it computes, per candidate k::
 
         elim_k  = R(q) & ~H[k]          # results eliminated by adding k
         benefit = weights[elim_k & U]
         cost    = weights[elim_k & C]
+
+    as matvecs ``~H[rows] @ (w·U·R)`` and ``~H[rows] @ (w·C·R)``: the same
+    nonzero products as ``(elim & U) @ w``, so the same bits.
 
     ``refresh_affected`` recomputes only candidates with ``~H[k] & D ≠ ∅``
     for delta mask D, and returns how many were recomputed (the paper's
@@ -81,32 +85,24 @@ class BenefitCostTable:
         universe: ResultUniverse,
         candidates: tuple[str, ...],
         cluster_mask: np.ndarray,
+        incidence: CandidateIncidence | None = None,
     ) -> None:
-        self._universe = universe
+        if incidence is None:
+            incidence = CandidateIncidence(universe, candidates)
         self._candidates = list(candidates)
-        self._H = universe.incidence_rows(self._candidates)
-        self._cluster = np.asarray(cluster_mask, dtype=bool)
-        self._other = ~self._cluster
-        self._w = universe.weights
+        self._inc = incidence
+        cluster = np.asarray(cluster_mask, dtype=bool)
+        w = universe.weights
+        self._w_other = np.where(cluster, 0.0, w)
+        self._w_cluster = np.where(cluster, w, 0.0)
         self._benefit = np.zeros(len(self._candidates), dtype=np.float64)
         self._cost = np.zeros(len(self._candidates), dtype=np.float64)
         self._elim_count = np.zeros(len(self._candidates), dtype=np.int64)
-        # Lexicographic rank per candidate: the last-resort tie-break.
-        order = sorted(range(len(self._candidates)), key=lambda i: self._candidates[i])
-        self._name_rank = np.zeros(len(self._candidates), dtype=np.int64)
-        for rank, row in enumerate(order):
-            self._name_rank[row] = rank
         self.total_updates = 0
-
-    @property
-    def candidates(self) -> list[str]:
-        return list(self._candidates)
 
     def refresh_all(self, result_mask: np.ndarray) -> int:
         """Recompute every candidate against the current R(q)."""
-        rows = np.arange(len(self._candidates))
-        self._recompute(rows, result_mask)
-        return len(rows)
+        return self._recompute(np.arange(len(self._candidates)), result_mask)
 
     def refresh_affected(self, result_mask: np.ndarray, delta_mask: np.ndarray) -> int:
         """Recompute candidates missing from >= 1 delta result (§3).
@@ -115,29 +111,21 @@ class BenefitCostTable:
         (then its elimination behaviour on the remaining R(q) is unchanged).
         Returns the number of recomputed candidates.
         """
-        if not delta_mask.any():
-            return 0
-        # k' affected  <=>  exists d in D with ~H[k', d]
-        missing_somewhere = ~self._H[:, delta_mask].all(axis=1)
-        rows = np.flatnonzero(missing_somewhere)
-        self._recompute(rows, result_mask)
-        return int(rows.size)
+        return self._recompute(np.flatnonzero(self._inc.missing @ delta_mask), result_mask)
 
     def refresh_keywords(self, keywords: list[str], result_mask: np.ndarray) -> int:
         """Force-recompute specific keywords (e.g. the one just moved)."""
-        row_of = {kw: i for i, kw in enumerate(self._candidates)}
-        rows = np.array([row_of[k] for k in keywords if k in row_of], dtype=np.int64)
-        self._recompute(rows, result_mask)
-        return int(rows.size)
+        rows = [self._inc.row_of[k] for k in keywords if k in self._inc.row_of]
+        return self._recompute(np.array(rows, dtype=np.intp), result_mask)
 
-    def _recompute(self, rows: np.ndarray, result_mask: np.ndarray) -> None:
-        if rows.size == 0:
-            return
-        elim = (~self._H[rows]) & result_mask[None, :]
-        self._benefit[rows] = (elim & self._other[None, :]) @ self._w
-        self._cost[rows] = (elim & self._cluster[None, :]) @ self._w
-        self._elim_count[rows] = elim.sum(axis=1)
-        self.total_updates += int(rows.size)
+    def _recompute(self, rows: np.ndarray, result_mask: np.ndarray) -> int:
+        if rows.size:
+            elim = self._inc.missing_float[rows]
+            self._benefit[rows] = elim @ (self._w_other * result_mask)
+            self._cost[rows] = elim @ (self._w_cluster * result_mask)
+            self._elim_count[rows] = elim @ result_mask.astype(np.float64)
+            self.total_updates += int(rows.size)
+        return int(rows.size)
 
     def snapshot(self, row: int) -> KeywordValue:
         """The current value record of candidate ``row``."""
@@ -148,37 +136,53 @@ class BenefitCostTable:
             eliminated=int(self._elim_count[row]),
         )
 
-    def best_addition(self, excluded: set[str]) -> KeywordValue | None:
+    def best_addition(self, excluded: Collection[str]) -> KeywordValue | None:
         """Highest-value candidate not in ``excluded`` (ties per §4.3).
 
         Vectorized: one lexsort over (value desc, eliminated asc, name asc).
         """
-        if not self._candidates:
-            return None
         values = self.values_array()
-        if excluded:
-            mask = np.array(
-                [kw in excluded for kw in self._candidates], dtype=bool
-            )
-            if mask.all():
-                return None
-            values = np.where(mask, -np.inf, values)
-        # lexsort: last key is primary.
-        order = np.lexsort((self._name_rank, self._elim_count, -values))
-        row = int(order[0])
-        if values[row] == -np.inf:
-            return None
-        return self.snapshot(row)
+        rows = [self._inc.row_of[k] for k in excluded if k in self._inc.row_of]
+        values[rows] = -np.inf
+        row = best_row(values, self._elim_count, self._inc.name_rank)
+        return None if row is None else self.snapshot(row)
 
     def values_array(self) -> np.ndarray:
         """Current value ratio per candidate (inf-aware), for strategies."""
-        with np.errstate(divide="ignore", invalid="ignore"):
-            vals = np.where(
-                self._benefit <= 0.0,
-                0.0,
-                np.where(self._cost <= 0.0, np.inf, self._benefit / self._cost),
-            )
-        return vals
+        return value_ratios(self._benefit, self._cost)
+
+
+def value_ratios(benefit: np.ndarray, cost: np.ndarray) -> np.ndarray:
+    """:func:`value_ratio` of every (benefit, cost) pair, as one array."""
+    values = np.full(benefit.shape, np.inf)
+    np.divide(benefit, cost, out=values, where=cost > 0.0)
+    values[benefit <= 0.0] = 0.0
+    return values
+
+
+def weigh(
+    universe: ResultUniverse, changes: np.ndarray, benefit_side: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(benefit, cost, changed)`` of moves that change each row's results:
+    the weight changed inside ``benefit_side``, the weight changed outside
+    it (both bit-identical to :meth:`ResultUniverse.weight_of` per row),
+    and the number of changed results."""
+    return (
+        universe.weights_of(changes & benefit_side),
+        universe.weights_of(changes & ~benefit_side),
+        np.count_nonzero(changes, axis=1),
+    )
+
+
+def best_row(
+    values: np.ndarray, changed: np.ndarray, name_rank: np.ndarray
+) -> int | None:
+    """The row with the highest value, then fewest changed results, then
+    first name; ``None`` when every value is ``-inf`` (nothing eligible)."""
+    if not values.size:
+        return None
+    row = int(np.lexsort((name_rank, changed, -values))[0])
+    return None if values[row] == -np.inf else row
 
 
 def select_candidates(

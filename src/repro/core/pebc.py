@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.core.keyword_stats import best_row, weigh
 from repro.core.metrics import precision_recall_f
 from repro.core.strategies import SampleQuery, make_strategy
 from repro.core.universe import AND, OR, ExpansionOutcome, ExpansionTask
@@ -85,66 +86,54 @@ class PEBC:
         procedure with retrieval and elimination swapped.
         """
         uni = task.universe
+        inc = task.incidence
+        cluster = task.cluster_mask
         rng = np.random.default_rng(self._seed)
         cluster_weight = task.cluster_weight()
 
         def generate(fraction: float) -> SampleQuery:
             target = fraction * cluster_weight
-            selected: list[str] = []
+            rows: list[int] = []  # selected candidate rows, in order
+            chosen = np.zeros(len(task.candidates), dtype=bool)
             covered = uni.empty_mask()
-            blocked: set[int] = set()  # cluster results no candidate contains
-            prev_gap = abs(uni.weight_of(covered & task.cluster_mask) - target)
-            while True:
-                covered_c = uni.weight_of(covered & task.cluster_mask)
-                if covered_c >= target:
+            blocked = uni.empty_mask()  # cluster results no candidate contains
+            prev_gap = abs(uni.weight_of(covered & cluster) - target)
+            while uni.weight_of(covered & cluster) < target:
+                open_positions = np.flatnonzero(cluster & ~covered & ~blocked)
+                if not open_positions.size:
                     break
-                open_positions = np.nonzero(task.cluster_mask & ~covered)[0]
-                open_positions = [
-                    int(p) for p in open_positions if int(p) not in blocked
-                ]
-                if not open_positions:
-                    break
-                pick = open_positions[int(rng.integers(len(open_positions)))]
-                best_kw = None
-                best_key = None
-                for kw in task.candidates:
-                    if kw in selected or not uni.has_mask(kw)[pick]:
-                        continue
-                    gained = ~covered & uni.has_mask(kw)
-                    benefit = uni.weight_of(gained & task.cluster_mask)
-                    cost = uni.weight_of(gained & task.other_mask)
-                    ratio = benefit / cost if cost > 0 else np.inf
-                    key = (-ratio, int(gained.sum()), kw)
-                    if best_key is None or key < best_key:
-                        best_key, best_kw = key, kw
-                if best_kw is None:
-                    blocked.add(pick)
+                pick = open_positions[int(rng.integers(open_positions.size))]
+                eligible = np.flatnonzero(inc.has[:, pick] & ~chosen)
+                gained = inc.has[eligible] & ~covered
+                benefit, cost, changed = weigh(uni, gained, cluster)
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    ratio = np.where(cost > 0, benefit / cost, np.inf)
+                best = best_row(ratio, changed, inc.name_rank[eligible])
+                if best is None:
+                    blocked[pick] = True
                     continue
-                with_kw = covered | uni.has_mask(best_kw)
-                new_gap = abs(
-                    uni.weight_of(with_kw & task.cluster_mask) - target
-                )
+                row = int(eligible[best])
+                with_kw = covered | inc.has[row]
+                with_c = uni.weight_of(with_kw & cluster)
+                new_gap = abs(with_c - target)
                 # §4.3's closing rule, mirrored: keep the last keyword only
                 # if it lands closer to the target coverage.
-                if (
-                    uni.weight_of(with_kw & task.cluster_mask) >= target
-                    and new_gap > prev_gap
-                ):
+                if with_c >= target and new_gap > prev_gap:
                     break
-                selected.append(best_kw)
+                rows.append(row)
+                chosen[row] = True
                 covered = with_kw
                 prev_gap = new_gap
-            terms = tuple(task.seed_terms) + tuple(selected)
-            mask = uni.results_mask(tuple(selected), semantics=OR)
+            selected = tuple(task.candidates[row] for row in rows)
             achieved = (
-                uni.weight_of(mask & task.cluster_mask) / cluster_weight
+                uni.weight_of(covered & cluster) / cluster_weight
                 if cluster_weight > 0
                 else 0.0
             )
             return SampleQuery(
-                terms=terms,
-                selected=tuple(selected),
-                result_mask=mask,
+                terms=tuple(task.seed_terms) + selected,
+                selected=selected,
+                result_mask=covered,
                 eliminated_share=achieved,  # here: covered share of S(C)
             )
 

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.keyword_stats import value_ratio
+from repro.core.keyword_stats import best_row, value_ratios, weigh
 from repro.core.universe import AND, ExpansionTask
 from repro.errors import ExpansionError
 
@@ -42,132 +42,131 @@ class SampleQuery:
 
 
 class _EliminationState:
-    """Shared bookkeeping: current R(q) and elimination accounting."""
+    """Shared bookkeeping: current R(q), its eliminated share of S(U)."""
 
     def __init__(self, task: ExpansionTask) -> None:
         if task.semantics != AND:
             raise ExpansionError("partial elimination is defined for AND semantics")
         self.task = task
         self.uni = task.universe
-        self.selected: list[str] = []
-        self.mask = self.uni.results_mask(task.seed_terms, semantics=AND)
+        self.inc = task.incidence
+        self.other = task.other_mask
+        self.rows: list[int] = []  # selected candidate rows, in order
+        self.chosen = np.zeros(len(task.candidates), dtype=bool)
+        self.seed_mask = self.uni.results_mask(task.seed_terms, semantics=AND)
         self.total_u = task.other_weight()
+        self._set_mask(self.seed_mask)
 
-    def eliminated_weight(self) -> float:
-        """Weight of U results no longer retrieved."""
-        remaining = self.uni.weight_of(self.mask & self.task.other_mask)
-        return self.total_u - remaining
-
-    def share(self) -> float:
+    def _set_mask(self, mask: np.ndarray) -> None:
+        self.mask = mask
         if self.total_u <= 0.0:
-            return 0.0
-        return self.eliminated_weight() / self.total_u
+            self.share = 0.0
+        else:
+            remaining = self.uni.weight_of(mask & self.other)
+            self.share = (self.total_u - remaining) / self.total_u
 
-    def add(self, keyword: str) -> None:
-        self.selected.append(keyword)
-        self.mask = self.mask & self.uni.has_mask(keyword)
+    def eliminations(self) -> np.ndarray:
+        """Row k: the results adding candidate k would eliminate now."""
+        return self.inc.missing & self.mask
+
+    def add(self, row: int) -> None:
+        self.rows.append(row)
+        self.chosen[row] = True
+        self._set_mask(self.mask & self.inc.has[row])
 
     def undo_last(self) -> None:
-        last = self.selected.pop()
-        terms = tuple(self.task.seed_terms) + tuple(self.selected)
-        self.mask = self.uni.results_mask(terms, semantics=AND)
-        del last
+        self.chosen[self.rows.pop()] = False
+        self._set_mask(self.seed_mask & self.inc.has[self.rows].all(axis=0))
 
     def finish(self) -> SampleQuery:
+        selected = tuple(self.task.candidates[row] for row in self.rows)
         return SampleQuery(
-            terms=tuple(self.task.seed_terms) + tuple(self.selected),
-            selected=tuple(self.selected),
+            terms=tuple(self.task.seed_terms) + selected,
+            selected=selected,
             result_mask=self.mask.copy(),
-            eliminated_share=self.share(),
+            eliminated_share=self.share,
         )
 
-    def benefit_cost(self, keyword: str) -> tuple[float, float, int]:
-        """(benefit, cost, #eliminated) of adding ``keyword`` now (§3 defs)."""
-        elim = self.mask & ~self.uni.has_mask(keyword)
-        benefit = self.uni.weight_of(elim & self.task.other_mask)
-        cost = self.uni.weight_of(elim & self.task.cluster_mask)
-        return benefit, cost, int(elim.sum())
+    def take(self, row: int | None, target_share: float) -> bool:
+        """Add candidate ``row`` (``None``: nothing eligible); True to stop.
 
-    def apply_stop_rule(self, target_share: float, before_share: float) -> bool:
-        """Keep the last keyword only if it lands closer to the target (§4.3).
-
-        Returns True if the last keyword was undone.
+        Once the target is crossed the keyword stays only if that leaves
+        the share closer to the target (§4.3's stop rule).
         """
-        after_share = self.share()
-        if abs(before_share - target_share) < abs(after_share - target_share):
-            self.undo_last()
+        if row is None:
             return True
-        return False
+        before = self.share
+        self.add(row)
+        if self.share < target_share:
+            return False
+        if abs(before - target_share) < abs(self.share - target_share):
+            self.undo_last()
+        return True
 
 
-class SingleResultStrategy:
-    """§4.3: select one random uneliminated U result, then the best keyword
-    that eliminates it.
+class _Strategy:
+    """A sample-query generator: trivial targets keep the seed query."""
 
-    The per-step keyword scan is vectorized over the candidate incidence
-    matrix: one boolean-matrix pass computes every candidate's benefit,
-    cost and elimination count against the current R(q).
-    """
-
-    name = "single-result"
+    name = ""
 
     def generate(
         self, task: ExpansionTask, target_share: float, rng: np.random.Generator
     ) -> SampleQuery:
         state = _EliminationState(task)
-        if target_share <= 0.0 or state.total_u <= 0.0:
-            return state.finish()
-        target_share = min(target_share, 1.0)
-        uni = task.universe
-        candidates = task.candidates
-        not_h = ~uni.incidence_rows(list(candidates))  # row k: E(k)
-        weights = uni.weights
-        other = task.other_mask
-        cluster = task.cluster_mask
-        name_rank = np.argsort(np.argsort(np.array(candidates)))
-        selected_rows = np.zeros(len(candidates), dtype=bool)
-
-        blocked: set[int] = set()  # U results no candidate can eliminate
-        guard = 0
-        max_steps = len(candidates) + uni.n + 1
-        while state.share() < target_share and guard < max_steps:
-            guard += 1
-            remaining = np.flatnonzero(state.mask & task.other_mask)
-            pickable = [int(i) for i in remaining if int(i) not in blocked]
-            if not pickable:
-                break
-            r = int(rng.choice(np.asarray(pickable)))
-            eligible = not_h[:, r] & ~selected_rows
-            if not eligible.any():
-                blocked.add(r)
-                continue
-            elim = not_h & state.mask[None, :]
-            benefits = (elim & other[None, :]) @ weights
-            costs = (elim & cluster[None, :]) @ weights
-            counts = elim.sum(axis=1)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                values = np.where(
-                    benefits <= 0.0,
-                    0.0,
-                    np.where(costs <= 0.0, np.inf, benefits / costs),
-                )
-            values = np.where(eligible, values, -np.inf)
-            order = np.lexsort((name_rank, counts, -values))
-            row = int(order[0])
-            if values[row] == -np.inf:
-                blocked.add(r)
-                continue
-            before = state.share()
-            state.add(candidates[row])
-            selected_rows[row] = True
-            if state.share() >= target_share:
-                if state.apply_stop_rule(target_share, before):
-                    selected_rows[row] = False
-                break
+        if target_share > 0.0 and state.total_u > 0.0:
+            self._eliminate(state, min(target_share, 1.0), rng)
         return state.finish()
 
+    def _eliminate(
+        self, state: _EliminationState, target: float, rng: np.random.Generator
+    ) -> None:
+        raise NotImplementedError
 
-class FixedOrderStrategy:
+
+class SingleResultStrategy(_Strategy):
+    """§4.3: select one random uneliminated U result, then the best keyword
+    that eliminates it.
+
+    The per-step keyword scan is vectorized over the candidate incidence
+    matrix: one matvec pass computes every candidate's benefit, cost and
+    elimination count against the current R(q).
+    """
+
+    name = "single-result"
+
+    def _eliminate(
+        self, state: _EliminationState, target: float, rng: np.random.Generator
+    ) -> None:
+        task, inc = state.task, state.inc
+        weights = task.universe.weights
+        w_other = np.where(task.cluster_mask, 0.0, weights)
+        w_cluster = np.where(task.cluster_mask, weights, 0.0)
+        blocked = task.universe.empty_mask()  # U results no candidate eliminates
+        guard = 0
+        max_steps = len(task.candidates) + task.universe.n + 1
+        while state.share < target and guard < max_steps:
+            guard += 1
+            pickable = np.flatnonzero(state.mask & state.other & ~blocked)
+            if not pickable.size:
+                break
+            r = int(pickable[rng.integers(pickable.size)])  # = rng.choice(pickable)
+            eligible = inc.missing[:, r] & ~state.chosen
+            if not eligible.any():
+                blocked[r] = True
+                continue
+            # ~H @ (w·U·R): the nonzero products of (elim & U) @ w, same bits.
+            benefits = inc.missing_float @ (w_other * state.mask)
+            costs = inc.missing_float @ (w_cluster * state.mask)
+            counts = inc.missing_float @ state.mask.astype(np.float64)
+            values = np.where(eligible, value_ratios(benefits, costs), -np.inf)
+            row = best_row(values, counts, inc.name_rank)
+            if row is None:
+                blocked[r] = True
+            elif state.take(row, target):
+                break
+
+
+class FixedOrderStrategy(_Strategy):
     """§4.1: repeatedly take the globally best benefit/cost keyword.
 
     Deterministic; the rng argument is accepted for interface uniformity.
@@ -175,37 +174,21 @@ class FixedOrderStrategy:
 
     name = "fixed-order"
 
-    def generate(
-        self, task: ExpansionTask, target_share: float, rng: np.random.Generator
-    ) -> SampleQuery:
-        del rng
-        state = _EliminationState(task)
-        if target_share <= 0.0 or state.total_u <= 0.0:
-            return state.finish()
-        target_share = min(target_share, 1.0)
-        while state.share() < target_share:
-            best_kw = ""
-            best_key: tuple[float, int, str] | None = None
-            for kw in task.candidates:
-                if kw in state.selected:
-                    continue
-                benefit, cost, n_elim = state.benefit_cost(kw)
-                if benefit <= 0.0:
-                    continue  # eliminates nothing from U: useless here
-                key = (-value_ratio(benefit, cost), n_elim, kw)
-                if best_key is None or key < best_key:
-                    best_key, best_kw = key, kw
-            if best_key is None:
+    def _eliminate(
+        self, state: _EliminationState, target: float, rng: np.random.Generator
+    ) -> None:
+        task = state.task
+        while state.share < target:
+            elim = state.eliminations()
+            benefit, cost, changed = weigh(task.universe, elim, task.other_mask)
+            # A keyword eliminating nothing from U is useless here.
+            eligible = ~state.chosen & (benefit > 0.0)
+            values = np.where(eligible, value_ratios(benefit, cost), -np.inf)
+            if state.take(best_row(values, changed, state.inc.name_rank), target):
                 break
-            before = state.share()
-            state.add(best_kw)
-            if state.share() >= target_share:
-                state.apply_stop_rule(target_share, before)
-                break
-        return state.finish()
 
 
-class RandomSubsetStrategy:
+class RandomSubsetStrategy(_Strategy):
     """§4.2: draw a random ~x% subset S of U, then greedily cover S.
 
     Keyword score is covered-weight of S divided by cost, where cost counts
@@ -215,60 +198,39 @@ class RandomSubsetStrategy:
 
     name = "random-subset"
 
-    def generate(
-        self, task: ExpansionTask, target_share: float, rng: np.random.Generator
-    ) -> SampleQuery:
-        state = _EliminationState(task)
-        if target_share <= 0.0 or state.total_u <= 0.0:
-            return state.finish()
-        target_share = min(target_share, 1.0)
-        subset = self._draw_subset(task, target_share, rng)
+    def _eliminate(
+        self, state: _EliminationState, target: float, rng: np.random.Generator
+    ) -> None:
+        task, uni = state.task, state.uni
+        subset = self._draw_subset(task, target, rng)
         guard = 0
-        while state.share() < target_share and guard <= len(task.candidates):
+        while state.share < target and guard <= len(task.candidates):
             guard += 1
-            to_cover = state.mask & subset
-            if not to_cover.any():
+            if not (state.mask & subset).any():
                 break
-            best_kw = ""
-            best_key: tuple[float, int, str] | None = None
-            for kw in task.candidates:
-                if kw in state.selected:
-                    continue
-                elim = state.mask & ~task.universe.has_mask(kw)
-                covered = task.universe.weight_of(elim & subset)
-                if covered <= 0.0:
-                    continue
-                stray = task.universe.weight_of(elim & task.other_mask & ~subset)
-                cost = task.universe.weight_of(elim & task.cluster_mask) + stray
-                key = (-value_ratio(covered, cost), int(elim.sum()), kw)
-                if best_key is None or key < best_key:
-                    best_key, best_kw = key, kw
-            if best_key is None:
+            elim = state.eliminations()
+            covered = uni.weights_of(elim & subset)
+            # S lies in U, so elim \ S splits into all of elim ∩ C and the
+            # stray U eliminations outside S.
+            lost_c, stray, _ = weigh(uni, elim & ~subset, task.cluster_mask)
+            eligible = ~state.chosen & (covered > 0.0)
+            values = np.where(eligible, value_ratios(covered, lost_c + stray), -np.inf)
+            changed = np.count_nonzero(elim, axis=1)
+            if state.take(best_row(values, changed, state.inc.name_rank), target):
                 break
-            before = state.share()
-            state.add(best_kw)
-            if state.share() >= target_share:
-                state.apply_stop_rule(target_share, before)
-                break
-        return state.finish()
 
     @staticmethod
     def _draw_subset(
         task: ExpansionTask, target_share: float, rng: np.random.Generator
     ) -> np.ndarray:
         """Randomly accumulate U results until ~target_share of S(U)."""
-        uni = task.universe
-        u_positions = np.flatnonzero(task.other_mask)
-        order = rng.permutation(u_positions)
-        total = task.other_weight()
-        target_w = target_share * total
-        subset = uni.empty_mask()
-        acc = 0.0
-        for pos in order:
-            if acc >= target_w:
-                break
-            subset[pos] = True
-            acc += float(uni.weights[pos])
+        order = rng.permutation(np.flatnonzero(task.other_mask))
+        target_w = target_share * task.other_weight()
+        # Weight drawn before each position; cumsum adds left to right.
+        drawn = np.cumsum(task.universe.weights[order])
+        before = np.concatenate(([0.0], drawn[:-1]))
+        subset = task.universe.empty_mask()
+        subset[order[: np.count_nonzero(before < target_w)]] = True
         return subset
 
 

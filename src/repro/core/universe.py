@@ -17,6 +17,7 @@ matrix), the universe (its incidence) and candidate mining (its tf).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 from types import MappingProxyType
 from typing import Mapping, Sequence
 
@@ -41,12 +42,15 @@ class TermCounts:
         if not documents:
             raise ExpansionError("term counts need at least one document")
         self.documents = tuple(documents)
-        self.vocabulary = tuple(sorted({t for d in self.documents for t in d.terms}))
+        bags = [d.terms for d in self.documents]
+        self.vocabulary = tuple(sorted(set().union(*bags)))
         column = {t: i for i, t in enumerate(self.vocabulary)}
         self.columns: Mapping[str, int] = MappingProxyType(column)
-        self.counts = np.zeros((len(self.documents), len(column)), dtype=np.int64)
-        for row, doc in enumerate(self.documents):
-            self.counts[row, [column[t] for t in doc.terms]] = list(doc.terms.values())
+        # One scatter of every (row, col, count) triple, bags in order.
+        rows = np.repeat(np.arange(len(bags)), [len(b) for b in bags])
+        cols = [column[t] for t in chain(*bags)]
+        self.counts = np.zeros((len(bags), len(column)), dtype=np.int64)
+        self.counts[rows, cols] = list(chain(*(b.values() for b in bags)))
         self.counts.flags.writeable = False
 
     def tf_matrix(self) -> np.ndarray:
@@ -66,11 +70,8 @@ class TermCounts:
 
     def term_columns(self, terms: Sequence[str]) -> np.ndarray:
         """``(n_docs, len(terms))`` counts of ``terms``; unseen terms count 0."""
-        out = np.zeros((len(self.documents), len(terms)), dtype=np.int64)
-        for i, t in enumerate(terms):
-            if t in self.columns:
-                out[:, i] = self.counts[:, self.columns[t]]
-        return out
+        cols = np.array([self.columns.get(t, -1) for t in terms], dtype=np.intp)
+        return np.where(cols >= 0, self.counts[:, cols], 0)
 
 
 class ResultUniverse:
@@ -114,7 +115,8 @@ class ResultUniverse:
             if np.any(w <= 0.0) or not np.all(np.isfinite(w)):
                 raise ExpansionError("weights must be positive and finite")
         self._weights = w
-        self._incidence = counts.incidence()
+        # Term-major incidence; unseen terms gather the all-False last row.
+        self._incidence = np.vstack((counts.incidence(), np.zeros((1, n), bool)))
 
     # -- basic accessors ---------------------------------------------------
 
@@ -158,23 +160,16 @@ class ResultUniverse:
 
     def has_mask(self, term: str) -> np.ndarray:
         """Mask of results containing ``term`` (all-False for unseen terms)."""
-        row = self._counts.columns.get(term)
-        if row is None:
-            return np.zeros(self.n, dtype=bool)
-        return self._incidence[row].copy()
+        return self._incidence[self._counts.columns.get(term, -1)].copy()
 
     def elimination_mask(self, term: str) -> np.ndarray:
         """E(k): results *not* containing ``term`` (§3)."""
         return ~self.has_mask(term)
 
-    def incidence_rows(self, terms: list[str]) -> np.ndarray:
+    def incidence_rows(self, terms: Sequence[str]) -> np.ndarray:
         """Stacked has-masks for ``terms`` (unseen terms become all-False rows)."""
-        out = np.zeros((len(terms), self.n), dtype=bool)
-        for i, t in enumerate(terms):
-            row = self._counts.columns.get(t)
-            if row is not None:
-                out[i] = self._incidence[row]
-        return out
+        columns = self._counts.columns
+        return self._incidence[[columns.get(t, -1) for t in terms]]
 
     # -- result-set evaluation ----------------------------------------------
 
@@ -187,26 +182,56 @@ class ResultUniverse:
         OR: results containing at least one term (empty query → empty set).
         """
         if semantics == AND:
-            mask = self.all_mask()
-            for t in terms:
-                mask &= self.has_mask(t)
-            return mask
+            return self.incidence_rows(terms).all(axis=0)
         if semantics == OR:
-            mask = self.empty_mask()
-            for t in terms:
-                mask |= self.has_mask(t)
-            return mask
+            return self.incidence_rows(terms).any(axis=0)
         raise ExpansionError(f"unknown semantics: {semantics!r}")
 
     def weight_of(self, mask: np.ndarray) -> float:
         """S(mask): total ranking score of the selected results (§2)."""
         return float(self._weights[mask].sum())
 
+    def weights_of(self, masks: np.ndarray) -> np.ndarray:
+        """``weight_of`` of every row of a ``(m, n)`` mask matrix, bit for bit.
+
+        Each row is gathered and summed on its own: numpy sums a gathered
+        1-D array pairwise, and a masked matvec (or any zero-padded block)
+        would round differently.
+        """
+        w = self._weights
+        return np.array([w[row].sum() for row in masks], dtype=np.float64)
+
     def count(self, mask: np.ndarray) -> int:
         return int(mask.sum())
 
     def total_weight(self) -> float:
         return float(self._weights.sum())
+
+
+class CandidateIncidence:
+    """Read-only candidate × result incidence, shared by a run's tasks.
+
+    ``has[i]`` is the has-mask of ``candidates[i]`` (all-False when no
+    result contains it), ``missing = ~has`` its elimination set E(k) (§3)
+    and ``missing_float`` the same as float64 0/1, the operand of the
+    benefit/cost matvecs. ``row_of`` maps a candidate to its row and
+    ``name_rank`` ranks the rows by name (the last-resort tie-break).
+    """
+
+    def __init__(self, universe: ResultUniverse, candidates: Sequence[str]) -> None:
+        self.universe = universe
+        self.candidates = tuple(candidates)
+        self.row_of: Mapping[str, int] = MappingProxyType(
+            {kw: i for i, kw in enumerate(self.candidates)}
+        )
+        if len(self.row_of) != len(self.candidates):
+            raise ExpansionError("candidates must be distinct")
+        self.has = universe.incidence_rows(self.candidates)
+        self.missing = ~self.has
+        self.missing_float = self.missing.astype(np.float64)
+        self.name_rank = np.argsort(np.argsort(self.candidates, kind="stable"))
+        for array in (self.has, self.missing, self.missing_float, self.name_rank):
+            array.flags.writeable = False
 
 
 @dataclass(frozen=True)
@@ -227,6 +252,9 @@ class ExpansionTask:
         overlap the seed terms.
     semantics:
         ``"and"`` (paper default) or ``"or"`` (paper appendix).
+    incidence:
+        The :class:`CandidateIncidence` of ``candidates`` over ``universe``
+        (built here when not given, so never ``None`` on a task).
     """
 
     universe: ResultUniverse
@@ -235,6 +263,7 @@ class ExpansionTask:
     candidates: tuple[str, ...]
     semantics: str = AND
     cluster_id: int = 0
+    incidence: CandidateIncidence | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         mask = np.asarray(self.cluster_mask, dtype=bool)
@@ -249,6 +278,10 @@ class ExpansionTask:
             raise ExpansionError("candidates must not overlap seed terms")
         if self.semantics not in (AND, OR):
             raise ExpansionError(f"unknown semantics: {self.semantics!r}")
+        inc = self.incidence or CandidateIncidence(self.universe, self.candidates)
+        if inc.universe is not self.universe or inc.candidates != tuple(self.candidates):
+            raise ExpansionError("incidence was built for other candidates")
+        object.__setattr__(self, "incidence", inc)
 
     @property
     def other_mask(self) -> np.ndarray:
@@ -283,11 +316,6 @@ class ExpansionOutcome:
     value_updates: int = 0
     trace: tuple[str, ...] = field(default_factory=tuple)
     cluster_id: int = 0
-
-    def added_terms(self, seed_terms: tuple[str, ...]) -> tuple[str, ...]:
-        """The non-seed terms of the expanded query."""
-        seed = set(seed_terms)
-        return tuple(t for t in self.terms if t not in seed)
 
     def to_dict(self) -> dict:
         """JSON-ready form (see repro.api.schema for the schema contract)."""

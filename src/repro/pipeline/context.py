@@ -23,7 +23,7 @@ Two kinds of fields:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields
 from typing import TYPE_CHECKING, Any, Mapping
 
 if TYPE_CHECKING:  # pragma: no cover — typing only, avoids import cycles
@@ -77,8 +77,12 @@ class ExecutionContext:
     timings: tuple[StageTiming, ...] = ()
 
     def evolve(self, **changes: Any) -> "ExecutionContext":
-        """A copy of this context with ``changes`` applied."""
-        return replace(self, **changes)
+        """A copy with ``changes`` applied: a dict copy, not ``__init__``."""
+        if not _FIELDS.issuperset(changes):
+            raise TypeError(f"unknown fields: {sorted(changes.keys() - _FIELDS)}")
+        new = object.__new__(type(self))
+        new.__dict__.update(self.__dict__, **changes)
+        return new
 
     def with_extra(self, key: str, value: Any) -> "ExecutionContext":
         """A copy with one ``extras`` entry added (existing keys replaced)."""
@@ -96,6 +100,5 @@ class ExecutionContext:
         """Total seconds recorded across all stages."""
         return sum(t.seconds for t in self.timings)
 
-    def timing_table(self) -> list[tuple[str, float]]:
-        """``(stage, seconds)`` rows in execution order."""
-        return [(t.stage, t.seconds) for t in self.timings]
+
+_FIELDS = frozenset(f.name for f in fields(ExecutionContext))

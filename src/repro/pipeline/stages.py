@@ -14,7 +14,8 @@ Default order (see :func:`repro.pipeline.default_pipeline`):
 ``cluster``     build the results' term counts; cluster over TF vectors
 ``universe``    the (optionally ranking-weighted) result universe
 ``candidates``  candidate-keyword mining (top-fraction TF-IDF, memoized)
-``tasks``       one :class:`ExpansionTask` per cluster, largest first
+``tasks``       one :class:`ExpansionTask` per cluster, largest first,
+                all sharing one candidate incidence
 ``expand``      run the expansion algorithm per task; Eq. 1 score
 ==============  ==========================================================
 
@@ -156,7 +157,7 @@ class TasksStage:
                 "stage first (or set candidates on the context)"
             )
         labels = ctx.labels
-        tasks = []
+        tasks: list[ExpansionTask] = []
         for cid in sorted(set(int(lab) for lab in labels)):
             tasks.append(
                 ExpansionTask(
@@ -166,6 +167,8 @@ class TasksStage:
                     candidates=ctx.candidates,
                     semantics=ctx.config.semantics,
                     cluster_id=cid,
+                    # The first task's candidate incidence serves them all.
+                    incidence=tasks[0].incidence if tasks else None,
                 )
             )
         tasks.sort(key=lambda t: -t.cluster_weight())

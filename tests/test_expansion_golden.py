@@ -8,6 +8,10 @@ For each run the file pins the candidate tuple, the cluster labels, each
 expanded query's terms and F-measure, and the Eq. 1 score. Floats are
 compared through ``repr``, so any last-bit drift fails.
 
+A second file pins the same fields at the system benchmark's
+``expand_cold`` scale: every ``WIKIPEDIA_SENSES`` term × {iskr, pebc}
+over 400 documents per sense, top-100 results, k = 4, corpus seed 0.
+
 Regenerate (only when an intended behaviour change moves the pins)::
 
     PYTHONPATH=src python -m tests.test_expansion_golden --write
@@ -23,9 +27,12 @@ import pytest
 
 from repro import Session
 from repro.datasets.queries import all_queries
+from repro.datasets.vocab import WIKIPEDIA_SENSES
 
 GOLDEN = Path(__file__).parent / "data" / "expansion_golden.json"
+BENCH_GOLDEN = Path(__file__).parent / "data" / "expansion_golden_bench.json"
 ALGORITHMS = ("iskr", "pebc")
+BENCH_KEYS = [f"{term}/{alg}" for term in sorted(WIKIPEDIA_SENSES) for alg in ALGORITHMS]
 
 
 def _sessions() -> dict[str, Session]:
@@ -38,12 +45,14 @@ def _sessions() -> dict[str, Session]:
 
 
 def _run(
-    session: Session, text: str, n_clusters: int, wikipedia: bool, alg: str
+    session: Session,
+    text: str,
+    n_clusters: int,
+    top_k_results: int | None,
+    alg: str,
 ) -> dict:
     view = session.with_config(
-        n_clusters=n_clusters,
-        top_k_results=30 if wikipedia else None,
-        cluster_seed=0,
+        n_clusters=n_clusters, top_k_results=top_k_results, cluster_seed=0
     )
     ctx = view.run_stages(text, algorithm=alg)
     return {
@@ -67,9 +76,21 @@ def compute_golden() -> dict[str, dict]:
                 sessions[query.dataset],
                 query.text,
                 query.n_clusters,
-                query.dataset == "wikipedia",
+                30 if query.dataset == "wikipedia" else None,
                 alg,
             )
+    return out
+
+
+def compute_bench_golden() -> dict[str, dict]:
+    """``"<term>/<algorithm>" -> pins`` at the ``expand_cold`` scale."""
+    session = (
+        Session.builder().dataset("wikipedia", docs_per_sense=400).seed(0).build()
+    )
+    out = {}
+    for key in BENCH_KEYS:
+        term, alg = key.rsplit("/", 1)
+        out[key] = _run(session, term, 4, 100, alg)
     return out
 
 
@@ -81,6 +102,16 @@ def actual() -> dict[str, dict]:
 @pytest.fixture(scope="module")
 def expected() -> dict[str, dict]:
     return json.loads(GOLDEN.read_text())
+
+
+@pytest.fixture(scope="module")
+def bench_actual() -> dict[str, dict]:
+    return compute_bench_golden()
+
+
+@pytest.fixture(scope="module")
+def bench_expected() -> dict[str, dict]:
+    return json.loads(BENCH_GOLDEN.read_text())
 
 
 def test_covers_every_benchmark_query(expected):
@@ -95,14 +126,27 @@ def test_expansion_matches_golden(key, actual, expected):
     assert actual[key] == expected[key]
 
 
-if __name__ == "__main__":
-    if sys.argv[1:] != ["--write"]:
-        sys.exit("usage: python -m tests.test_expansion_golden --write")
-    GOLDEN.parent.mkdir(parents=True, exist_ok=True)
-    golden = compute_golden()
+def test_bench_covers_every_sense_term(bench_expected):
+    assert set(bench_expected) == set(BENCH_KEYS)
+
+
+@pytest.mark.parametrize("key", BENCH_KEYS)
+def test_bench_expansion_matches_golden(key, bench_actual, bench_expected):
+    assert bench_actual[key] == bench_expected[key]
+
+
+def _write(path: Path, golden: dict[str, dict]) -> None:
+    path.parent.mkdir(parents=True, exist_ok=True)
     lines = [
         f"{json.dumps(key)}: {json.dumps(golden[key], sort_keys=True)}"
         for key in sorted(golden)
     ]
-    GOLDEN.write_text("{\n" + ",\n".join(lines) + "\n}\n")
-    print(f"wrote {GOLDEN}")
+    path.write_text("{\n" + ",\n".join(lines) + "\n}\n")
+    print(f"wrote {path}")
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["--write"]:
+        sys.exit("usage: python -m tests.test_expansion_golden --write")
+    _write(GOLDEN, compute_golden())
+    _write(BENCH_GOLDEN, compute_bench_golden())

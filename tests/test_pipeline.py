@@ -98,6 +98,31 @@ class TestStageExecution:
             wiki_session.expand("zzz-no-such-term")
 
 
+class TestEvolve:
+    def test_copies_with_changes_and_leaves_the_original(self):
+        ctx = ExecutionContext(query="java", seed_terms=("java",))
+        out = ctx.evolve(score=0.5, candidates=("a",))
+        assert out is not ctx and type(out) is ExecutionContext
+        assert (out.query, out.seed_terms, out.score, out.candidates) == (
+            "java", ("java",), 0.5, ("a",)
+        )
+        assert ctx.score is None and ctx.candidates is None
+        assert out == ExecutionContext(
+            query="java", seed_terms=("java",), score=0.5, candidates=("a",)
+        )
+
+    def test_unknown_field_raises_type_error(self):
+        with pytest.raises(TypeError):
+            ExecutionContext().evolve(not_a_field=1)
+
+
+def test_tasks_share_one_candidate_incidence(wiki_session):
+    tasks = wiki_session.run_stages("java", until="tasks").tasks
+    assert len(tasks) > 1
+    assert all(task.incidence is tasks[0].incidence for task in tasks)
+    assert tasks[0].incidence.candidates == tasks[0].candidates
+
+
 # -- composition --------------------------------------------------------------
 
 
