@@ -28,7 +28,9 @@ in the rest of the library.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
-from typing import Iterable, Protocol, runtime_checkable
+from typing import Callable, Iterable, Protocol, runtime_checkable
+
+import numpy as np
 
 from repro.index.postings import PostingList
 
@@ -112,36 +114,63 @@ class IndexBackend(Protocol):
         ...
 
 
-class TermFrequencyCache:
-    """Bounded cache of per-term ``{corpus position: tf}`` maps.
+#: ``impact(term, docs, tfs)``: one float64 score contribution per posting.
+ImpactFn = Callable[[str, np.ndarray, np.ndarray], np.ndarray]
 
-    Scorers need ``tf(term, doc)`` lookups; the protocol serves term
-    frequencies through :meth:`IndexBackend.postings`. Decoding a posting
-    list per *score call* would be quadratic for ranking (and genuinely
-    expensive on compressed backends), so scorers hold one of these: each
-    query term's postings are decoded once and reused across every
-    document scored for that term.
+
+class TermFrequencyCache:
+    """Bounded cache of each term's posting columns, one generation at a time.
+
+    Scorers rank term-at-a-time over ``(docs, tfs)`` columns; the protocol
+    serves them through :meth:`IndexBackend.postings`. Fetching a posting
+    list per *query* would repeat the same decode (genuinely expensive
+    on compressed and SQLite backends), so scorers hold one of these:
+    each term's columns are fetched once and reused by every query.
+    A scorer that passes ``impact`` also gets each term's per-posting
+    score contributions, computed once per cached term. The cache also
+    holds the document-length vector scorers normalize by.
 
     Mutation-aware: backends exposing a ``generation`` counter (the
-    dynamic index) invalidate the cache on change. Unsynchronized — a
-    racing double-decode under threads stores identical values.
+    dynamic and SQLite backends) invalidate every entry and the length
+    vector on change. Unsynchronized — a racing double-fetch under
+    threads stores identical values.
     """
 
-    def __init__(self, backend: IndexBackend, maxsize: int = 4096) -> None:
+    def __init__(
+        self,
+        backend: IndexBackend,
+        maxsize: int = 4096,
+        impact: ImpactFn | None = None,
+    ) -> None:
         self._backend = backend
         self._maxsize = max(int(maxsize), 1)
-        self._cache: dict[str, dict[int, int]] = {}
+        self._impact = impact
+        self._cache: dict[str, tuple[np.ndarray, np.ndarray, np.ndarray | None]] = {}
+        self._lengths: np.ndarray | None = None
         self._generation = getattr(backend, "generation", None)
 
-    def frequencies(self, term: str) -> dict[int, int]:
-        """The ``{position: tf}`` map for ``term`` (empty if unseen)."""
+    def _sync(self) -> None:
         generation = getattr(self._backend, "generation", None)
         if generation != self._generation:
             self._cache = {}
+            self._lengths = None
             self._generation = generation
+
+    def entry(self, term: str) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+        """``(docs, tfs, impacts)`` for ``term`` (empty columns if unseen).
+
+        ``impacts`` is ``None`` when the cache was built without ``impact``.
+        """
+        self._sync()
         hit = self._cache.get(term)
         if hit is None:
-            hit = {p.doc: p.tf for p in self._backend.postings(term)}
+            plist = self._backend.postings(term)
+            docs, tfs = plist.docs, plist.tfs
+            impacts = None
+            if self._impact is not None:
+                impacts = self._impact(term, docs, tfs)
+                impacts.flags.writeable = False
+            hit = (docs, tfs, impacts)
             while len(self._cache) >= self._maxsize:
                 # pop() keyed defensively: a racing thread may have
                 # evicted (or cleared) the same entry already.
@@ -154,7 +183,26 @@ class TermFrequencyCache:
 
     def tf(self, term: str, pos: int) -> int:
         """Term frequency of ``term`` in the document at ``pos`` (0 if absent)."""
-        return self.frequencies(term).get(pos, 0)
+        docs, tfs, _ = self.entry(term)
+        at = int(np.searchsorted(docs, pos))
+        return int(tfs[at]) if at < len(docs) and docs[at] == pos else 0
+
+    def doc_lengths(self, upto: int = 0) -> np.ndarray:
+        """Read-only int64 lengths of (at least) positions ``0 .. upto - 1``.
+
+        Fetched once per generation for every position the backend holds;
+        fetched again if a caller needs a position past the vector (a
+        document that landed between the generation check and the query).
+        """
+        self._sync()
+        lengths = self._lengths
+        if lengths is None or len(lengths) < upto:
+            backend = self._backend
+            n = max(upto, backend.num_documents)
+            lengths = np.array([backend.doc_length(p) for p in range(n)], dtype=np.int64)
+            lengths.flags.writeable = False
+            self._lengths = lengths
+        return lengths
 
 
 def collection_term_frequencies(backend: IndexBackend) -> dict[str, int]:
@@ -178,6 +226,6 @@ def collection_term_frequencies(backend: IndexBackend) -> dict[str, int]:
                 counts[term] = counts.get(term, 0) + count
         return counts
     return {
-        term: sum(p.tf for p in backend.postings(term))
+        term: int(backend.postings(term).tfs.sum())
         for term in backend.vocabulary()
     }

@@ -10,7 +10,10 @@ from __future__ import annotations
 import math
 from typing import Iterable
 
+import numpy as np
+
 from repro.index.backend import IndexBackend, TermFrequencyCache
+from repro.index.scoring import rank_by_impacts
 
 
 class BM25Scorer:
@@ -28,9 +31,9 @@ class BM25Scorer:
         self._index = index
         self._k1 = k1
         self._b = b
-        self._tf = TermFrequencyCache(index)
+        self._tf = TermFrequencyCache(index, impact=self._impacts)
         n = max(index.num_documents, 1)
-        total_len = sum(index.doc_length(i) for i in range(index.num_documents))
+        total_len = int(self._tf.doc_lengths().sum())
         self._avg_len = (total_len / n) if n else 1.0
         self._n = n
 
@@ -39,19 +42,22 @@ class BM25Scorer:
         df = self._index.document_frequency(term)
         return math.log(1.0 + (self._n - df + 0.5) / (df + 0.5))
 
-    def score(self, doc_pos: int, terms: Iterable[str]) -> float:
-        dl = max(self._index.doc_length(doc_pos), 1)
+    def _impacts(self, term: str, docs: np.ndarray, tfs: np.ndarray) -> np.ndarray:
+        """``idf · tf · (k1 + 1) / (tf + norm(doc))``, evaluated in that order."""
+        if not len(docs):
+            return np.zeros(0, dtype=np.float64)
+        dl = np.maximum(self._tf.doc_lengths(int(docs[-1]) + 1)[docs], 1)
         norm = self._k1 * (1.0 - self._b + self._b * dl / max(self._avg_len, 1e-9))
-        total = 0.0
-        for term in terms:
-            tf = self._tf.tf(term, doc_pos)
-            if tf:
-                total += self.idf(term) * tf * (self._k1 + 1.0) / (tf + norm)
-        return total
+        return self.idf(term) * tfs * (self._k1 + 1.0) / (tfs + norm)
 
-    def rank(self, doc_positions: list[int], terms: Iterable[str]) -> list[tuple[int, float]]:
-        """(doc, score) sorted by descending score, position tie-break."""
-        term_list = list(terms)
-        scored = [(pos, self.score(pos, term_list)) for pos in doc_positions]
-        scored.sort(key=lambda item: (-item[1], item[0]))
-        return scored
+    def score(self, doc_pos: int, terms: Iterable[str]) -> float:
+        return self.rank([doc_pos], terms)[0][1]
+
+    def rank(
+        self,
+        doc_positions: Iterable[int],
+        terms: Iterable[str],
+        k: int | None = None,
+    ) -> list[tuple[int, float]]:
+        """The ``k`` best (doc, score), descending score, position tie-break."""
+        return rank_by_impacts(self._tf, doc_positions, terms, k)

@@ -38,7 +38,7 @@ from repro.index.compression import (
     varint_decode,
     varint_encode,
 )
-from repro.index.postings import Posting, PostingList, intersect_all, union_all
+from repro.index.postings import PostingList, intersect_all, union_all
 
 _MAGIC = b"QECX"
 _VERSION = 1
@@ -73,9 +73,7 @@ def write_index(
     out += struct.pack("<I", len(vocab))
     for term in vocab:
         plist = index.postings(term)
-        doc_ids = [p.doc for p in plist]
-        tfs = [p.tf for p in plist]
-        blob = encode_postings(doc_ids, tfs, codec=codec)
+        blob = encode_postings(plist.docs.tolist(), plist.tfs.tolist(), codec=codec)
         term_bytes = term.encode("utf-8")
         if len(term_bytes) > 0xFFFF:
             raise IndexingError(f"term too long to serialize: {term[:40]!r}...")
@@ -219,7 +217,7 @@ class DiskIndex:
             return PostingList()
         count, blob = entry
         doc_ids, tfs = decode_postings(blob, count, codec=self._codec)
-        return PostingList(Posting(d, t) for d, t in zip(doc_ids, tfs))
+        return PostingList.from_columns(doc_ids, tfs)
 
     def and_query(self, terms: Iterable[str]) -> list[int]:
         term_list = list(terms)

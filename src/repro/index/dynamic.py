@@ -33,6 +33,8 @@ from __future__ import annotations
 
 from typing import Callable, Iterable
 
+import numpy as np
+
 from repro.data.corpus import Corpus
 from repro.data.documents import Document
 from repro.errors import IndexingError
@@ -202,13 +204,17 @@ class DynamicIndex:
             return sorted(self._postings)
         return sorted(t for t in self._postings if self.document_frequency(t))
 
+    def _alive(self, plist: PostingList) -> np.ndarray:
+        """Mask of ``plist``'s postings whose document is not removed."""
+        return ~np.isin(plist.docs, np.fromiter(self._removed, dtype=np.int64))
+
     def postings(self, term: str) -> PostingList:
         live = self._postings.get(term, PostingList())
         # The common no-tombstone case shares the in-place list; with
         # tombstones a filtered copy keeps removed documents invisible.
         if self._removed and live:
-            removed = self._removed
-            return PostingList(p for p in live if p.doc not in removed)
+            keep = self._alive(live)
+            return PostingList.from_columns(live.docs[keep], live.tfs[keep])
         return live
 
     def document_frequency(self, term: str) -> int:
@@ -217,11 +223,7 @@ class DynamicIndex:
             return 0
         if not self._removed:
             return len(live)
-        # Count in place: num_terms/vocabulary call this per term, and
-        # materializing a filtered PostingList per call would make them
-        # O(vocabulary x postings) in allocations.
-        removed = self._removed
-        return sum(1 for p in live if p.doc not in removed)
+        return int(np.count_nonzero(self._alive(live)))
 
     def doc_length(self, pos: int) -> int:
         return self._doc_lengths[pos]

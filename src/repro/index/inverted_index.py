@@ -2,12 +2,13 @@
 
 from __future__ import annotations
 
+from collections import defaultdict
 from typing import Iterable
 
 from repro.data.corpus import Corpus
 from repro.errors import IndexingError
 from repro.index.backend import BackendCapabilities
-from repro.index.postings import Posting, PostingList, intersect_all, union_all
+from repro.index.postings import PostingList, intersect_all, union_all
 
 
 class InvertedIndex:
@@ -19,14 +20,17 @@ class InvertedIndex:
 
     def __init__(self, corpus: Corpus) -> None:
         self._corpus = corpus
-        self._postings: dict[str, PostingList] = {}
         self._doc_lengths: list[int] = []
+        docs: defaultdict[str, list[int]] = defaultdict(list)
+        tfs: defaultdict[str, list[int]] = defaultdict(list)
         for pos, doc in enumerate(corpus):
             self._doc_lengths.append(doc.length())
-            for term in sorted(doc.terms):
-                self._postings.setdefault(term, PostingList()).append(
-                    Posting(pos, doc.terms[term])
-                )
+            for term, tf in doc.terms.items():
+                docs[term].append(pos)
+                tfs[term].append(tf)
+        self._postings: dict[str, PostingList] = {
+            term: PostingList.from_columns(ids, tfs[term]) for term, ids in docs.items()
+        }
 
     # -- introspection ---------------------------------------------------
 

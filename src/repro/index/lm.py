@@ -20,12 +20,15 @@ from __future__ import annotations
 import math
 from typing import Iterable
 
+import numpy as np
+
 from repro.errors import ConfigError
 from repro.index.backend import (
     IndexBackend,
     TermFrequencyCache,
     collection_term_frequencies,
 )
+from repro.index.scoring import per_distinct, rank_by_impacts
 
 
 class LMDirichletScorer:
@@ -43,7 +46,7 @@ class LMDirichletScorer:
             raise ConfigError(f"mu must be > 0, got {mu}")
         self._index = index
         self._mu = mu
-        self._tf = TermFrequencyCache(index)
+        self._tf = TermFrequencyCache(index, impact=self._impacts)
         counts = collection_term_frequencies(index)
         self._collection_counts = counts
         self._collection_total = max(sum(counts.values()), 1)
@@ -61,15 +64,14 @@ class LMDirichletScorer:
         """Rarity proxy for interface parity: ``-log p(t|C)``."""
         return -math.log(self.collection_probability(term))
 
+    def _impacts(self, term: str, docs: np.ndarray, tfs: np.ndarray) -> np.ndarray:
+        """``log(1 + tf / (μ p(t|C)))`` per posting (scalar ``math.log``)."""
+        scale = self._mu * self.collection_probability(term)
+        return per_distinct(tfs, lambda tf: math.log(1.0 + tf / scale))
+
     def score(self, doc_pos: int, terms: Iterable[str]) -> float:
         """Shifted query likelihood: zero for documents matching no terms."""
-        total = 0.0
-        for term in terms:
-            tf = self._tf.tf(term, doc_pos)
-            if tf:
-                p_c = self.collection_probability(term)
-                total += math.log(1.0 + tf / (self._mu * p_c))
-        return total
+        return self.rank([doc_pos], terms)[0][1]
 
     def log_likelihood(self, doc_pos: int, terms: Iterable[str]) -> float:
         """The unshifted log p(q|d) (always negative), for diagnostics."""
@@ -81,9 +83,11 @@ class LMDirichletScorer:
             total += math.log((tf + self._mu * p_c) / (dl + self._mu))
         return total
 
-    def rank(self, doc_positions: list[int], terms: Iterable[str]) -> list[tuple[int, float]]:
-        """(doc, score) sorted by descending score, position tie-break."""
-        term_list = list(terms)
-        scored = [(pos, self.score(pos, term_list)) for pos in doc_positions]
-        scored.sort(key=lambda item: (-item[1], item[0]))
-        return scored
+    def rank(
+        self,
+        doc_positions: Iterable[int],
+        terms: Iterable[str],
+        k: int | None = None,
+    ) -> list[tuple[int, float]]:
+        """The ``k`` best (doc, score), descending score, position tie-break."""
+        return rank_by_impacts(self._tf, doc_positions, terms, k)

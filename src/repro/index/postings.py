@@ -1,9 +1,17 @@
-"""Posting lists: sorted (doc, tf) sequences with merge operations."""
+"""Posting lists: sorted (doc, tf) columns with merge operations.
+
+A :class:`PostingList` stores its postings as two read-only int64
+columns, ``docs`` (strictly increasing corpus positions) and ``tfs``.
+Merges and the scorers work on the columns directly; a
+:class:`Posting` object is built only when a caller iterates.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Iterable, Iterator
+
+import numpy as np
 
 
 @dataclass(frozen=True, order=True)
@@ -14,134 +22,168 @@ class Posting:
     tf: int
 
 
+def _column(values) -> np.ndarray:
+    out = np.array(values, dtype=np.int64)
+    out.flags.writeable = False
+    return out
+
+
+_EMPTY = _column([])
+
+
 class PostingList:
     """A sorted-by-doc list of postings supporting boolean merges.
 
     Doc ids are integer corpus positions; lists are append-only and must be
-    appended in nondecreasing doc order (the index builder guarantees this).
+    appended in increasing doc order (the index builder guarantees this).
+    Appends are buffered and folded into the columns on the next read, so
+    a list is built once per batch of appends, not once per posting. An
+    append must not race a read of the same list: the only backend that
+    appends after construction (``DynamicIndex``) declares
+    ``concurrent_reads=False``.
     """
 
-    __slots__ = ("_postings",)
+    __slots__ = ("_docs", "_tfs", "_pending")
 
     def __init__(self, postings: Iterable[Posting] = ()) -> None:
-        self._postings: list[Posting] = []
+        self._docs = _EMPTY
+        self._tfs = _EMPTY
+        self._pending: list[Posting] = []
         for p in postings:
             self.append(p)
 
+    @classmethod
+    def from_columns(cls, docs, tfs) -> "PostingList":
+        """A list over ready columns; ``docs`` must be strictly increasing."""
+        out = cls()
+        out._docs = _column(docs)
+        out._tfs = _column(tfs)
+        if out._docs.shape != out._tfs.shape or out._docs.ndim != 1:
+            raise ValueError("docs and tfs must be 1-d columns of one length")
+        if np.any(out._docs[1:] <= out._docs[:-1]):
+            raise ValueError("postings out of order")
+        return out
+
+    @classmethod
+    def _trusted(cls, docs: np.ndarray, tfs: np.ndarray) -> "PostingList":
+        out = cls()
+        docs.flags.writeable = False
+        tfs.flags.writeable = False
+        out._docs, out._tfs = docs, tfs
+        return out
+
     def append(self, posting: Posting) -> None:
-        if self._postings and posting.doc <= self._postings[-1].doc:
-            raise ValueError(
-                f"postings out of order: {posting.doc} after {self._postings[-1].doc}"
+        if self._pending:
+            last = self._pending[-1].doc
+        elif len(self._docs):
+            last = int(self._docs[-1])
+        else:
+            last = None
+        if last is not None and posting.doc <= last:
+            raise ValueError(f"postings out of order: {posting.doc} after {last}")
+        self._pending.append(posting)
+
+    def _flush(self) -> None:
+        pending, self._pending = self._pending, []
+        if pending:
+            self._docs = _column(
+                np.concatenate((self._docs, [p.doc for p in pending]))
             )
-        self._postings.append(posting)
+            self._tfs = _column(np.concatenate((self._tfs, [p.tf for p in pending])))
+
+    @property
+    def docs(self) -> np.ndarray:
+        """Read-only int64 column of corpus positions, strictly increasing."""
+        if self._pending:
+            self._flush()
+        return self._docs
+
+    @property
+    def tfs(self) -> np.ndarray:
+        """Read-only int64 column of term frequencies, aligned with :attr:`docs`."""
+        if self._pending:
+            self._flush()
+        return self._tfs
 
     def __len__(self) -> int:
-        return len(self._postings)
+        return len(self._docs) + len(self._pending)
 
     def __iter__(self) -> Iterator[Posting]:
-        return iter(self._postings)
+        return map(Posting, self.docs.tolist(), self.tfs.tolist())
 
     def __bool__(self) -> bool:
-        return bool(self._postings)
+        return len(self) > 0
 
     def doc_ids(self) -> list[int]:
-        return [p.doc for p in self._postings]
+        return self.docs.tolist()
 
     def document_frequency(self) -> int:
-        return len(self._postings)
+        return len(self)
 
     def intersect(self, other: "PostingList") -> "PostingList":
         """Documents present in both lists (tf taken from ``self``)."""
-        out = PostingList()
-        i = j = 0
-        a, b = self._postings, other._postings
-        while i < len(a) and j < len(b):
-            if a[i].doc == b[j].doc:
-                out.append(a[i])
-                i += 1
-                j += 1
-            elif a[i].doc < b[j].doc:
-                i += 1
-            else:
-                j += 1
-        return out
+        keep = _members(self.docs, other.docs)
+        return PostingList._trusted(self.docs[keep], self.tfs[keep])
 
     def intersect_skip(self, other: "PostingList") -> "PostingList":
-        """Skip-pointer intersection (tf taken from ``self``).
+        """Same result as :meth:`intersect` (tf taken from ``self``).
 
-        Classic IR optimization: virtual skip pointers every ``sqrt(n)``
-        postings let the merge leap over runs that cannot match. Produces
-        exactly the same result as :meth:`intersect`; it wins when the two
-        lists have very different lengths (the common case of one rare and
-        one frequent keyword).
+        The name survives from the skip-pointer merge; the columnar
+        :meth:`intersect` already binary-searches ``other`` for each of
+        ``self``'s documents, which is what skip pointers approximate.
         """
-        out = PostingList()
-        a, b = self._postings, other._postings
-        skip_a = max(int(len(a) ** 0.5), 1)
-        skip_b = max(int(len(b) ** 0.5), 1)
-        i = j = 0
-        while i < len(a) and j < len(b):
-            if a[i].doc == b[j].doc:
-                out.append(a[i])
-                i += 1
-                j += 1
-            elif a[i].doc < b[j].doc:
-                while i + skip_a < len(a) and a[i + skip_a].doc <= b[j].doc:
-                    i += skip_a
-                if a[i].doc != b[j].doc:
-                    i += 1
-            else:
-                while j + skip_b < len(b) and b[j + skip_b].doc <= a[i].doc:
-                    j += skip_b
-                if b[j].doc != a[i].doc:
-                    j += 1
-        return out
+        return self.intersect(other)
 
     def union(self, other: "PostingList") -> "PostingList":
         """Documents present in either list (tf summed when in both)."""
-        out = PostingList()
-        i = j = 0
-        a, b = self._postings, other._postings
-        while i < len(a) and j < len(b):
-            if a[i].doc == b[j].doc:
-                out.append(Posting(a[i].doc, a[i].tf + b[j].tf))
-                i += 1
-                j += 1
-            elif a[i].doc < b[j].doc:
-                out.append(a[i])
-                i += 1
-            else:
-                out.append(b[j])
-                j += 1
-        for p in a[i:]:
-            out.append(p)
-        for p in b[j:]:
-            out.append(p)
-        return out
+        return union_all([self, other])
+
+
+def _members(needles: np.ndarray, haystack: np.ndarray) -> np.ndarray:
+    """Mask of ``needles`` present in the sorted ``haystack`` (binary search)."""
+    if not len(haystack):
+        return np.zeros(len(needles), dtype=bool)
+    at = np.searchsorted(haystack, needles)
+    np.minimum(at, len(haystack) - 1, out=at)
+    return haystack[at] == needles
 
 
 def intersect_all(lists: list[PostingList]) -> PostingList:
-    """Intersect posting lists, shortest-first for efficiency.
+    """Intersect posting lists, shortest-first (tf from the shortest list).
 
-    An empty input list yields an empty posting list (the caller decides what
-    an empty query means).
+    One pass: the shortest list's documents are binary-searched in each
+    longer list in turn, shrinking after every list. An empty input list
+    yields an empty posting list (the caller decides what an empty query
+    means).
     """
     if not lists:
         return PostingList()
     ordered = sorted(lists, key=len)
-    result = ordered[0]
+    docs, tfs = ordered[0].docs, ordered[0].tfs
     for plist in ordered[1:]:
-        if not result:
+        if not len(docs):
             break
-        result = result.intersect(plist)
-    return result
+        keep = _members(docs, plist.docs)
+        docs, tfs = docs[keep], tfs[keep]
+    return PostingList._trusted(docs, tfs)
 
 
 def union_all(lists: list[PostingList]) -> PostingList:
-    """Union posting lists pairwise."""
-    if not lists:
+    """Union posting lists in one mask pass (tf summed across lists).
+
+    Doc ids are corpus positions, so a dense mask over ``0..max doc``
+    is at most the corpus size.
+    """
+    nonempty = [plist for plist in lists if plist]
+    if not nonempty:
         return PostingList()
-    result = lists[0]
-    for plist in lists[1:]:
-        result = result.union(plist)
-    return result
+    if len(nonempty) == 1:
+        return nonempty[0]
+    size = max(int(plist.docs[-1]) for plist in nonempty) + 1
+    seen = np.zeros(size, dtype=bool)
+    tf = np.zeros(size, dtype=np.int64)
+    for plist in nonempty:
+        seen[plist.docs] = True
+        tf[plist.docs] += plist.tfs
+    docs = np.flatnonzero(seen)
+    return PostingList._trusted(docs, tf[docs])

@@ -222,9 +222,7 @@ class SearchEngine:
             term = normalize(word)
             if term and term not in words:
                 words.append(term)
-        ranked = self._scorer.rank(positions, words)
-        if top_k is not None:
-            ranked = ranked[: max(top_k, 0)]
+        ranked = self._scorer.rank(positions, words, top_k)
         return [
             SearchResult(position=pos, document=self._corpus[pos], score=score)
             for pos, score in ranked
@@ -243,16 +241,7 @@ class SearchEngine:
             positions = self._index.or_query(terms)
         else:
             raise QueryError(f"unknown semantics: {semantics!r}")
-        if top_k is not None:
-            from repro.index.scoring import top_k_ranked
-
-            ranked = top_k_ranked(
-                positions,
-                lambda pos: self._scorer.score(pos, terms),
-                max(top_k, 0),
-            )
-        else:
-            ranked = self._scorer.rank(positions, terms)
+        ranked = self._scorer.rank(positions, terms, top_k)
         return [
             SearchResult(position=pos, document=self._corpus[pos], score=score)
             for pos, score in ranked

@@ -6,34 +6,29 @@ each indexed by its own sub-backend (an in-memory
 :class:`~repro.index.inverted_index.InvertedIndex` unless a factory says
 otherwise). Because a document lives wholly inside one shard, boolean
 queries decompose exactly: every shard answers the query over its own
-documents and the shard answers — disjoint, locally sorted — are k-way
-merged back into global corpus positions.
+documents and the shard answers — disjoint, locally sorted — are
+mapped back to global corpus positions and merged.
 
 Queries fan out over a thread pool (one task per shard). Sub-backends
 only need the :class:`~repro.index.backend.IndexBackend` protocol, so a
 shard can just as well be a compressed :class:`DiskIndex` — the merge
-layer never looks inside.
-
-The OR path deliberately bypasses the sub-backends' pairwise
-posting-list unions: within a shard the union of k posting lists is a
-set-union of document ids followed by one sort, which avoids
-materializing intermediate :class:`Posting` objects and is what makes
-the sharded backend faster than the flat in-memory index on broad OR
-queries (see ``benchmarks/bench_backends.py``).
+layer never looks inside. AND and OR alike ask each shard's own
+``and_query``/``or_query``.
 """
 
 from __future__ import annotations
 
-import heapq
 from concurrent.futures import ThreadPoolExecutor
 from threading import Lock
 from typing import Callable, Iterable, Sequence
+
+import numpy as np
 
 from repro.data.corpus import Corpus
 from repro.errors import IndexingError
 from repro.index.backend import BackendCapabilities, IndexBackend
 from repro.index.inverted_index import InvertedIndex
-from repro.index.postings import Posting, PostingList
+from repro.index.postings import PostingList
 
 #: Cap on fan-out threads; shards beyond this share workers.
 DEFAULT_MAX_WORKERS = 8
@@ -80,7 +75,7 @@ class ShardedIndex:
         self._shards: list[IndexBackend] = [
             factory(Corpus(docs)) for docs in partitions
         ]
-        self._globals = globals_
+        self._globals = [np.array(g, dtype=np.int64) for g in globals_]
         if max_workers is None:
             max_workers = min(self._n_shards, DEFAULT_MAX_WORKERS)
         self._max_workers = max_workers
@@ -192,23 +187,21 @@ class ShardedIndex:
 
     # -- postings ------------------------------------------------------------
 
-    def _to_global(self, shard: int, local_ids: Iterable[int]) -> list[int]:
-        g = self._globals[shard]
-        return [g[local] for local in local_ids]
+    def _to_global(self, shard: int, local_ids: list[int]) -> np.ndarray:
+        return self._globals[shard][np.asarray(local_ids, dtype=np.int64)]
 
     def postings(self, term: str) -> PostingList:
-        """Global posting list for ``term``: k-way merge of shard postings."""
+        """Global posting list for ``term``: shard columns mapped and merged."""
 
-        def shard_postings(s: int) -> list[Posting]:
-            g = self._globals[s]
-            return [Posting(g[p.doc], p.tf) for p in self._shards[s].postings(term)]
+        def shard_postings(s: int) -> tuple[np.ndarray, np.ndarray]:
+            plist = self._shards[s].postings(term)
+            return self._globals[s][plist.docs], plist.tfs
 
-        per_shard = [lst for lst in self._map(shard_postings) if lst]
-        if not per_shard:
-            return PostingList()
-        if len(per_shard) == 1:
-            return PostingList(per_shard[0])
-        return PostingList(heapq.merge(*per_shard, key=lambda p: p.doc))
+        per_shard = self._map(shard_postings)
+        docs = np.concatenate([d for d, _ in per_shard])
+        tfs = np.concatenate([t for _, t in per_shard])
+        order = np.argsort(docs, kind="stable")
+        return PostingList.from_columns(docs[order], tfs[order])
 
     # -- boolean retrieval ---------------------------------------------------
 
@@ -218,7 +211,7 @@ class ShardedIndex:
         if not term_list:
             raise IndexingError("AND query needs at least one term")
 
-        def shard_and(s: int) -> list[int]:
+        def shard_and(s: int) -> np.ndarray:
             return self._to_global(s, self._shards[s].and_query(term_list))
 
         return self._merge_sorted(self._map(shard_and))
@@ -229,21 +222,12 @@ class ShardedIndex:
         if not term_list:
             raise IndexingError("OR query needs at least one term")
 
-        def shard_or(s: int) -> list[int]:
-            matched: set[int] = set()
-            backend = self._shards[s]
-            for term in term_list:
-                matched.update(p.doc for p in backend.postings(term))
-            return self._to_global(s, sorted(matched))
+        def shard_or(s: int) -> np.ndarray:
+            return self._to_global(s, self._shards[s].or_query(term_list))
 
         return self._merge_sorted(self._map(shard_or))
 
     @staticmethod
-    def _merge_sorted(per_shard: list[list[int]]) -> list[int]:
-        """k-way merge of disjoint, locally sorted shard answers."""
-        nonempty = [ids for ids in per_shard if ids]
-        if not nonempty:
-            return []
-        if len(nonempty) == 1:
-            return nonempty[0]
-        return list(heapq.merge(*nonempty))
+    def _merge_sorted(per_shard: list[np.ndarray]) -> list[int]:
+        """Merge of disjoint, locally sorted shard answers."""
+        return np.sort(np.concatenate(per_shard)).tolist()

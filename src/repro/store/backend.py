@@ -30,7 +30,7 @@ from repro.data.corpus import Corpus
 from repro.data.documents import Document
 from repro.errors import IndexingError, StoreError
 from repro.index.backend import BackendCapabilities
-from repro.index.postings import Posting, PostingList, intersect_all, union_all
+from repro.index.postings import PostingList, intersect_all, union_all
 from repro.store.store import DocumentStore
 
 
@@ -182,8 +182,9 @@ class SQLiteIndexBackend:
         return self._store.vocabulary()
 
     def postings(self, term: str) -> PostingList:
-        return PostingList(
-            Posting(pos, tf) for pos, tf in self._store.term_postings(term)
+        rows = self._store.term_postings(term)
+        return PostingList.from_columns(
+            [pos for pos, _ in rows], [tf for _, tf in rows]
         )
 
     def document_frequency(self, term: str) -> int:

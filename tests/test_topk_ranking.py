@@ -1,4 +1,4 @@
-"""Tests for heap-based top-k ranking (repro.index.scoring.top_k_ranked)."""
+"""Tests for partition-based top-k ranking (repro.index.scoring.top_k_ranked)."""
 
 from __future__ import annotations
 
@@ -19,14 +19,14 @@ class TestTopKRanked:
         scores = {0: 3.0, 1: 1.0, 2: 2.0, 3: 3.0, 4: 0.5}
         full = sorted(scores.items(), key=lambda kv: (-kv[1], kv[0]))
         for k in range(0, 7):
-            assert top_k_ranked(list(scores), scores.get, k) == full[:k]
+            assert top_k_ranked(list(scores), list(scores.values()), k) == full[:k]
 
     def test_zero_and_negative_k(self):
-        assert top_k_ranked([1, 2], lambda p: 1.0, 0) == []
-        assert top_k_ranked([1, 2], lambda p: 1.0, -3) == []
+        assert top_k_ranked([1, 2], [1.0, 1.0], 0) == []
+        assert top_k_ranked([1, 2], [1.0, 1.0], -3) == []
 
     def test_tie_break_by_position(self):
-        out = top_k_ranked([5, 1, 3], lambda p: 1.0, 2)
+        out = top_k_ranked([5, 1, 3], [1.0, 1.0, 1.0], 2)
         assert [pos for pos, _ in out] == [1, 3]
 
     @given(
@@ -42,7 +42,7 @@ class TestTopKRanked:
         full = sorted(
             ((p, scores[p]) for p in positions), key=lambda kv: (-kv[1], kv[0])
         )
-        assert top_k_ranked(positions, scores.get, k) == full[:k]
+        assert top_k_ranked(positions, [scores[p] for p in positions], k) == full[:k]
 
 
 class TestEngineTopK:
