@@ -226,7 +226,7 @@ def run_quota_drill(smoke: bool) -> dict:
             ]
         )
         assert status == 202, payload
-        generation_at_ceiling = payload["generation"]
+        generation_at_ceiling = json.loads(payload)["generation"]
 
         t0 = time.perf_counter()
         status, payload = ingest([{"doc_id": "overflow", "text": "too much"}])

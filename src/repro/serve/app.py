@@ -4,8 +4,9 @@ Two layers, separable on purpose:
 
 * :class:`ExpansionService` — transport-free request handling. Every
   endpoint is a method taking a plain params mapping (and the resolved
-  tenant) and returning ``(status, payload)``; :meth:`handle` wraps
-  them in the request envelope shared with the cluster coordinator
+  tenant) and returning ``(status, payload)`` — JSON ``bytes`` on the
+  data routes, a dict on the admin routes; :meth:`handle` wraps them in
+  the request envelope shared with the cluster coordinator
   (:mod:`repro.serve.edge`).
 * :class:`ExpansionServer` — the shared HTTP front
   (:class:`~repro.serve.edge.HTTPFront`) over the service. ``port=0``
@@ -32,14 +33,16 @@ or ``backend=sqlite``); with a sqlite configuration (``store=<path>``)
 every accepted document is committed to the store before the response
 is written, so it survives a server restart.
 
-Caching: ``/expand`` and ``/search`` responses are memoized in an
-:class:`~repro.serve.cache.LRUTTLCache` keyed on ``(config, endpoint,
-query, params, index generation)``. ``/batch`` items route through the
-same per-query path, so repeated queries inside and across batches hit
-the cache too. The index generation in the key plus the pool's mutation
-listeners (which call :meth:`ExpansionService.invalidate_config`) make
-served payloads immune to :class:`~repro.index.dynamic.DynamicIndex`
-ingestion staleness.
+Caching: ``/expand`` reports and ``/search`` results are memoized as
+encoded JSON bytes in an :class:`~repro.serve.cache.LRUTTLCache` keyed
+on ``(config, endpoint, query, params, index generation)``; a response
+splices its per-request members (``cache``, ``seconds``, ...) around
+them, so a hit encodes nothing cached again. ``/batch`` items route
+through the same per-query path, so repeated queries inside and across
+batches hit the cache too. The index generation in the key plus the
+pool's mutation listeners (which call
+:meth:`ExpansionService.invalidate_config`) make served payloads immune
+to :class:`~repro.index.dynamic.DynamicIndex` ingestion staleness.
 """
 
 from __future__ import annotations
@@ -62,7 +65,15 @@ from repro.obs import (
     span,
 )
 from repro.serve.cache import LRUTTLCache
-from repro.serve.edge import HTTPFront, RequestEdge, scalar
+from repro.serve.edge import (
+    HTTPFront,
+    RequestEdge,
+    encode,
+    encode_batch,
+    scalar,
+    splice,
+    splice_array,
+)
 from repro.serve.metrics import ServerMetrics
 from repro.serve.paging import (
     SEARCH_CURSOR_KEYS,
@@ -91,6 +102,13 @@ DEFAULT_WORKERS = 4
 #: Seconds advertised in Retry-After on tenant-admission sheds (rate-limit
 #: sheds advertise the exact token-refill time instead).
 DEFAULT_TENANT_RETRY_AFTER = 1.0
+
+
+def _tag_cache(cache: str) -> None:
+    """Tag the request's root span with the response cache outcome."""
+    root = current_span()
+    if root is not None:
+        root.attrs["cache"] = cache
 
 
 class ExpansionService(RequestEdge):
@@ -294,22 +312,18 @@ class ExpansionService(RequestEdge):
         algorithm: str | None,
         results: str = "full",
         tenant: TenantSpec | None = None,
-    ) -> tuple[dict[str, Any], str]:
-        """``(schema-v2 report payload, "hit"|"miss")`` for one query.
+    ) -> tuple[bytes, str]:
+        """``(encoded schema-v2 report, "hit"|"miss")`` for one query.
 
         ``results="none"`` drops the per-result document payloads — the
         report envelope stays schema-v2 valid (readers treat ``results``
         as optional), and responses shrink by orders of magnitude when
-        the caller wants expansions, not the matching documents.
+        the caller wants expansions, not the matching documents. A miss
+        caches both variants, so neither one ever recomputes the other.
 
         Cache keys lead with ``(config, tenant)`` so one tenant's hits,
         misses, and invalidations never touch another tenant's entries
         (anonymous requests key on tenant ``None``).
-
-        Returned payloads are shared cache snapshots: direct
-        :meth:`handle` callers must treat them as read-only (the HTTP
-        layer serializes immediately; per-request deep copies would
-        cost more than the compute the cache saves).
         """
         # Normalize the algorithm for keying: an explicit override equal
         # to the config's default (or differing only in case) must share
@@ -317,36 +331,19 @@ class ExpansionService(RequestEdge):
         if isinstance(algorithm, str):
             algorithm = algorithm.strip().lower() or None
         scope = None if tenant is None else tenant.name
-
-        def variant_key(mode: str) -> tuple:
-            return (
-                entry.config.name,
-                scope,
-                "expand",
-                query,
-                algorithm or entry.session.algorithm_name,
-                mode,
-                entry.generation(),
-            )
-
-        key = variant_key(results)
+        name = algorithm or entry.session.algorithm_name
+        generation = entry.generation()
+        key = (entry.config.name, scope, "expand", query, name, results, generation)
         # leaf_span, not span(): the probe is a straight dict operation
         # that never parents children, and this is the warmest line in
         # the service — the ctxvar push/pop would be pure overhead.
         lookup_span = leaf_span("cache.lookup", endpoint="expand")
-        hit, payload = self._cache.lookup(key)
+        hit, report = self._cache.lookup(key)
         if lookup_span is not None:
             lookup_span.attrs["result"] = "hit" if hit else "miss"
             lookup_span.end()
         if hit:
-            return payload, "hit"
-        if results == "none":
-            # Derivable without compute: strip the cached full payload.
-            hit, full = self._cache.lookup(variant_key("full"))
-            if hit:
-                payload = {k: v for k, v in full.items() if k != "results"}
-                self._cache.put(key, payload)
-                return payload, "hit"
+            return report, "hit"
         # Exclusive lock first, worker slot second: threads queued on a
         # non-concurrent-read backend's lock must not sit on compute
         # slots, or one config's serialization starves every other
@@ -355,12 +352,18 @@ class ExpansionService(RequestEdge):
             # analyze: ignore[LOCK002] - documented one-way ordering: the
             # entry lock is always taken before a compute slot, never after
             with self._compute_slots:
-                report = entry.session.expand(query, algorithm=algorithm)
-        payload = schema.report_to_dict(report)
-        if results == "none":
-            payload.pop("results", None)
-        self._cache.put(key, payload)
-        return payload, "miss"
+                computed = entry.session.expand(query, algorithm=algorithm)
+        payload = schema.report_to_dict(computed)
+        variants = {
+            "full": encode(payload),
+            "none": encode({k: v for k, v in payload.items() if k != "results"}),
+        }
+        for mode, encoded in variants.items():
+            self._cache.put(
+                (entry.config.name, scope, "expand", query, name, mode, generation),
+                encoded,
+            )
+        return variants[results], "miss"
 
     def _search_cached(
         self,
@@ -369,7 +372,9 @@ class ExpansionService(RequestEdge):
         top_k: int | None,
         semantics: str,
         tenant: TenantSpec | None = None,
-    ) -> tuple[list[dict[str, Any]], str]:
+    ) -> tuple[tuple[bytes, ...], str]:
+        """``(one encoded v2 search result per hit, "hit"|"miss")``;
+        a page slices the tuple, nothing is decoded."""
         key = (
             entry.config.name,
             None if tenant is None else tenant.name,
@@ -380,12 +385,12 @@ class ExpansionService(RequestEdge):
             entry.generation(),
         )
         lookup_span = leaf_span("cache.lookup", endpoint="search")
-        hit, payload = self._cache.lookup(key)
+        hit, chunks = self._cache.lookup(key)
         if lookup_span is not None:
             lookup_span.attrs["result"] = "hit" if hit else "miss"
             lookup_span.end()
         if hit:
-            return payload, "hit"
+            return chunks, "hit"
         # /search bypasses the pipeline (retrieval only), so the compute
         # gets an explicit stage.retrieve span — the search-path analogue
         # of the per-stage spans Pipeline.run emits under /expand.
@@ -398,9 +403,9 @@ class ExpansionService(RequestEdge):
                     results = entry.session.search(
                         query, top_k=top_k, semantics=semantics
                     )
-        payload = [schema.search_result_to_dict(r) for r in results]
-        self._cache.put(key, payload)
-        return payload, "miss"
+        chunks = tuple(encode(schema.search_result_to_dict(r)) for r in results)
+        self._cache.put(key, chunks)
+        return chunks, "miss"
 
     # -- endpoints -----------------------------------------------------------
 
@@ -417,22 +422,23 @@ class ExpansionService(RequestEdge):
         results = str(scalar(params, "results", "full")).lower()
         if results not in ("full", "none"):
             raise ServeError(f"results must be 'full' or 'none', got {results!r}")
-        payload, cache = self._expand_cached(
+        report, cache = self._expand_cached(
             entry, query, algorithm, results, tenant
         )
         seconds = time.perf_counter() - t0
         self._record("expand", seconds, tenant, cache=cache)
+        _tag_cache(cache)
         body = {
             "config": entry.config.name,
             "query": query,
             "algorithm": algorithm or entry.session.algorithm_name,
             "cache": cache,
             "seconds": seconds,
-            "report": payload,
+            "report": report,
         }
         if tenant is not None:
             body["tenant"] = tenant.name
-        return 200, body
+        return 200, splice(body)
 
     def search(
         self,
@@ -454,11 +460,12 @@ class ExpansionService(RequestEdge):
         semantics = str(scalar(params, "semantics", "and")).lower()
         if semantics not in ("and", "or"):
             raise ServeError(f"semantics must be 'and' or 'or', got {semantics!r}")
-        payload, cache = self._search_cached(
+        chunks, cache = self._search_cached(
             entry, query, top_k, semantics, tenant
         )
         seconds = time.perf_counter() - t0
         self._record("search", seconds, tenant, cache=cache)
+        _tag_cache(cache)
         body = {
             "config": entry.config.name,
             "query": query,
@@ -466,14 +473,15 @@ class ExpansionService(RequestEdge):
             "semantics": semantics,
             "cache": cache,
             "seconds": seconds,
-            "n_results": len(payload),
-            "results": payload,
+            "n_results": len(chunks),
+            "results": chunks,
         }
         if tenant is not None:
             body["tenant"] = tenant.name
         if page is not None and page.paginated:
             apply_page(body, "results", page, "search")
-        return 200, body
+        body["results"] = splice_array(body["results"])
+        return 200, splice(body)
 
     def batch(
         self,
@@ -500,13 +508,13 @@ class ExpansionService(RequestEdge):
             # readers ignore it (schema v2 stays intact).
             q0 = time.perf_counter()
             try:
-                payload, cache = self._expand_cached(
+                report, cache = self._expand_cached(
                     entry, query, algorithm, tenant=tenant
                 )
                 return {
                     "query": query,
                     "ok": True,
-                    "report": payload,
+                    "report": report,
                     "error_type": None,
                     "error_message": None,
                     "seconds": time.perf_counter() - q0,
@@ -554,7 +562,11 @@ class ExpansionService(RequestEdge):
         )
         report = schema.make_envelope(
             schema.KIND_BATCH,
-            {"items": items, "workers": workers, "seconds": seconds},
+            {
+                "items": [splice(item) for item in items],
+                "workers": workers,
+                "seconds": seconds,
+            },
         )
         body = {
             "config": entry.config.name,
@@ -567,7 +579,7 @@ class ExpansionService(RequestEdge):
             body["tenant"] = tenant.name
         if page.paginated:
             apply_batch_page(body, page)
-        return 200, body
+        return 200, encode_batch(body)
 
     def ingest(
         self,
@@ -618,7 +630,7 @@ class ExpansionService(RequestEdge):
         }
         if tenant is not None:
             body["tenant"] = tenant.name
-        return 200, body
+        return 200, encode(body)
 
     def _feed_for(self, entry: PooledSession) -> Changefeed:
         """The (cached) changefeed reader for a store-backed entry.
@@ -669,7 +681,7 @@ class ExpansionService(RequestEdge):
         if tenant is not None:
             payload["tenant"] = tenant.name
         self._record("changefeed", time.perf_counter() - t0, tenant)
-        return 200, payload
+        return 200, encode(payload)
 
     def configs(
         self,

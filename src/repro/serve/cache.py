@@ -1,6 +1,7 @@
 """The serving layer's tier-0 cache (re-export of :mod:`repro.caching`).
 
-:class:`LRUTTLCache` memoizes whole response payloads keyed on
+:class:`LRUTTLCache` memoizes encoded responses — each ``/expand``
+report's JSON bytes, one chunk per ``/search`` result — keyed on
 ``(config, endpoint, query, params..., index generation)``. It is the
 top of the serving cache hierarchy — below it sit the per-session
 retrieval cache (memoized seed-query searches) and the candidate-stats

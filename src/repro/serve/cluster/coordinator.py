@@ -74,12 +74,8 @@ from repro.obs import (
 from repro.serve.admission import AdmissionController, shed_payload
 from repro.serve.cluster.hashring import DEFAULT_VNODES, HashRing
 from repro.serve.cluster.replica import ReplicaSpec, replica_main
-from repro.serve.cluster.transport import (
-    DEFAULT_REQUEST_TIMEOUT,
-    ReplicaClient,
-    encode_body,
-)
-from repro.serve.edge import ROUTES, RequestEdge, Route, scalar
+from repro.serve.cluster.transport import DEFAULT_REQUEST_TIMEOUT, ReplicaClient
+from repro.serve.edge import ROUTES, RequestEdge, Route, encode, encode_batch, scalar
 from repro.serve.paging import apply_batch_page, decode_cursor, resolve_batch_page
 from repro.serve.pool import ServeConfig
 from repro.tenancy import (
@@ -289,23 +285,6 @@ class CoordinatorMetrics:
 
 
 # -- the coordinator ---------------------------------------------------------
-
-
-def _append_member(obj: Mapping[str, Any], key: str, raw: bytes) -> bytes:
-    """``obj`` as JSON plus one last member whose value is ``raw``,
-    bytes that are already JSON."""
-    encoded = encode_body(obj)
-    comma = b"," if obj else b""
-    return encoded[:-1] + comma + encode_body(key) + b":" + raw + b"}"
-
-
-def _encode_batch(body: Mapping[str, Any]) -> bytes:
-    """A ``/batch`` body whose report items are JSON bytes, encoded by
-    splicing the items in: nothing already encoded is encoded again."""
-    report = {k: v for k, v in body["report"].items() if k != "items"}
-    items = b"[" + b",".join(body["report"]["items"]) + b"]"
-    head = {k: v for k, v in body.items() if k != "report"}
-    return _append_member(head, "report", _append_member(report, "items", items))
 
 
 #: Counter fields summed when aggregating replica request metrics.
@@ -1065,7 +1044,7 @@ class ClusterCoordinator(RequestEdge):
         }
         if tenant is not None:
             payload["tenant"] = tenant.name
-        return 202, payload
+        return 202, encode(payload)
 
     def _feed_for(self, config: ServeConfig) -> Changefeed:
         with self._feeds_lock:
@@ -1097,7 +1076,7 @@ class ClusterCoordinator(RequestEdge):
         payload = batch_to_payload(config.name, batch, limit)
         if tenant is not None:
             payload["tenant"] = tenant.name
-        return 200, payload
+        return 200, encode(payload)
 
     # -- scatter/gather batch ------------------------------------------------
 
@@ -1182,7 +1161,7 @@ class ClusterCoordinator(RequestEdge):
             except ValueError:
                 message = f"status {status}"
             for index, query in members:
-                items[index] = encode_body({
+                items[index] = encode({
                     "query": query,
                     "ok": False,
                     "report": None,
@@ -1210,7 +1189,7 @@ class ClusterCoordinator(RequestEdge):
             payload["tenant"] = tenant.name
         if page.paginated:
             apply_batch_page(payload, page)  # n_ok/n_failed stay pre-page
-        return 200, _encode_batch(payload)
+        return 200, encode_batch(payload)
 
 
 def create_coordinator(

@@ -17,7 +17,8 @@ N replicas outrun one.
 
 ``/batch`` items travel pre-encoded too (:func:`encode_reply`): a 200
 ``/batch`` reply's body is the sub-batch envelope without its report,
-and ``extras["items"]`` holds each report item as its own JSON bytes.
+and ``extras["items"]`` holds each report item as its own JSON bytes
+(the parts the replica's :class:`~repro.serve.edge.BatchBody` kept).
 The coordinator sums the small envelopes and splices the item bytes
 into its merged response in request order, so a scattered batch is
 never decoded and re-encoded on the way through.
@@ -41,7 +42,6 @@ sub-replies) would stall for that long on an otherwise idle loopback.
 
 from __future__ import annotations
 
-import json
 import os
 import socket
 import threading
@@ -50,6 +50,7 @@ from typing import Any, Callable, Mapping
 
 from repro.errors import ClusterError
 from repro.obs import TRACE_PARAM
+from repro.serve.edge import BatchBody, encode
 
 #: Seconds a coordinator waits on a replica reply before declaring it
 #: unreachable (expansion cold paths are slow; hydrated hits are not).
@@ -58,25 +59,19 @@ DEFAULT_REQUEST_TIMEOUT = 60.0
 Handle = Callable[[str, str, Mapping[str, Any]], tuple[int, Any]]
 
 
-def encode_body(payload: Any) -> bytes:
-    """Compact JSON bytes, the encoding of every body on the wire."""
-    return json.dumps(payload, separators=(",", ":")).encode("utf-8")
+def encode_reply(payload: Any) -> tuple[bytes, dict[str, Any]]:
+    """One handler payload → the ``(body, extras)`` a replica sends.
 
-
-def encode_reply(path: str, status: int, payload: Any) -> tuple[bytes, dict[str, Any]]:
-    """One handler result → the ``(body, extras)`` a replica sends.
-
-    A 200 ``/batch`` payload ships its report items pre-encoded in
-    ``extras["items"]``, and its body is the envelope without the
-    report (see module docstring); every other payload is one body.
+    A :class:`~repro.serve.edge.BatchBody` ships its report items in
+    ``extras["items"]`` and its head as the body (see module docstring);
+    other bytes go as they are, and a dict (errors, admin routes) is
+    encoded.
     """
+    if isinstance(payload, BatchBody):
+        return encode(payload.head), {"items": payload.items}
     if isinstance(payload, bytes):
         return payload, {}
-    if path == "/batch" and status == 200:
-        envelope = {k: v for k, v in payload.items() if k != "report"}
-        items = [encode_body(item) for item in payload["report"]["items"]]
-        return encode_body(envelope), {"items": items}
-    return encode_body(payload), {}
+    return encode(payload), {}
 
 
 def _no_delay(conn: Connection) -> Connection:
@@ -156,14 +151,14 @@ class ReplicaTransport:
                     if isinstance(params, Mapping):
                         trace_id = params.get(TRACE_PARAM)
                     status, payload = self._handle(str(method), str(path), params)
-                    body, extras = encode_reply(str(path), int(status), payload)
+                    body, extras = encode_reply(payload)
                     if trace_id is not None and self._span_export is not None:
                         spans = self._span_export(str(trace_id))
                         if spans:
                             extras["spans"] = spans
                 except Exception as exc:  # noqa: BLE001 — a request must not kill the loop
                     status, extras = 500, {}
-                    body = encode_body(
+                    body = encode(
                         {"error": "internal", "message": f"{type(exc).__name__}: {exc}"}
                     )
                 try:

@@ -15,14 +15,19 @@ envelope. This module owns that envelope, once:
   hook) and the per-tenant rate-limit plus in-flight gate;
 * :func:`error_response`, the one exception -> status ladder;
 * the ``/debug/traces`` and ``/debug/slow`` handlers;
+* the encoder: :func:`encode` (compact JSON) and :func:`splice`, which
+  builds a body around members that are already JSON bytes, so a cached
+  report is never encoded twice;
 * the HTTP front: :class:`HTTPFront`, one stdlib listener lifecycle
   both tiers' servers share.
 
 A tier subclasses :class:`RequestEdge` and supplies the handlers its
 route table names, each ``handler(params, tenant) -> (status,
 payload)``, plus the ``_check_tenant`` hook and (optionally) the
-``_account`` metrics hook. API.md ("Request envelope") lists every
-status the envelope answers.
+``_account`` metrics hook. A data route's success body is JSON
+``bytes``; errors and admin routes answer dicts, which the HTTP front
+encodes. API.md ("Request envelope") lists every status the envelope
+answers.
 """
 
 from __future__ import annotations
@@ -32,7 +37,7 @@ import threading
 import time
 from dataclasses import dataclass
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Any, Mapping
+from typing import Any, Iterable, Mapping
 from urllib.parse import parse_qs, urlsplit
 
 from repro.errors import (
@@ -53,6 +58,7 @@ from repro.obs import (
     JsonLogger,
     PrometheusText,
     SlowLog,
+    Span,
     TraceBuffer,
     Tracer,
     new_trace_id,
@@ -70,6 +76,62 @@ def scalar(params: Mapping[str, Any], key: str, default: Any = None) -> Any:
     if isinstance(value, list):
         value = value[0] if value else default
     return value
+
+
+# -- the encoder -------------------------------------------------------------
+
+_encode = json.JSONEncoder(separators=(",", ":")).encode
+
+
+def encode(payload: Any) -> bytes:
+    """Compact JSON bytes: the encoding of every body either tier sends."""
+    return _encode(payload).encode("utf-8")
+
+
+def splice(members: Mapping[str, Any]) -> bytes:
+    """``members`` as one JSON object, byte for byte what :func:`encode`
+    gives for the decoded equivalent; a ``bytes`` value is already JSON
+    and goes in verbatim."""
+    parts: list[bytes] = []
+    run: dict[str, Any] = {}
+    for key, value in members.items():
+        if isinstance(value, bytes):
+            if run:
+                parts.append(encode(run)[1:-1])
+                run = {}
+            parts.append(encode(key) + b":" + value)
+        else:
+            run[key] = value
+    if run:
+        parts.append(encode(run)[1:-1])
+    return b"{" + b",".join(parts) + b"}"
+
+
+def splice_array(chunks: Iterable[bytes]) -> bytes:
+    """A JSON array of already-encoded elements."""
+    return b"[" + b",".join(chunks) + b"]"
+
+
+class BatchBody(bytes):
+    """An encoded ``/batch`` body that keeps its parts: ``head``, the
+    body's members other than ``report``, and ``items``, each report
+    item's JSON. A replica ships the parts instead of the body
+    (:func:`~repro.serve.cluster.transport.encode_reply`), so the
+    coordinator splices the items into its own envelope undecoded."""
+
+    head: dict[str, Any]
+    items: list[bytes]
+
+
+def encode_batch(body: Mapping[str, Any]) -> BatchBody:
+    """Encode a ``/batch`` body whose ``report["items"]`` are JSON bytes."""
+    report = dict(body["report"])
+    items = report["items"]
+    report["items"] = splice_array(items)
+    out = BatchBody(splice({**body, "report": splice(report)}))
+    out.head = {k: v for k, v in body.items() if k != "report"}
+    out.items = items
+    return out
 
 
 # -- the route table ---------------------------------------------------------
@@ -273,7 +335,8 @@ class RequestEdge:
         coordinator's RPC into a replica, or direct callers); params
         are stripped before the endpoint sees the request. Every error
         payload gains the request's ``trace_id``; the finished trace
-        lands in the tracer's sinks.
+        lands in the tracer's sinks, its root tagged with the resolved
+        tenant (and, by the serve tier's read handlers, ``cache``).
         """
         if TRACE_PARAM in params or TRACE_PARENT_PARAM in params:
             params = dict(params)
@@ -284,7 +347,7 @@ class RequestEdge:
             params.pop(TRACE_PARAM, None)
             params.pop(TRACE_PARENT_PARAM, None)
         if not self._tracer.enabled:
-            return self._dispatch(method, path, params)
+            return self._dispatch(method, path, params, None)
         with self._tracer.request(
             "http.request",
             trace_id=trace_id,
@@ -292,27 +355,28 @@ class RequestEdge:
             method=method,
             path=path,
         ) as root:
-            status, payload = self._dispatch(method, path, params)
+            status, payload = self._dispatch(method, path, params, root)
             if root is not None:
-                attrs = root.attrs  # direct writes: handle is the warm path
-                attrs["status"] = status
-                if isinstance(payload, dict):
-                    if "cache" in payload:
-                        attrs["cache"] = payload["cache"]
-                    if "tenant" in payload:
-                        attrs["tenant"] = payload["tenant"]
-                    if status >= 400:
-                        root.mark_error(
-                            str(payload.get("message") or payload.get("error"))
-                        )
-                        payload.setdefault("trace_id", root.trace_id)
+                root.attrs["status"] = status  # direct write: the warm path
+                if status >= 400 and isinstance(payload, dict):
+                    if "tenant" in payload:  # a refusal may name its tenant
+                        root.attrs["tenant"] = payload["tenant"]
+                    root.mark_error(
+                        str(payload.get("message") or payload.get("error"))
+                    )
+                    payload.setdefault("trace_id", root.trace_id)
             return status, payload
 
     def _dispatch(
-        self, method: str, path: str, params: Mapping[str, Any]
+        self,
+        method: str,
+        path: str,
+        params: Mapping[str, Any],
+        root: Span | None,
     ) -> tuple[int, Any]:
         """The drain gate, 404/405, tenant resolution and admission, then
-        the handler; everything past the gate counts as in flight."""
+        the handler; everything past the gate counts as in flight. The
+        resolved tenant tags ``root``, whatever the handler answers."""
         with self._inflight_cv:
             if self._closing.is_set():
                 return 503, error_body(
@@ -340,6 +404,8 @@ class RequestEdge:
                     tenant = self._check_tenant(params, route.data)
                     if resolve_span is not None and tenant is not None:
                         resolve_span.set_attr("tenant", tenant.name)
+                if root is not None and tenant is not None:
+                    root.attrs["tenant"] = tenant.name
                 if tenant is not None and route.data and self._enforce_limits:
                     shed = self._admit(endpoint, tenant)
                     if shed is not None:
@@ -527,14 +593,10 @@ class _Handler(BaseHTTPRequestHandler):
             body = bytes(payload)
             content_type = _PROM_CONTENT_TYPE
         else:
-            # Proxied cluster responses arrive as serialized JSON and go
-            # out verbatim; compact separators otherwise, since expansion
-            # reports carry full result payloads and serialization cost
-            # is visible in hit latency.
-            body = (
-                payload if isinstance(payload, bytes)
-                else json.dumps(payload, separators=(",", ":")).encode("utf-8")
-            )
+            # Data-route bodies arrive encoded (spliced around cached
+            # bytes, or proxied from a replica) and go out verbatim; only
+            # the small error and admin dicts are encoded here.
+            body = payload if isinstance(payload, bytes) else encode(payload)
             content_type = "application/json; charset=utf-8"
         self.send_response(status)
         self.send_header("Content-Type", content_type)

@@ -145,7 +145,7 @@ def apply_page(
     """Slice ``payload[items_key]`` per ``page`` and attach the page object.
 
     ``payload`` is mutated and returned (handlers own a fresh dict by
-    the time they get here — cached inner payloads are already copied).
+    the time they get here; slicing leaves the cached items untouched).
     """
     items = payload.get(items_key) or []
     total = len(items)

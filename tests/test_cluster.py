@@ -42,6 +42,7 @@ from repro.serve.cluster.transport import (
     ReplicaTransport,
     encode_reply,
 )
+from repro.serve.edge import encode, encode_batch
 from repro.serve.paging import apply_batch_page, resolve_batch_page
 from repro.store import DocumentStore
 from repro.tenancy import TenantRegistry, TenantSpec
@@ -188,6 +189,7 @@ class TestRoutedPagination:
         status, payload = routed.handle(
             "GET", "/search", {"config": "wiki", "query": "java"}
         )
+        payload = json.loads(payload)
         assert status == 200
         assert "page" not in payload
         assert payload["n_results"] == len(payload["results"])
@@ -196,6 +198,7 @@ class TestRoutedPagination:
         status, full = routed.handle(
             "GET", "/search", {"config": "wiki", "query": "java"}
         )
+        full = json.loads(full)
         everything = [r["document"]["doc_id"] for r in full["results"]]
         assert len(everything) > 2
 
@@ -204,6 +207,7 @@ class TestRoutedPagination:
         pages = 0
         while True:
             status, payload = routed.handle("GET", "/search", params)
+            payload = json.loads(payload)
             assert status == 200
             page = payload["page"]
             assert page["limit"] == 2
@@ -224,6 +228,7 @@ class TestRoutedPagination:
             "/batch",
             {"config": "wiki", "queries": queries, "limit": 2},
         )
+        payload = json.loads(payload)
         assert status == 200
         page = payload["page"]
         items = payload["report"]["items"]
@@ -234,6 +239,7 @@ class TestRoutedPagination:
         status, second = routed.handle(
             "POST", "/batch", {"cursor": page["next_cursor"]}
         )
+        second = json.loads(second)
         assert status == 200
         assert [i["query"] for i in second["report"]["items"]] == queries[2:]
         assert second["page"]["next_cursor"] is None
@@ -295,8 +301,8 @@ def wire():
 
     def handle(method, path, params):
         if path == "/batch":
-            report = {"items": WIRE_BATCH_ITEMS}
-            return 200, {"n_ok": 1, "n_failed": 1, "report": report}
+            report = {"items": [encode(item) for item in WIRE_BATCH_ITEMS]}
+            return 200, encode_batch({"n_ok": 1, "n_failed": 1, "report": report})
         return 200, {"blob": "r" * 32768}
 
     transport = ReplicaTransport(handle)
@@ -453,12 +459,17 @@ class FakeReplica:
                 "n_failed": sum(1 for i in items if not i["ok"]),
                 "report": schema.make_envelope(
                     schema.KIND_BATCH,
-                    {"items": items, "workers": 1, "seconds": 0.001},
+                    {
+                        "items": [encode(item) for item in items],
+                        "workers": 1,
+                        "seconds": 0.001,
+                    },
                 ),
             }
+            payload = encode_batch(payload)
         else:
             payload = {"replica": self.name, "path": path}
-        return (200, *encode_reply(path, 200, payload))
+        return (200, *encode_reply(payload))
 
 
 def _fake_batch_item(replica: str, query: str) -> dict:
@@ -980,6 +991,7 @@ class TestProcessCluster:
             status, alone = single.handle(
                 "POST", "/batch", {"config": "db", "queries": queries}
             )
+            alone = json.loads(alone)
         finally:
             single.close()
         assert status == 200

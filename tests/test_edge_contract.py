@@ -195,6 +195,20 @@ class TestEnvelope:
         assert status == 500
         _assert_error(payload, "internal", "a")
 
+    def test_tenant_read_is_listed_in_its_traces(self, edge):
+        # A 200 data-route body is bytes on both tiers (the coordinator
+        # proxies a replica's): the root span's tenant must come from
+        # the resolved tenant, not from the body.
+        status, body = edge.handle(
+            "GET", "/search",
+            {"config": "c", "query": "java", "top_k": "3", "tenant": "a",
+             TRACE_PARAM: "a-read"},
+        )
+        assert status == 200 and isinstance(body, bytes)
+        status, payload = edge.handle("GET", "/debug/traces", {"tenant": "a"})
+        assert status == 200
+        assert "a-read" in [trace["trace_id"] for trace in payload["traces"]]
+
     def test_503_while_draining(self, edge):
         edge.close(drain_timeout=2.0)
         assert edge.closing

@@ -544,6 +544,7 @@ class TestServeChangefeedEndpoint:
         service = self._service(store_path)
         try:
             status, payload = service.handle("GET", "/changefeed", {"since": "0"})
+            payload = json.loads(payload)
             assert status == 200, payload
             assert payload["config"] == "wiki"
             assert payload["count"] >= 1 and payload["gap"] is False
@@ -558,6 +559,7 @@ class TestServeChangefeedEndpoint:
             status, payload = service.handle(
                 "GET", "/changefeed", {"since": str(before)}
             )
+            payload = json.loads(payload)
             assert status == 200
             assert [e["generation"] for e in payload["entries"]] == [before + 1]
             assert payload["entries"][0]["doc_ids"] == ["n1"]
@@ -566,6 +568,7 @@ class TestServeChangefeedEndpoint:
                 "GET", "/changefeed",
                 {"cursor": payload["next_cursor"], "consumer": "edge-1"},
             )
+            resumed = json.loads(resumed)
             assert status == 200 and resumed["count"] == 0
             assert DocumentStore(store_path).claims()["edge-1"] == before + 1
         finally:

@@ -472,6 +472,7 @@ class TestServiceTracing:
             "GET", "/expand",
             {"config": "wiki", "query": "java", TRACE_PARAM: "svc-trace-1"},
         )
+        payload = json.loads(payload)
         assert status == 200
         assert TRACE_PARAM not in payload  # stripped before dispatch
         trace = service.tracer.buffer.get("svc-trace-1")
@@ -634,6 +635,7 @@ class TestOneStageMeasurement:
             "GET", "/expand",
             {"config": "wiki", "query": "java", TRACE_PARAM: "one-cold"},
         )
+        payload = json.loads(payload)
         assert status == 200 and payload["cache"] == "miss"
         timed = [t["stage"] for t in payload["report"]["stage_timings"]]
         spans = svc.tracer.buffer.get("one-cold")["spans"]
@@ -679,6 +681,7 @@ class TestOneStageMeasurement:
                 {"config": "wiki", "queries": queries, "workers": workers,
                  TRACE_PARAM: trace_id},
             )
+            payload = json.loads(payload)
             assert status == 200 and payload["n_ok"] == len(queries)
             spans = svc.tracer.buffer.get(trace_id)["spans"]
             ids = {s["span_id"] for s in spans}

@@ -353,10 +353,12 @@ class TestExpansionService:
         status, first = service.handle(
             "GET", "/expand", {"config": "wiki", "query": "java"}
         )
+        first = json.loads(first)
         assert status == 200 and first["cache"] == "miss"
         status, second = service.handle(
             "GET", "/expand", {"config": "wiki", "query": "java"}
         )
+        second = json.loads(second)
         assert status == 200 and second["cache"] == "hit"
         assert second["report"] == first["report"]
         report = schema.report_from_dict(second["report"])
@@ -369,6 +371,7 @@ class TestExpansionService:
             "/expand",
             {"config": "wiki", "query": "java", "results": "none"},
         )
+        payload = json.loads(payload)
         assert status == 200
         assert "results" not in payload["report"]
         report = schema.report_from_dict(payload["report"])
@@ -379,16 +382,47 @@ class TestExpansionService:
         _, full = service.handle(
             "GET", "/expand", {"config": "wiki", "query": "rockets"}
         )
-        # The full payload is cached; the trimmed variant must be
-        # derived from it (a hit), never recomputed.
+        full = json.loads(full)
+        # The miss cached both variants; the trimmed one must be a hit,
+        # never recomputed.
         _, trimmed = service.handle(
             "GET",
             "/expand",
             {"config": "wiki", "query": "rockets", "results": "none"},
         )
+        trimmed = json.loads(trimmed)
         assert trimmed["cache"] == "hit"
         assert "results" not in trimmed["report"]
         assert trimmed["report"]["expanded"] == full["report"]["expanded"]
+
+    def test_results_none_miss_caches_the_full_report_too(
+        self, service, monkeypatch
+    ):
+        entry = service.pool.get("wiki")
+        expand = entry.session.expand
+        computes = []
+
+        def spy(query, algorithm=None):
+            computes.append(query)
+            return expand(query, algorithm=algorithm)
+
+        monkeypatch.setattr(entry.session, "expand", spy)
+        status, trimmed = service.handle(
+            "GET",
+            "/expand",
+            {"config": "wiki", "query": "eclipse", "results": "none"},
+        )
+        assert status == 200 and json.loads(trimmed)["cache"] == "miss"
+        # /batch items are always results=full: the same expansion must
+        # be a hit, not a second k-means + ISKR run.
+        status, body = service.handle(
+            "POST", "/batch", {"config": "wiki", "queries": ["eclipse"]}
+        )
+        assert status == 200
+        (item,) = json.loads(body)["report"]["items"]
+        assert item["cache"] == "hit"
+        assert item["report"]["results"]
+        assert computes == ["eclipse"]
 
     def test_bad_results_mode_400(self, service):
         status, _ = service.handle(
@@ -404,6 +438,7 @@ class TestExpansionService:
             "/expand",
             {"config": "wiki", "query": "java", "algorithm": "fmeasure"},
         )
+        payload = json.loads(payload)
         assert status == 200
         assert payload["algorithm"] == "fmeasure"
 
@@ -411,6 +446,7 @@ class TestExpansionService:
         _, implicit = service.handle(
             "GET", "/expand", {"config": "wiki", "query": "columbia"}
         )
+        implicit = json.loads(implicit)
         # Naming the config's default algorithm (any case) must hit the
         # same entry, not pay a duplicate recompute.
         _, explicit = service.handle(
@@ -418,6 +454,7 @@ class TestExpansionService:
             "/expand",
             {"config": "wiki", "query": "columbia", "algorithm": "ISKR"},
         )
+        explicit = json.loads(explicit)
         assert explicit["cache"] == "hit"
         assert explicit["report"] == implicit["report"]
 
@@ -425,6 +462,7 @@ class TestExpansionService:
         status, payload = service.handle(
             "GET", "/search", {"config": "wiki", "query": "java", "top_k": "5"}
         )
+        payload = json.loads(payload)
         assert status == 200
         assert payload["n_results"] == 5
         result = schema.search_result_from_dict(payload["results"][0])
@@ -454,6 +492,7 @@ class TestExpansionService:
                 "workers": 2,
             },
         )
+        payload = json.loads(payload)
         assert status == 200
         assert payload["n_ok"] == 2 and payload["n_failed"] == 1
         assert payload["cache_hits"] >= 1
@@ -474,6 +513,7 @@ class TestExpansionService:
             SessionPool([ServeConfig(name="only", n_clusters=3)]), workers=1
         )
         status, payload = lone.handle("GET", "/expand", {"query": "java"})
+        payload = json.loads(payload)
         assert status == 200
         assert payload["config"] == "only"
 
@@ -506,9 +546,11 @@ class TestExpansionService:
         _, before = service.handle(
             "GET", "/expand", {"config": "dyn", "query": "java"}
         )
+        before = json.loads(before)
         _, cached = service.handle(
             "GET", "/expand", {"config": "dyn", "query": "java"}
         )
+        cached = json.loads(cached)
         assert cached["cache"] == "hit"
         analyzer = Analyzer(use_stemming=False)
         service.pool.ingest(
@@ -526,6 +568,7 @@ class TestExpansionService:
         _, after = service.handle(
             "GET", "/expand", {"config": "dyn", "query": "java"}
         )
+        after = json.loads(after)
         assert after["cache"] == "miss"
 
         # Content (not wall clock) must have changed: the ingested

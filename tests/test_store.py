@@ -849,6 +849,7 @@ class TestServeIntegration:
 
         service = ExpansionService(SessionPool([self._config(store_path)]))
         status, first = service.handle("GET", "/search", {"query": "java"})
+        first = json.loads(first)
         assert status == 200 and first["cache"] == "miss"
         status, payload = service.handle(
             "POST",
@@ -857,10 +858,12 @@ class TestServeIntegration:
                 {"doc_id": "new-1", "text": "java espresso coffee guide"},
             ]},
         )
+        payload = json.loads(payload)
         assert status == 200
         assert payload["ingested"] == 1
         assert payload["persistent"] is True
         status, hit = service.handle("GET", "/search", {"query": "espresso"})
+        hit = json.loads(hit)
         assert status == 200 and hit["n_results"] == 1
         # Durable: the document is committed in the store file.
         assert "new-1" in DocumentStore(store_path)
@@ -878,6 +881,7 @@ class TestServeIntegration:
             ]},
         )
         status, before = service.handle("GET", "/search", {"query": "espresso"})
+        before = json.loads(before)
         assert status == 200 and before["n_results"] == 2
 
         # Simulated restart: a brand-new pool + service on the same path.
@@ -885,6 +889,7 @@ class TestServeIntegration:
         status, after = service_result = reborn.handle(
             "GET", "/search", {"query": "espresso"}
         )
+        after = json.loads(after)
         assert status == 200, service_result
         assert after["n_results"] == 2
         assert [r["document"]["doc_id"] for r in after["results"]] == [

@@ -21,6 +21,7 @@ from repro.serve.admission import AdmissionController, shed_payload
 from repro.serve.app import ExpansionServer
 from repro.serve.cluster import ClusterCoordinator
 from repro.serve.cluster.transport import encode_reply
+from repro.serve.edge import encode, encode_batch
 from repro.store import DocumentStore
 from repro.tenancy import (
     QuotaManager,
@@ -296,6 +297,7 @@ class TestServiceTenancy:
         status, payload = tenant_service.handle(
             "GET", "/search", {"config": "dyn", "query": "java", "tenant": "a"}
         )
+        payload = json.loads(payload)
         assert status == 200
         assert payload["tenant"] == "a"
 
@@ -306,6 +308,7 @@ class TestServiceTenancy:
             status, payload = tenant_service.handle(
                 "GET", "/expand", dict(params, tenant=name)
             )
+            payload = json.loads(payload)
             assert status == 200 and payload["cache"] == "miss"
         b_requests_before = tenant_service.tenant_metrics("b").snapshot()[
             "endpoints"
@@ -318,16 +321,19 @@ class TestServiceTenancy:
                 "documents": [{"doc_id": "n1", "text": "java island brew"}],
             },
         )
+        payload = json.loads(payload)
         assert status == 200 and payload["tenant"] == "a"
 
         # B's cached expansion survives A's ingest; A recomputes.
         status, payload = tenant_service.handle(
             "GET", "/expand", dict(params, tenant="b")
         )
+        payload = json.loads(payload)
         assert status == 200 and payload["cache"] == "hit"
         status, payload = tenant_service.handle(
             "GET", "/expand", dict(params, tenant="a")
         )
+        payload = json.loads(payload)
         assert status == 200 and payload["cache"] == "miss"
 
         # And A's traffic never appears in B's metrics partition.
@@ -576,10 +582,10 @@ class _TenantedBatchReplica(_FakeReplica):
              "seconds": 0.0, "cache": "miss"}
             for q in params["queries"]
         ]
-        body = {"report": {"items": items}, "cache_hits": 0,
+        body = {"report": {"items": [encode(i) for i in items]}, "cache_hits": 0,
                 "n_ok": len(items), "n_failed": 0,
                 "tenant": params["tenant"]}
-        return (200, *encode_reply(path, 200, body))
+        return (200, *encode_reply(encode_batch(body)))
 
 
 def _fake_coordinator(registry, clock, replica=_FakeReplica, **kwargs):
@@ -767,6 +773,7 @@ class TestClusterTenancy:
                     "documents": [{"doc_id": "d1", "text": "one"}],
                 },
             )
+            payload = json.loads(payload)
             assert status == 202 and payload["tenant"] == "t"
             generation = payload["generation"]
             status, payload = coordinator.handle(
