@@ -23,9 +23,9 @@ session fails before any retrieval work happens.
 What a session caches across queries:
 
 * the corpus, analyzer, engine, and index (built once);
-* seed-query retrievals (repeated seed queries never re-search);
-* candidate-keyword statistics per (seed terms, universe) — shared by
-  every algorithm run on the same seed query.
+* per index generation, seed-query retrievals and one analysis per
+  result set (k-means labels and candidate keywords) — shared by every
+  algorithm run on the same seed query.
 
 Algorithm and clusterer instances are created fresh per ``expand`` call
 from their registered factories, so stateful components (PEBC's RNG,
@@ -48,6 +48,7 @@ interleaving, and the step methods. Compose it at build time::
 
 from __future__ import annotations
 
+import copy
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
@@ -82,7 +83,12 @@ if TYPE_CHECKING:
 
 #: Default bounds: plenty for experiment sweeps, finite for services.
 DEFAULT_RETRIEVAL_CACHE_SIZE = 1024
-DEFAULT_CANDIDATE_CACHE_SIZE = 1024
+DEFAULT_ANALYSIS_CACHE_SIZE = 1024
+
+
+def _cache_info(cache: LRUTTLCache) -> dict[str, int]:
+    stats = cache.stats()
+    return {key: stats[key] for key in ("entries", "capacity", "hits", "misses")}
 
 
 class CachingSearchEngine:
@@ -90,6 +96,8 @@ class CachingSearchEngine:
 
     Sessions route every retrieval through one of these, so repeated seed
     queries (common in batches and experiment sweeps) hit the index once.
+    Keys hold the index generation read before the search, so results
+    that straddle an ingest are never served at the new generation.
     Thread-safe (the cache is a locked :class:`~repro.caching.
     LRUTTLCache`); cached result lists are copied on the way out; at
     most ``maxsize`` retrievals are kept, least-recently-used first out.
@@ -125,23 +133,10 @@ class CachingSearchEngine:
         return self._engine
 
     def cache_info(self) -> dict[str, int]:
-        stats = self._cache.stats()
-        return {key: stats[key] for key in ("entries", "capacity", "hits", "misses")}
+        return _cache_info(self._cache)
 
     def cache_clear(self) -> None:
         self._cache.clear()
-
-    def refresh(self) -> None:
-        """Drop cached retrievals and rebuild the inner engine's scorer.
-
-        The serving layer calls this when a mutable backend ingests
-        documents: cached result lists and the scorer's collection-
-        statistics snapshot are both stale the moment the index changes.
-        """
-        self.cache_clear()
-        refresh = getattr(self._engine, "refresh_scoring", None)
-        if callable(refresh):
-            refresh()
 
     def parse(self, query: str) -> list[str]:
         return self._engine.parse(query)
@@ -152,7 +147,8 @@ class CachingSearchEngine:
         top_k: int | None = None,
         semantics: str = "and",
     ) -> list[SearchResult]:
-        key = (query, top_k, semantics)
+        generation = getattr(self._engine.index, "generation", None)
+        key = (generation, query, top_k, semantics)
         hit, cached = self._cache.lookup(key)
         if hit:
             return list(cached)
@@ -283,7 +279,7 @@ class SessionBuilder:
         self._analyzer: Analyzer | None = None
         self._seed: int = 0
         self._retrieval_cache_size: int = DEFAULT_RETRIEVAL_CACHE_SIZE
-        self._candidate_cache_size: int = DEFAULT_CANDIDATE_CACHE_SIZE
+        self._analysis_cache_size: int = DEFAULT_ANALYSIS_CACHE_SIZE
         self._stage_inserts: list[tuple[Any, str | None, str | None]] = []
         self._stage_replacements: list[tuple[str, Any]] = []
 
@@ -357,28 +353,23 @@ class SessionBuilder:
     def cache_capacity(
         self,
         retrieval: int | None = None,
-        candidates: int | None = None,
+        analysis: int | None = None,
     ) -> "SessionBuilder":
         """LRU capacities for the session's per-seed caches.
 
-        ``retrieval`` bounds memoized seed-query retrievals; ``candidates``
-        bounds cached candidate-keyword statistics. Both default to 1024
-        entries — plenty for experiment sweeps, finite for long-lived
-        serving traffic. Current sizes are visible in
-        :meth:`Session.describe` under ``"caches"``.
+        ``retrieval`` bounds memoized seed-query retrievals; ``analysis``
+        bounds cached result-set analyses (k-means labels and candidate
+        keywords). Both default to 1024 entries — plenty for experiment
+        sweeps, finite for long-lived serving traffic. Current sizes are
+        visible in :meth:`Session.describe` under ``"caches"``.
         """
+        for tier, size in (("retrieval", retrieval), ("analysis", analysis)):
+            if size is not None and int(size) < 1:
+                raise ConfigError(f"{tier} cache capacity must be >= 1, got {size}")
         if retrieval is not None:
-            if int(retrieval) < 1:
-                raise ConfigError(
-                    f"retrieval cache capacity must be >= 1, got {retrieval}"
-                )
             self._retrieval_cache_size = int(retrieval)
-        if candidates is not None:
-            if int(candidates) < 1:
-                raise ConfigError(
-                    f"candidate cache capacity must be >= 1, got {candidates}"
-                )
-            self._candidate_cache_size = int(candidates)
+        if analysis is not None:
+            self._analysis_cache_size = int(analysis)
         return self
 
     # -- pipeline composition ------------------------------------------------
@@ -481,7 +472,7 @@ class SessionBuilder:
             seed=self._seed,
             pipeline=self._build_pipeline(),
             retrieval_cache_size=self._retrieval_cache_size,
-            candidate_cache_size=self._candidate_cache_size,
+            analysis_cache_size=self._analysis_cache_size,
         )
         # Trial-create the per-query components once: bad kwargs and bad
         # (clusterer, config) combinations surface at build time.
@@ -596,8 +587,7 @@ class Session:
         seed: int = 0,
         pipeline: Pipeline | None = None,
         retrieval_cache_size: int = DEFAULT_RETRIEVAL_CACHE_SIZE,
-        candidate_cache_size: int = DEFAULT_CANDIDATE_CACHE_SIZE,
-        _candidate_cache: dict | None = None,
+        analysis_cache_size: int = DEFAULT_ANALYSIS_CACHE_SIZE,
     ) -> None:
         if isinstance(engine, CachingSearchEngine):
             self._engine = engine
@@ -613,11 +603,7 @@ class Session:
         self._backend = backend
         self._seed = seed
         self._pipeline = pipeline if pipeline is not None else default_pipeline()
-        self._candidate_cache = (
-            _candidate_cache
-            if _candidate_cache is not None
-            else LRUTTLCache(maxsize=candidate_cache_size)
-        )
+        self._analysis_cache = LRUTTLCache(maxsize=analysis_cache_size)
 
     @staticmethod
     def builder() -> SessionBuilder:
@@ -669,13 +655,13 @@ class Session:
         return self._pipeline.names
 
     def clear_caches(self) -> None:
-        """Drop cached retrievals and candidate statistics.
+        """Drop cached retrievals and result-set analyses.
 
         Siblings created with :meth:`with_config` share these caches, so
         clearing one session clears them for the whole family.
         """
         self._engine.cache_clear()
-        self._candidate_cache.clear()
+        self._analysis_cache.clear()
 
     def refresh(self) -> None:
         """Invalidate every cache tier *and* the scorer's stats snapshot.
@@ -685,8 +671,10 @@ class Session:
         layer (:mod:`repro.serve`) calls this from its
         :class:`~repro.index.dynamic.DynamicIndex` mutation listener.
         """
-        self._engine.refresh()
-        self._candidate_cache.clear()
+        self.clear_caches()
+        refresh = getattr(self._engine.inner, "refresh_scoring", None)
+        if callable(refresh):
+            refresh()
 
     def describe(self) -> dict[str, Any]:
         """A JSON-able summary of the session's configuration."""
@@ -705,18 +693,9 @@ class Session:
 
     def cache_info(self) -> dict[str, dict[str, int]]:
         """Entry counts, capacities, and hit/miss tallies per cache tier."""
-        candidates = self._candidate_cache
-        if isinstance(candidates, LRUTTLCache):
-            stats = candidates.stats()
-            info = {
-                key: stats[key]
-                for key in ("entries", "capacity", "hits", "misses")
-            }
-        else:  # a plain mapping injected by a caller
-            info = {"entries": len(candidates)}
         return {
             "retrieval": self._engine.cache_info(),
-            "candidates": info,
+            "analysis": _cache_info(self._analysis_cache),
         }
 
     def with_config(self, **overrides: Any) -> "Session":
@@ -725,20 +704,9 @@ class Session:
             config = replace(self._config, **overrides)
         except TypeError as exc:
             raise ConfigError(f"bad config override: {exc}") from None
-        return Session(
-            engine=self._engine,
-            analyzer=self._analyzer,
-            config=config,
-            algorithm=self._algorithm,
-            algorithm_kwargs=self._algorithm_kwargs,
-            clusterer=self._clusterer,
-            clusterer_kwargs=self._clusterer_kwargs,
-            dataset=self._dataset,
-            backend=self._backend,
-            seed=self._seed,
-            pipeline=self._pipeline,
-            _candidate_cache=self._candidate_cache,
-        )
+        sibling = copy.copy(self)
+        sibling._config = config
+        return sibling
 
     # -- component creation (fresh per call; see module docstring) -----------
 
@@ -782,7 +750,7 @@ class Session:
             self._make_algorithm(algorithm),
             self._config,
             self._make_clusterer(),
-            candidate_cache=self._candidate_cache,
+            analysis_cache=self._analysis_cache,
             pipeline=self._pipeline,
         )
 
@@ -828,7 +796,7 @@ class Session:
         labels: np.ndarray,
         seed_terms: tuple[str, ...],
     ) -> "list[ExpansionTask]":
-        """Step 4: per-cluster expansion tasks (candidates cached)."""
+        """Step 4: per-cluster expansion tasks over fresh candidates."""
         return self.pipeline().tasks(universe, labels, seed_terms)
 
     # -- expansion ------------------------------------------------------------
@@ -837,8 +805,8 @@ class Session:
         """Run the full pipeline for one seed query.
 
         ``algorithm`` overrides the session's algorithm by registry name
-        for this call only (engine, clustering, and candidate caches are
-        shared, so comparing algorithms on one query is cheap).
+        for this call only (retrieval and analysis caches are shared, so
+        a second algorithm on one query neither searches nor clusters).
         """
         return self.pipeline(algorithm).expand(query)
 

@@ -1,7 +1,7 @@
 """Thread-safe bounded LRU cache with optional TTL — shared by every tier.
 
 One implementation backs all three caching tiers in the library:
-:class:`~repro.api.Session`'s retrieval and candidate-statistics caches
+:class:`~repro.api.Session`'s retrieval and analysis caches
 (``ttl=None``) and the serving layer's response cache
 (:mod:`repro.serve.cache`, which re-exports this class). Keeping a
 single locked implementation matters because the caches are shared
@@ -38,7 +38,7 @@ class LRUTTLCache:
 
     Besides the explicit :meth:`lookup`/:meth:`put` API, the cache
     supports ``get``/``[]=``/``in``/``len`` so call sites that treat it
-    as a mutable mapping (the pipeline's candidate stage) work
+    as a mutable mapping (the pipeline's cluster stage) work
     unchanged.
 
     Parameters

@@ -158,11 +158,10 @@ class ClusterQueryExpander:
     clusterer:
         Optional clustering backend override (must provide ``fit_predict``),
         or its name in :data:`repro.api.CLUSTERERS`.
-    candidate_cache:
-        Optional mutable mapping memoizing candidate-keyword selection per
-        (seed terms, universe). :class:`repro.api.Session` passes one so
-        repeated seed queries and multi-algorithm comparisons share the
-        TF-IDF candidate statistics.
+    analysis_cache:
+        Optional mutable mapping memoizing each result set's labels and
+        candidates per index generation; :class:`repro.api.Session`
+        passes one so every algorithm on a seed query clusters once.
     pipeline:
         Optional :class:`~repro.pipeline.Pipeline` override (custom or
         reordered stages). Defaults to
@@ -175,7 +174,7 @@ class ClusterQueryExpander:
         algorithm: ExpansionAlgorithm | str,
         config: ExpansionConfig | None = None,
         clusterer: ClusteringBackend | str | None = None,
-        candidate_cache: dict | None = None,
+        analysis_cache: dict | None = None,
         pipeline: "Pipeline | None" = None,
     ) -> None:
         self._engine = engine
@@ -196,7 +195,7 @@ class ClusterQueryExpander:
                 seed=self._config.cluster_seed,
             )
         self._clusterer = clusterer
-        self._candidate_cache = candidate_cache
+        self._analysis_cache = analysis_cache
         if pipeline is None:
             from repro.pipeline import default_pipeline
 
@@ -227,7 +226,7 @@ class ClusterQueryExpander:
             config=self._config,
             algorithm=self._algorithm,
             clusterer=self._clusterer,
-            candidate_cache=self._candidate_cache,
+            analysis_cache=self._analysis_cache,
             query=query,
         )
 
@@ -259,7 +258,8 @@ class ClusterQueryExpander:
 
     def cluster(self, results: Sequence[SearchResult]) -> np.ndarray:
         """Step 2: cluster results into <= k clusters over TF vectors."""
-        ctx = self.context().evolve(results=tuple(results))
+        # Uncached: the step has no seed terms or generation to key on.
+        ctx = self.context().evolve(results=tuple(results), analysis_cache=None)
         return self._pipeline.get_stage("cluster").run(ctx).labels
 
     def build_universe(self, results: Sequence[SearchResult]) -> ResultUniverse:

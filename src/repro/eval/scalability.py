@@ -40,8 +40,8 @@ def run_scalability(
     points: list[ScalabilityPoint] = []
     for size in sizes:
         docs_per_sense = -(-size // n_senses)  # ceil division
-        # One session per corpus size; ISKR and PEBC share its retrieval
-        # and candidate caches, so the corpus is searched once per size.
+        # One session per corpus size. Fig. 7 times clustering plus generation
+        # per algorithm, so each run starts cold: PEBC must not reuse ISKR's.
         session = (
             Session.builder()
             .dataset("wikipedia", docs_per_sense=docs_per_sense, terms=[term])
@@ -51,7 +51,9 @@ def run_scalability(
             .seed(seed)
             .build()
         )
+        session.clear_caches()
         iskr_report = session.expand(term)
+        session.clear_caches()
         pebc_report = session.expand(term, algorithm="pebc")
         points.append(
             ScalabilityPoint(

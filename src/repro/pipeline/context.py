@@ -13,10 +13,10 @@ defensive copying.
 Two kinds of fields:
 
 * **runtime** — the components the stages execute with (engine, config,
-  algorithm, clusterer, candidate cache). Set once when the context is
+  algorithm, clusterer, analysis cache). Set once when the context is
   created; stages read but never replace them.
-* **artifacts** — what the stages produce (results, counts, labels,
-  universe, candidates, tasks, expanded queries, score) plus
+* **artifacts** — what the stages produce (generation, results, counts,
+  labels, analysis, universe, candidates, tasks, expanded queries, score) plus
   ``timings`` appended by :meth:`Pipeline.run <repro.pipeline.Pipeline.run>`
   and a free-form ``extras`` mapping for custom stages.
 """
@@ -58,14 +58,16 @@ class ExecutionContext:
     config: "ExpansionConfig | None" = None
     algorithm: Any = None
     clusterer: Any = None
-    candidate_cache: Any = None  # mutable mapping shared across runs, or None
+    analysis_cache: Any = None  # mutable mapping shared across runs, or None
 
     # -- artifacts -----------------------------------------------------------
     query: str = ""
+    generation: int | None = None  # the index's, read before retrieval
     seed_terms: tuple[str, ...] = ()
     results: "tuple[SearchResult, ...]" = ()
     counts: "TermCounts | None" = None  # the results' doc × term counts
     labels: "np.ndarray | None" = None
+    analysis: Any = None  # the results' Analysis, shared across algorithms
     universe: "ResultUniverse | None" = None
     candidates: tuple[str, ...] | None = None
     tasks: "tuple[ExpansionTask, ...]" = ()
@@ -95,10 +97,6 @@ class ExecutionContext:
     def seconds_for(self, stage: str) -> float:
         """Total seconds recorded for ``stage`` (0.0 when never run)."""
         return sum(t.seconds for t in self.timings if t.stage == stage)
-
-    def total_seconds(self) -> float:
-        """Total seconds recorded across all stages."""
-        return sum(t.seconds for t in self.timings)
 
 
 _FIELDS = frozenset(f.name for f in fields(ExecutionContext))

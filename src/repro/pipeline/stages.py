@@ -13,7 +13,7 @@ Default order (see :func:`repro.pipeline.default_pipeline`):
 ``retrieve``    seed-query search (AND semantics, ranked, top-k)
 ``cluster``     build the results' term counts; cluster over TF vectors
 ``universe``    the (optionally ranking-weighted) result universe
-``candidates``  candidate-keyword mining (top-fraction TF-IDF, memoized)
+``candidates``  candidate-keyword mining (top-fraction TF-IDF)
 ``tasks``       one :class:`ExpansionTask` per cluster, largest first,
                 all sharing one candidate incidence
 ``expand``      run the expansion algorithm per task; Eq. 1 score
@@ -29,6 +29,8 @@ Either stage run without it builds it from ``ctx.results``.
 
 from __future__ import annotations
 
+import pickle
+from dataclasses import dataclass
 from typing import Any, Sequence
 
 import numpy as np
@@ -38,6 +40,7 @@ from repro.core.keyword_stats import select_candidates
 from repro.core.metrics import eq1_score
 from repro.core.universe import ExpansionTask, ResultUniverse, TermCounts
 from repro.errors import ExpansionError, PipelineError
+from repro.obs.tracing import current_span
 from repro.pipeline.context import ExecutionContext
 
 
@@ -49,46 +52,85 @@ def _term_counts(ctx: ExecutionContext) -> TermCounts:
     return TermCounts(docs)
 
 
+@dataclass(eq=False, slots=True)
+class Analysis:
+    """A result set's labels and candidates, shared by every algorithm run."""
+
+    labels: np.ndarray
+    candidates: tuple[str, ...] | None = None
+
+
+def _analysis_key(ctx: ExecutionContext, documents: Sequence[Any]) -> tuple:
+    """What a result set's labels and candidates depend on; no algorithm."""
+    try:  # clusterers are built per call: key on their class and settings
+        clusterer: Any = pickle.dumps(ctx.clusterer)
+    except (pickle.PicklingError, TypeError, AttributeError):
+        clusterer = ctx.clusterer  # unpicklable: equal only to itself
+    ids = tuple(doc.doc_id for doc in documents)
+    return (ctx.generation, ctx.seed_terms, ids, ctx.config, clusterer)
+
+
 class RetrieveStage:
     """Run the seed query: ranked AND retrieval of the configured top-k."""
 
     name = "retrieve"
 
     def run(self, ctx: ExecutionContext) -> ExecutionContext:
+        # Read before searching: results that straddle an ingest then
+        # carry the older generation, which no later run looks up.
+        generation = getattr(ctx.engine.index, "generation", None)
         results = ctx.engine.search(ctx.query, top_k=ctx.config.top_k_results)
         if not results:
             raise ExpansionError(
                 f"seed query {ctx.query!r} retrieved no results"
             )
         return ctx.evolve(
+            generation=generation,
             results=tuple(results),
             seed_terms=tuple(ctx.engine.parse(ctx.query)),
         )
 
 
 class ClusterStage:
-    """Cluster the results into <= k clusters over TF vectors (§C)."""
+    """Cluster the results into <= k clusters over TF vectors (§C).
+
+    With an analysis cache, results already clustered at this generation
+    reuse their :class:`Analysis` (span tag ``analysis=hit|miss``).
+    """
 
     name = "cluster"
 
     def run(self, ctx: ExecutionContext) -> ExecutionContext:
         counts = _term_counts(ctx)
-        matrix = counts.tf_matrix()
-        backend = ctx.clusterer
-        if backend is None:
+        cache = ctx.analysis_cache
+        key = None if cache is None else _analysis_key(ctx, counts.documents)
+        analysis = None if key is None else cache.get(key)
+        stage_span = current_span()
+        if stage_span is not None and stage_span.name == "stage.cluster":
+            stage_span.set_attr("analysis", "miss" if analysis is None else "hit")
+        if analysis is None:
+            analysis = Analysis(self._fit(ctx, counts.tf_matrix()))
+            if key is not None:
+                analysis.labels.flags.writeable = False  # shared by every hit
+                cache[key] = analysis
+        return ctx.evolve(labels=analysis.labels, counts=counts, analysis=analysis)
+
+    @staticmethod
+    def _fit(ctx: ExecutionContext, matrix: np.ndarray) -> np.ndarray:
+        if ctx.clusterer is None:
             kmeans = CosineKMeans(
                 n_clusters=ctx.config.n_clusters, seed=ctx.config.cluster_seed
             )
             labels = kmeans.fit(matrix).labels
         else:
-            labels = backend.fit_predict(matrix)
+            labels = ctx.clusterer.fit_predict(matrix)
         labels = np.asarray(labels, dtype=np.int64)
         if labels.shape != (len(ctx.results),):
             raise ExpansionError(
                 f"clusterer returned labels of shape {labels.shape} "
                 f"for {len(ctx.results)} results"
             )
-        return ctx.evolve(labels=labels, counts=counts)
+        return labels
 
 
 class UniverseStage:
@@ -110,29 +152,19 @@ class UniverseStage:
 
 
 class CandidateStage:
-    """Mine candidate expansion keywords (top-fraction TF-IDF, memoized).
+    """Mine candidate expansion keywords (top-fraction TF-IDF).
 
-    The same seed query always yields the same universe (retrieval is
-    deterministic), so (seed terms, universe doc ids, selection knobs)
-    identifies the statistics in the shared cache. A racing
-    double-compute under threads is benign: both writers store identical
-    values.
+    The first run fills them in on the ``cluster`` stage's analysis, so
+    later algorithms on the same results reuse them (a racing
+    double-compute stores equal values).
     """
 
     name = "candidates"
 
     def run(self, ctx: ExecutionContext) -> ExecutionContext:
-        key = None
-        if ctx.candidate_cache is not None:
-            key = (
-                ctx.seed_terms,
-                tuple(doc.doc_id for doc in ctx.universe.documents),
-                ctx.config.candidate_fraction,
-                ctx.config.min_candidates,
-            )
-            cached = ctx.candidate_cache.get(key)
-            if cached is not None:
-                return ctx.evolve(candidates=cached)
+        analysis = ctx.analysis
+        if analysis is not None and analysis.candidates is not None:
+            return ctx.evolve(candidates=analysis.candidates)
         candidates = select_candidates(
             ctx.engine.index,
             ctx.universe,
@@ -140,8 +172,8 @@ class CandidateStage:
             fraction=ctx.config.candidate_fraction,
             min_candidates=ctx.config.min_candidates,
         )
-        if key is not None:
-            ctx.candidate_cache[key] = candidates
+        if analysis is not None:
+            analysis.candidates = candidates
         return ctx.evolve(candidates=candidates)
 
 

@@ -4,11 +4,11 @@
 report's JSON bytes, one chunk per ``/search`` result — keyed on
 ``(config, endpoint, query, params..., index generation)``. It is the
 top of the serving cache hierarchy — below it sit the per-session
-retrieval cache (memoized seed-query searches) and the candidate-stats
-cache, both owned by :class:`~repro.api.Session` and backed by the
-*same* implementation. All three tiers are reported by ``/metrics``;
-see :mod:`repro.caching` for the eviction/expiration/invalidation
-semantics.
+retrieval cache (memoized seed-query searches) and the analysis cache
+(each result set's k-means labels and candidate keywords), both owned
+by :class:`~repro.api.Session` and backed by the *same* implementation.
+All three tiers are reported by ``/metrics``; see :mod:`repro.caching`
+for the eviction/expiration/invalidation semantics.
 """
 
 from __future__ import annotations

@@ -3,7 +3,7 @@
 The coordinator routes every ``/expand`` and ``/search`` request by the
 hash of its ``(config, query)`` key, so repeated queries land on the
 same replica and that replica's three cache tiers (response LRU, session
-retrieval cache, candidate cache) stay warm. A plain ``hash(key) % N``
+retrieval cache, analysis cache) stay warm. A plain ``hash(key) % N``
 would reshuffle *every* key when a replica joins or leaves; a consistent
 hash ring remaps only the keys that pointed at the changed node, so one
 replica crash does not flush the caches of the survivors.

@@ -11,13 +11,13 @@ CLI form::
 
 The :class:`SessionPool` owns one lazily-built session per configuration
 (first request pays construction; everyone after shares the warm index,
-retrieval cache, and candidate cache), exposes each session pipeline's
+retrieval cache, and analysis cache), exposes each session pipeline's
 :class:`~repro.pipeline.StageStats` for ``/metrics``, and — for mutable
 backends — subscribes to
 :class:`~repro.index.dynamic.DynamicIndex` mutation listeners so every
 ingestion immediately:
 
-1. refreshes the session (retrieval cache, candidate cache, scorer
+1. refreshes the session (retrieval cache, analysis cache, scorer
    statistics snapshot), and
 2. fires the pool's ``on_invalidate`` callback, which the service uses
    to drop that configuration's cached responses.
@@ -171,7 +171,7 @@ class ServeConfig:
     def build_session(
         self,
         retrieval_cache_size: int | None = None,
-        candidate_cache_size: int | None = None,
+        analysis_cache_size: int | None = None,
         store: "DocumentStore | None" = None,
     ) -> Session:
         """Construct the session (build-time validation applies).
@@ -218,7 +218,7 @@ class ServeConfig:
         config.update(self.config_kwargs)
         builder.config(**config)
         builder.cache_capacity(
-            retrieval=retrieval_cache_size, candidates=candidate_cache_size
+            retrieval=retrieval_cache_size, analysis=analysis_cache_size
         )
         return builder.build()
 
@@ -309,7 +309,7 @@ class SessionPool:
         ``callback(config_name)`` fired after a mutable backend ingests
         documents (and the session has been refreshed) — the service
         hooks its response cache here.
-    retrieval_cache_size / candidate_cache_size:
+    retrieval_cache_size / analysis_cache_size:
         Per-session cache capacities (None = session defaults).
     """
 
@@ -318,7 +318,7 @@ class SessionPool:
         configs: Iterable[ServeConfig],
         on_invalidate: Callable[[str], None] | None = None,
         retrieval_cache_size: int | None = None,
-        candidate_cache_size: int | None = None,
+        analysis_cache_size: int | None = None,
     ) -> None:
         self._configs: dict[str, ServeConfig] = {}
         for config in configs:
@@ -331,7 +331,7 @@ class SessionPool:
             raise ConfigError("a session pool needs at least one config")
         self._on_invalidate = on_invalidate
         self._retrieval_cache_size = retrieval_cache_size
-        self._candidate_cache_size = candidate_cache_size
+        self._analysis_cache_size = analysis_cache_size
         # Keyed by entry key: "config" or "tenant::config" (dedicated
         # per-tenant views). Build locks are created lazily for tenant
         # keys, under _lock.
@@ -453,7 +453,7 @@ class SessionPool:
         )
         session = effective.build_session(
             retrieval_cache_size=self._retrieval_cache_size,
-            candidate_cache_size=self._candidate_cache_size,
+            analysis_cache_size=self._analysis_cache_size,
             store=store,
         )
         entry = PooledSession(
@@ -463,7 +463,7 @@ class SessionPool:
         subscribe = getattr(entry.index, "subscribe", None)
         if callable(subscribe):
             # The invalidation contract: ingestion -> session refresh
-            # (retrieval/candidate caches + scorer snapshot) -> service
+            # (retrieval/analysis caches + scorer snapshot) -> service
             # callback (response-cache invalidation). Runs on the
             # ingesting thread, after the index is consistent.
             subscribe(lambda _index, _entry=entry: self._invalidate(_entry))

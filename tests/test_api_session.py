@@ -232,15 +232,15 @@ class TestSessionBasics:
         session = (
             Session.builder()
             .dataset("wikipedia")
-            .cache_capacity(retrieval=2, candidates=3)
+            .cache_capacity(retrieval=2, analysis=3)
             .config(n_clusters=3)
             .build()
         )
         caches = session.describe()["caches"]
         assert caches["retrieval"]["capacity"] == 2
-        assert caches["candidates"]["capacity"] == 3
+        assert caches["analysis"]["capacity"] == 3
         # both tiers report the full documented shape
-        for tier in ("retrieval", "candidates"):
+        for tier in ("retrieval", "analysis"):
             assert set(caches[tier]) >= {"entries", "capacity", "hits", "misses"}
         # Capacity is enforced: three distinct retrievals keep two.
         for query in ("java", "rockets", "columbia"):
@@ -251,7 +251,7 @@ class TestSessionBasics:
         with pytest.raises(ConfigError):
             Session.builder().cache_capacity(retrieval=0)
         with pytest.raises(ConfigError):
-            Session.builder().cache_capacity(candidates=-1)
+            Session.builder().cache_capacity(analysis=-1)
 
     def test_describe_reports_hits_and_misses(self, wiki_session):
         wiki_session.clear_caches()

@@ -1,5 +1,6 @@
 """Tests for the scalability sweep (Fig. 7 harness)."""
 
+from repro.cluster.kmeans import CosineKMeans
 from repro.eval.scalability import run_scalability
 
 
@@ -19,3 +20,17 @@ class TestScalability:
         points = run_scalability(sizes=(20, 40, 60), seed=0)
         ns = [p.n_results for p in points]
         assert ns == sorted(ns)
+
+    def test_each_algorithm_clusters_cold(self, monkeypatch):
+        # Fig. 7 times clustering plus generation per algorithm, so PEBC
+        # must not reuse the analysis ISKR left in the session's cache.
+        fits = []
+        fit = CosineKMeans.fit
+
+        def counting(self, matrix):
+            fits.append(matrix.shape[0])
+            return fit(self, matrix)
+
+        monkeypatch.setattr(CosineKMeans, "fit", counting)
+        run_scalability(sizes=(30, 60), seed=0)
+        assert fits == [30, 30, 60, 60]
