@@ -9,7 +9,7 @@ reports end-to-end latency percentiles plus cache behavior:
 * **warm** — ``--threads`` concurrent clients each issuing
   ``--requests`` requests drawn from a Zipf-weighted mix of the same
   queries (the repeated-query regime a serving cache exists for);
-* **ingest** — on a ``backend=dynamic`` configuration: expand, expand
+* **ingest** — on a ``backend=sqlite`` configuration: expand, expand
   again (cache hit), ingest fresh documents, expand a third time — the
   third response must be a cache *miss* with *changed* content, proving
   the invalidation contract (no stale cached expansions).
@@ -131,7 +131,7 @@ def run(smoke: bool) -> int:
     server = create_server(
         [
             _wiki_config(),
-            ServeConfig(name="dyn", dataset="wikipedia", backend="dynamic"),
+            ServeConfig(name="live", dataset="wikipedia", backend="sqlite"),
         ],
         port=0,
         cache_size=256,
@@ -140,7 +140,7 @@ def run(smoke: bool) -> int:
     try:
         # Pay index + session construction up front so the cold phase
         # measures the request path, not one-time pool warmup.
-        for name in ("wiki", "dyn"):
+        for name in ("wiki", "live"):
             server.service.pool.get(name)
 
         # The request mix: every ambiguous term x four expansion
@@ -221,8 +221,8 @@ def run(smoke: bool) -> int:
         assert "retrieve" in metrics["stages"]["wiki"], "stage metrics missing"
 
         # -- ingest: the invalidation contract -------------------------------
-        before = _get(server.url, "/expand", config="dyn", query="java")
-        again = _get(server.url, "/expand", config="dyn", query="java")
+        before = _get(server.url, "/expand", config="live", query="java")
+        again = _get(server.url, "/expand", config="live", query="java")
         analyzer = Analyzer(use_stemming=False)
         fresh = [
             make_text_document(
@@ -233,8 +233,8 @@ def run(smoke: bool) -> int:
             )
             for i in range(5)
         ]
-        server.service.pool.ingest("dyn", fresh)
-        after = _get(server.url, "/expand", config="dyn", query="java")
+        server.service.pool.ingest("live", fresh)
+        after = _get(server.url, "/expand", config="live", query="java")
 
         # -- report -----------------------------------------------------------
         cold_p50 = _percentile(cold, 50)

@@ -7,7 +7,7 @@ since startup. This example walks the persistence subsystem end to end:
 
 1. seed a store from a dataset through the session builder;
 2. serve queries from it (the "sqlite" backend speaks the same
-   IndexBackend protocol as memory/disk/sharded);
+   IndexBackend protocol as the in-memory one);
 3. mutate it — upsert new documents, rewrite one in place, tombstone
    another — and watch the generation counter advance;
 4. compact (drop tombstoned postings, VACUUM) and snapshot (a

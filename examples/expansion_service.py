@@ -8,9 +8,10 @@ story over real HTTP requests:
 1. ``/healthz`` and ``/configs`` — liveness and discovery;
 2. ``/expand`` twice — cold miss, then a warm cache hit;
 3. ``/batch`` — repeated queries inside a batch hit the same cache;
-4. ingestion into a ``backend=dynamic`` configuration — the mutation
-   listener invalidates cached responses, so the next ``/expand`` is a
-   *miss* with fresh (changed) content, never a stale answer;
+4. ingestion into a ``backend=sqlite`` configuration (no ``store=``
+   path, so a throwaway store) — the mutation listener invalidates
+   cached responses, so the next ``/expand`` is a *miss* with fresh
+   (changed) content, never a stale answer;
 5. ``/metrics`` — request counters, all three cache tiers, and the
    per-stage latency histograms the pipeline records as it runs.
 
@@ -49,7 +50,7 @@ def main() -> None:
     server = create_server(
         [
             ServeConfig(name="wiki", dataset="wikipedia", algorithm="iskr"),
-            ServeConfig(name="live", dataset="wikipedia", backend="dynamic"),
+            ServeConfig(name="live", dataset="wikipedia", backend="sqlite"),
         ],
         port=0,                # ephemeral: perfect for embedding
         cache_size=256,

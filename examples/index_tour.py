@@ -1,16 +1,14 @@
 #!/usr/bin/env python
-"""Tour of the retrieval substrate: boolean queries, phrases, disk indexes.
+"""Tour of the retrieval substrate: boolean queries, phrases, storage backends.
 
 The expansion algorithms sit on a from-scratch search engine. This example
 exercises its deeper layers directly:
 
 1. the boolean query language (AND/OR/NOT, parentheses, phrases);
 2. the positional index behind phrase and proximity queries;
-3. posting-list compression (varint and Elias gamma) and the binary
-   on-disk index format, round-tripped through a temporary file;
-4. the IndexBackend protocol: memory, disk, and sharded storage all
-   answering the same queries identically, selected by registry name;
-5. the durable SQLite document store: the same queries, persisted —
+3. the IndexBackend protocol: memory and SQLite storage answering the
+   same queries identically, selected by registry name;
+4. the durable SQLite document store: the same queries, persisted —
    a reopen recovers the committed index without the raw documents.
 
 Run:  python examples/index_tour.py
@@ -20,8 +18,6 @@ import tempfile
 from pathlib import Path
 
 from repro import Analyzer, build_wikipedia_corpus
-from repro.index.compression import encode_postings
-from repro.index.diskindex import DiskIndex, write_index
 from repro.index.inverted_index import InvertedIndex
 from repro.index.positional import PositionalIndex
 from repro.index.queryparser import evaluate_query
@@ -74,68 +70,42 @@ def main() -> None:
     print(f"  phrase \"san jose\" -> documents {phrase}")
     print(f"  phrase \"san diego\" -> documents {near}")
 
-    # 3. Compression and the disk format ------------------------------------
-    term = max(index.vocabulary(), key=index.document_frequency)
-    plist = index.postings(term)
-    doc_ids = [p.doc for p in plist]
-    tfs = [p.tf for p in plist]
-    raw = 8 * len(doc_ids)
-    for codec in ("varint", "gamma"):
-        blob = encode_postings(doc_ids, tfs, codec=codec)
-        print(
-            f"  {term!r} postings ({len(doc_ids)} entries): "
-            f"{raw}B raw -> {len(blob)}B {codec}"
-        )
-
-    with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "wiki.qecx"
-        size = write_index(index, path, codec="varint")
-        loaded = DiskIndex.load(path)
-        same = loaded.and_query(["java"]) == index.and_query(["java"])
-        print(
-            f"  disk index: {size} bytes, reload consistent with memory: {same}"
-        )
-
-    # 4. Pluggable storage: the IndexBackend protocol -----------------------
+    # 3. Pluggable storage: the IndexBackend protocol -----------------------
     # Every backend in the BACKENDS registry answers identically; they
     # differ only in storage traits, visible through capabilities().
     from repro.api import BACKENDS
+    from repro.store import DocumentStore, SQLiteIndexBackend
 
     query = ["java", "island"]
-    reference = None
-    for name, kwargs in (("memory", {}), ("disk", {}), ("sharded", {"shards": 4})):
-        backend = BACKENDS.create(name, corpus, **kwargs)
-        answer = backend.or_query(query)
-        reference = answer if reference is None else reference
-        caps = backend.capabilities()
-        traits = ", ".join(
-            k for k, v in caps.to_dict().items()
-            if v is True and k != "concurrent_reads"
-        ) or "in-memory"
-        print(
-            f"  backend {name!r:10s} -> {len(answer)} matches "
-            f"(consistent: {answer == reference}; {traits})"
-        )
-
-    # 5. Durable storage: the SQLite document store -------------------------
-    # The "sqlite" backend persists corpus + postings in one WAL-mode
-    # file: reopening it recovers the exact committed state without
-    # touching the raw documents (see examples/durable_store.py for the
-    # full mutate/compact/snapshot lifecycle).
+    reference = index.or_query(query)
     with tempfile.TemporaryDirectory() as tmp:
         store_path = Path(tmp) / "wiki.sqlite"
-        durable = BACKENDS.create("sqlite", corpus, path=store_path)
-        first = durable.or_query(query)
-        durable.store.close()
+        for name, kwargs in (("memory", {}), ("sqlite", {"path": store_path})):
+            backend = BACKENDS.create(name, corpus, **kwargs)
+            answer = backend.or_query(query)
+            traits = ", ".join(
+                k for k, v in backend.capabilities().to_dict().items() if v is True
+            ) or "in-memory"
+            print(
+                f"  backend {name!r:10s} -> {len(answer)} matches "
+                f"(consistent: {answer == reference}; {traits})"
+            )
+            closer = getattr(backend, "close", None)
+            if closer is not None:
+                closer()
 
-        from repro.store import DocumentStore, SQLiteIndexBackend
-
+        # 4. Durable storage: the SQLite document store ---------------------
+        # The "sqlite" backend persists corpus + postings in one WAL-mode
+        # file: reopening it recovers the exact committed state without
+        # touching the raw documents (see examples/durable_store.py for
+        # the full mutate/compact/snapshot lifecycle).
         reopened = SQLiteIndexBackend(DocumentStore(store_path))
         print(
-            f"  backend 'sqlite'   -> {len(first)} matches "
-            f"(reload consistent: {reopened.or_query(query) == reference}; "
-            f"generation {reopened.generation})"
+            f"  reopened 'sqlite'  -> reload consistent: "
+            f"{reopened.or_query(query) == reference}; "
+            f"generation {reopened.generation}"
         )
+        reopened.close()
 
 
 if __name__ == "__main__":

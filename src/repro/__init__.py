@@ -109,12 +109,10 @@ from repro.errors import (
 from repro.eval import ExperimentSuite, UserStudySimulator, run_scalability
 from repro.index import (
     BM25Scorer,
-    DiskIndex,
     IndexBackend,
     InvertedIndex,
     SearchEngine,
     SearchResult,
-    ShardedIndex,
 )
 from repro.pipeline import (
     ExecutionContext,
@@ -152,7 +150,6 @@ __all__ = [
     "DataClouds",
     "DataError",
     "DeltaFMeasureRefinement",
-    "DiskIndex",
     "DocumentStore",
     "Document",
     "ExhaustiveOptimalExpansion",
@@ -193,7 +190,6 @@ __all__ = [
     "SearchResult",
     "Session",
     "SessionBuilder",
-    "ShardedIndex",
     "StageTiming",
     "TermCounts",
     "UserStudySimulator",

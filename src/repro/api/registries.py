@@ -55,7 +55,6 @@ from repro.datasets.wikipedia import build_wikipedia_corpus
 from repro.errors import RegistryError
 from repro.index.inverted_index import InvertedIndex
 from repro.index.scoring import TfIdfScorer
-from repro.index.sharded import ShardedIndex
 from repro.pipeline import stages as pipeline_stages
 
 if TYPE_CHECKING:
@@ -63,8 +62,6 @@ if TYPE_CHECKING:
 
     from repro.data.corpus import Corpus
     from repro.index.bm25 import BM25Scorer
-    from repro.index.diskindex import DiskIndex
-    from repro.index.dynamic import DynamicIndex
     from repro.index.lm import LMDirichletScorer
     from repro.store import DocumentStore, SQLiteIndexBackend
     from repro.text.analyzer import Analyzer
@@ -285,60 +282,6 @@ def _make_memory_backend(corpus: "Corpus") -> InvertedIndex:
     return InvertedIndex(corpus)
 
 
-@BACKENDS.register("disk")
-def _make_disk_backend(
-    corpus: "Corpus", path: "str | Path | None" = None, codec: str = "varint"
-) -> "DiskIndex":
-    """Compressed binary index, round-tripped through the QECX format.
-
-    ``path=None`` serializes through a temporary file that is removed
-    once loaded (the reader keeps the compressed blobs in memory). A
-    real ``path`` persists the index there, and is *reused* on the next
-    construction when it already exists and still matches the corpus
-    (document count and every document length are verified; a stale
-    file raises rather than silently serving old postings). On reuse
-    the file's stored codec wins — ``codec`` only affects a fresh build.
-    """
-    import os
-    import tempfile
-
-    from repro.errors import IndexingError
-    from repro.index.diskindex import DiskIndex
-
-    if path is not None:
-        from pathlib import Path
-
-        path = Path(path)
-        if path.exists():
-            loaded = DiskIndex.load(path)
-            stale = loaded.num_documents != len(corpus) or any(
-                loaded.doc_length(pos) != doc.length()
-                for pos, doc in enumerate(corpus)
-            )
-            if stale:
-                raise IndexingError(
-                    f"index at {path} does not match the corpus "
-                    f"({loaded.num_documents} vs {len(corpus)} documents, or "
-                    f"differing document lengths); delete it to rebuild"
-                )
-            return loaded
-        return DiskIndex.build(corpus, path, codec=codec)
-    fd, tmp = tempfile.mkstemp(suffix=".qecx")
-    os.close(fd)
-    try:
-        return DiskIndex.build(corpus, tmp, codec=codec)
-    finally:
-        os.unlink(tmp)
-
-
-@BACKENDS.register("sharded")
-def _make_sharded_backend(
-    corpus: "Corpus", shards: int = 4, **kwargs: Any
-) -> ShardedIndex:
-    """Hash-partitioned index with thread-pool query fan-out."""
-    return ShardedIndex(corpus, n_shards=shards, **kwargs)
-
-
 @BACKENDS.register("sqlite")
 def _make_sqlite_backend(
     corpus: "Corpus",
@@ -356,7 +299,7 @@ def _make_sqlite_backend(
     An empty store is bulk-loaded from the corpus in one transaction; a
     populated one is verified against the corpus (position-aligned
     doc_ids and lengths) and reused — a mismatched file raises instead
-    of silently serving other data, like the ``"disk"`` backend.
+    of silently serving other data.
     """
     import atexit
     import shutil
@@ -368,8 +311,7 @@ def _make_sqlite_backend(
     if store is None:
         if path is None:
             tmpdir = tempfile.mkdtemp(prefix="repro-store-")
-            # Throwaway storage must not outlive the process (the
-            # pathless "disk" backend cleans up the same way).
+            # Throwaway storage must not outlive the process.
             atexit.register(shutil.rmtree, tmpdir, True)
             path = Path(tmpdir) / "store.sqlite"
         store = DocumentStore(path)
@@ -378,21 +320,6 @@ def _make_sqlite_backend(
             "backend 'sqlite' takes either path=... or store=..., not both"
         )
     return SQLiteIndexBackend(store, corpus=corpus)
-
-
-@BACKENDS.register("dynamic")
-def _make_dynamic_backend(corpus: "Corpus") -> "DynamicIndex":
-    """Append-friendly index that *adopts* the engine's corpus.
-
-    Because the corpus object is shared (not copied), documents appended
-    via :meth:`DynamicIndex.add <repro.index.dynamic.DynamicIndex.add>`
-    after construction are immediately retrievable through the engine.
-    The serving layer (:mod:`repro.serve`) subscribes to the index's
-    mutation listeners to invalidate its caches on ingestion.
-    """
-    from repro.index.dynamic import DynamicIndex
-
-    return DynamicIndex(corpus=corpus)
 
 
 # -- datasets ----------------------------------------------------------------

@@ -6,7 +6,7 @@ behind a fluent builder::
     session = (Session.builder()
                .dataset("wikipedia")
                .retrieval("bm25")
-               .backend("sharded", shards=8)
+               .backend("sqlite", path="corpus.sqlite")
                .clusterer("bisecting")
                .algorithm("pebc")
                .config(n_clusters=4)
@@ -314,10 +314,10 @@ class SessionBuilder:
     def backend(self, name: str, **kwargs: Any) -> "SessionBuilder":
         """Index storage backend by registry name (default ``"memory"``).
 
-        Built-ins: ``"memory"`` (flat inverted index), ``"disk"``
-        (compressed QECX round-trip; pass ``path=...`` to persist),
-        ``"sharded"`` (hash-partitioned; pass ``shards=8``). kwargs go
-        to the backend factory in :data:`repro.api.registries.BACKENDS`.
+        Built-ins: ``"memory"`` (flat inverted index) and ``"sqlite"``
+        (durable and mutable; pass ``path=...`` to persist, or an open
+        ``store=...``). kwargs go to the backend factory in
+        :data:`repro.api.registries.BACKENDS`.
         """
         self._backend = self._norm(name)
         self._backend_kwargs = dict(kwargs)
@@ -668,8 +668,8 @@ class Session:
 
         :meth:`clear_caches` plus a scorer rebuild on the wrapped engine —
         the full response to a mutable-backend ingestion. The serving
-        layer (:mod:`repro.serve`) calls this from its
-        :class:`~repro.index.dynamic.DynamicIndex` mutation listener.
+        layer (:mod:`repro.serve`) calls this from the mutation listener
+        it subscribes to the backend, once per committed ingest.
         """
         self.clear_caches()
         refresh = getattr(self._engine.inner, "refresh_scoring", None)

@@ -16,9 +16,9 @@ Three ways an entry leaves the cache, each separately counted:
 * **expiration** — the entry outlived its TTL (checked lazily on
   lookup, and sweepable via :meth:`LRUTTLCache.purge_expired`);
 * **invalidation** — an explicit :meth:`LRUTTLCache.invalidate` /
-  :meth:`LRUTTLCache.clear` call (e.g. from the
-  :class:`~repro.index.dynamic.DynamicIndex` mutation listener the
-  session pool installs).
+  :meth:`LRUTTLCache.clear` call (e.g. from the mutation listener the
+  session pool subscribes to a mutable backend, which fires once per
+  committed ingest).
 
 The clock is injectable for tests (defaults to ``time.monotonic``).
 """

@@ -78,8 +78,7 @@ def _make_session(args: argparse.Namespace) -> Session:
             raise ConfigError("--dataset is required (unless --store is given)")
         builder.dataset(args.dataset)
         if backend is not None:
-            kwargs = {"shards": args.shards} if backend == "sharded" else {}
-            builder.backend(backend, **kwargs)
+            builder.backend(backend)
     if getattr(args, "algorithm", None) is not None:
         builder.algorithm(args.algorithm)
     config: dict = {}
@@ -735,10 +734,8 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
 
 
 def _cmd_scalability(args: argparse.Namespace) -> int:
-    backend_kwargs = {"shards": args.shards} if args.backend == "sharded" else {}
     points = run_scalability(
-        sizes=tuple(args.sizes), seed=args.seed,
-        backend=args.backend, **backend_kwargs,
+        sizes=tuple(args.sizes), seed=args.seed, backend=args.backend
     )
     rows = [[p.n_results, p.iskr_seconds, p.pebc_seconds] for p in points]
     print(
@@ -795,10 +792,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--backend", choices=backends, default="memory",
             help="index storage backend (default: memory)",
-        )
-        p.add_argument(
-            "--shards", type=int, default=4,
-            help="shard count for --backend sharded (default: 4)",
         )
 
     def add_store_flag(p: argparse.ArgumentParser) -> None:
@@ -877,7 +870,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=["default:dataset=wikipedia"],
         help="named session configs, each 'name:key=value,...' "
              "(keys: dataset, algorithm, clusterer, scoring, backend, "
-             "shards, k, top, semantics, seed, store)",
+             "k, top, semantics, seed, store)",
     )
     p.add_argument(
         "--cache-size", type=int, default=1024,

@@ -356,7 +356,7 @@ def sync_attrs(cls: "ClassInfo") -> frozenset[str]:
 class LockRef:
     """A lock acquired by a ``with`` item, canonicalized for the graph."""
 
-    id: str  # "pkg.mod.Class._lock", "pkg.mod.Class.locked()", ...
+    id: str  # "pkg.mod.Class._lock", "pkg.mod.Class._transaction()", ...
     text: str  # source text of the context expression
     node: ast.expr = field(compare=False, hash=False, repr=False, default=None)  # type: ignore[assignment]
 
@@ -413,7 +413,7 @@ class LockResolver:
             if target.id in self.module.module_locks:
                 return LockRef(f"{self.module.name}.{target.id}", text, expr)
             return None
-        # with self._transaction(): / with entry.locked():
+        # with self._transaction(): / with store.transaction():
         if isinstance(expr, ast.Call) and isinstance(expr.func, ast.Attribute):
             meth = expr.func.attr
             if not _LOCK_METHOD_RE.match(meth):

@@ -9,8 +9,7 @@
   to a pinned method list otherwise (so fixture subsets still check).
 * **REG002** — ``capabilities()`` claims must match reality: a backend
   constructing ``BackendCapabilities(mutable=True, ...)`` must define
-  ``add_all`` + ``remove``; ``sharded=True`` requires a ``shards``
-  member (the fan-out accessor ``collection_term_frequencies`` uses).
+  ``add_all`` + ``remove``.
 
 Factory resolution is static: ``return Cls(...)``, ``return
 Cls.build(...)`` (classmethod constructors), and ``x = Cls(...); return
@@ -65,7 +64,6 @@ DEFAULT_SPECS: tuple[RegistrySpec, ...] = (
         fallback=_BACKEND_SURFACE,
         capability_rules={
             "mutable": frozenset({"add_all", "remove"}),
-            "sharded": frozenset({"shards"}),
         },
     ),
     RegistrySpec(

@@ -28,13 +28,11 @@ def run_scalability(
     seed: int = 0,
     n_clusters: int = 3,
     backend: str = "memory",
-    **backend_kwargs,
 ) -> list[ScalabilityPoint]:
     """Run the Fig. 7 sweep and return one point per requested size.
 
-    ``backend`` picks the index storage by registry name, so the sweep
-    doubles as a backend scalability probe (``backend="sharded",
-    shards=8`` and so on).
+    ``backend`` picks the index storage by registry name (``"memory"``
+    or ``"sqlite"``).
     """
     n_senses = len(WIKIPEDIA_SENSES[term])
     points: list[ScalabilityPoint] = []
@@ -45,7 +43,7 @@ def run_scalability(
         session = (
             Session.builder()
             .dataset("wikipedia", docs_per_sense=docs_per_sense, terms=[term])
-            .backend(backend, **backend_kwargs)
+            .backend(backend)
             .algorithm("iskr")
             .config(n_clusters=n_clusters, top_k_results=size)
             .seed(seed)

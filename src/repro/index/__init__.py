@@ -7,10 +7,10 @@ Seed-query results are ranked by TF-IDF cosine score, which supplies the
 ranking weights used by the weighted precision/recall of §2.
 
 Storage is pluggable behind the :class:`IndexBackend` protocol: the flat
-in-memory :class:`InvertedIndex`, the compressed on-disk
-:class:`DiskIndex`, the append-friendly :class:`DynamicIndex`, and the
-hash-partitioned :class:`ShardedIndex` are interchangeable, selected by
-name through :data:`repro.api.registries.BACKENDS`.
+in-memory :class:`InvertedIndex` (``"memory"``) and the durable,
+mutable SQLite index (``"sqlite"``, :mod:`repro.store`) are
+interchangeable, selected by name through
+:data:`repro.api.registries.BACKENDS`.
 """
 
 from repro.index.backend import (
@@ -20,9 +20,6 @@ from repro.index.backend import (
     collection_term_frequencies,
 )
 from repro.index.bm25 import BM25Scorer
-from repro.index.compression import decode_postings, encode_postings
-from repro.index.diskindex import DiskIndex, write_index
-from repro.index.dynamic import DynamicIndex
 from repro.index.inverted_index import InvertedIndex
 from repro.index.lm import LMDirichletScorer
 from repro.index.positional import PositionalIndex
@@ -30,13 +27,10 @@ from repro.index.postings import Posting, PostingList
 from repro.index.queryparser import evaluate_query, parse_query
 from repro.index.scoring import TfIdfScorer
 from repro.index.search import SearchEngine, SearchResult
-from repro.index.sharded import ShardedIndex
 
 __all__ = [
     "BM25Scorer",
     "BackendCapabilities",
-    "DiskIndex",
-    "DynamicIndex",
     "IndexBackend",
     "InvertedIndex",
     "LMDirichletScorer",
@@ -45,13 +39,9 @@ __all__ = [
     "PostingList",
     "SearchEngine",
     "SearchResult",
-    "ShardedIndex",
     "TermFrequencyCache",
     "TfIdfScorer",
     "collection_term_frequencies",
-    "decode_postings",
-    "encode_postings",
     "evaluate_query",
     "parse_query",
-    "write_index",
 ]

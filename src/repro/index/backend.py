@@ -1,9 +1,8 @@
 """The storage seam of the retrieval layer: the ``IndexBackend`` protocol.
 
-Every index implementation — the in-memory :class:`InvertedIndex`, the
-compressed on-disk :class:`DiskIndex`, the append-friendly
-:class:`DynamicIndex`, and the hash-partitioned :class:`ShardedIndex` —
-speaks this one protocol, and everything above the index (scorers, the
+Every index implementation — the in-memory :class:`InvertedIndex` and
+the SQLite-backed :class:`~repro.store.SQLiteIndexBackend` — speaks
+this one protocol, and everything above the index (scorers, the
 search engine, candidate-keyword statistics, the session builder, the
 CLI) speaks *only* this protocol. Swapping storage is then a name in the
 :data:`repro.api.registries.BACKENDS` registry, not a rewrite.
@@ -19,7 +18,7 @@ The protocol is deliberately small:
   returning sorted corpus positions;
 * self-description — ``capabilities()`` returning a
   :class:`BackendCapabilities` record callers can branch on (is it
-  persistent? sharded? safe for concurrent reads?).
+  persistent? does it accept new documents?).
 
 Document identity is the integer corpus position throughout, exactly as
 in the rest of the library.
@@ -44,28 +43,19 @@ class BackendCapabilities:
     name:
         Short identifier, normally the backend's registry name.
     persistent:
-        True when the postings survive process exit (e.g. the binary
-        on-disk format).
+        True when the postings survive process exit (e.g. a SQLite
+        store file).
     mutable:
         True when documents can be appended after construction.
-    sharded:
-        True when postings are partitioned across sub-backends.
-    shards:
-        Number of partitions (1 for unsharded backends).
-    compressed:
-        True when postings are stored compressed and decoded on demand.
-    concurrent_reads:
-        True when one instance may serve reads from many threads
-        without external locking.
+
+    Every backend serves reads from many threads without external
+    locking; a mutable one commits each write atomically and bumps a
+    ``generation`` counter that readers re-check.
     """
 
     name: str
     persistent: bool = False
     mutable: bool = False
-    sharded: bool = False
-    shards: int = 1
-    compressed: bool = False
-    concurrent_reads: bool = True
 
     def to_dict(self) -> dict:
         """JSON-ready form (for diagnostics and benchmark artifacts)."""
@@ -124,15 +114,15 @@ class TermFrequencyCache:
     Scorers rank term-at-a-time over ``(docs, tfs)`` columns; the protocol
     serves them through :meth:`IndexBackend.postings`. Fetching a posting
     list per *query* would repeat the same decode (genuinely expensive
-    on compressed and SQLite backends), so scorers hold one of these:
+    on the SQLite backend), so scorers hold one of these:
     each term's columns are fetched once and reused by every query.
     A scorer that passes ``impact`` also gets each term's per-posting
     score contributions, computed once per cached term. The cache also
     holds the document-length vector scorers normalize by.
 
     Mutation-aware: backends exposing a ``generation`` counter (the
-    dynamic and SQLite backends) invalidate every entry and the length
-    vector on change. Unsynchronized — a racing double-fetch under
+    SQLite backend) invalidate every entry and the length vector on
+    change. Unsynchronized — a racing double-fetch under
     threads stores identical values.
     """
 
@@ -209,22 +199,8 @@ def collection_term_frequencies(backend: IndexBackend) -> dict[str, int]:
     """Total collection frequency per term, from postings alone.
 
     The bulk path for collection language models: one pass over every
-    posting list. Backends composed of sub-backends (anything exposing a
-    ``shards`` sequence, e.g. :class:`~repro.index.sharded.ShardedIndex`)
-    are summed shard-locally — no per-term thread fan-out, no global
-    posting merges — so building a scorer over a sharded index costs the
-    same as over its flat equivalent.
+    posting list.
     """
-    shards = getattr(backend, "shards", None)
-    # Only a real sequence of sub-backends qualifies — ``shards`` is also
-    # the name of BackendCapabilities' integer count field, and a plain
-    # int here must not trigger the shard-local path.
-    if isinstance(shards, (list, tuple)) and shards:
-        counts: dict[str, int] = {}
-        for shard in shards:
-            for term, count in collection_term_frequencies(shard).items():
-                counts[term] = counts.get(term, 0) + count
-        return counts
     return {
         term: int(backend.postings(term).tfs.sum())
         for term in backend.vocabulary()

@@ -34,23 +34,20 @@ _EMPTY = _column([])
 class PostingList:
     """A sorted-by-doc list of postings supporting boolean merges.
 
-    Doc ids are integer corpus positions; lists are append-only and must be
-    appended in increasing doc order (the index builder guarantees this).
-    Appends are buffered and folded into the columns on the next read, so
-    a list is built once per batch of appends, not once per posting. An
-    append must not race a read of the same list: the only backend that
-    appends after construction (``DynamicIndex``) declares
-    ``concurrent_reads=False``.
+    Doc ids are integer corpus positions, strictly increasing; a list is
+    immutable once built, so any number of threads may read it.
     """
 
-    __slots__ = ("_docs", "_tfs", "_pending")
+    __slots__ = ("_docs", "_tfs")
 
     def __init__(self, postings: Iterable[Posting] = ()) -> None:
-        self._docs = _EMPTY
-        self._tfs = _EMPTY
-        self._pending: list[Posting] = []
-        for p in postings:
-            self.append(p)
+        self._docs = self._tfs = _EMPTY
+        postings = list(postings)
+        if postings:
+            built = self.from_columns(
+                [p.doc for p in postings], [p.tf for p in postings]
+            )
+            self._docs, self._tfs = built._docs, built._tfs
 
     @classmethod
     def from_columns(cls, docs, tfs) -> "PostingList":
@@ -72,41 +69,18 @@ class PostingList:
         out._docs, out._tfs = docs, tfs
         return out
 
-    def append(self, posting: Posting) -> None:
-        if self._pending:
-            last = self._pending[-1].doc
-        elif len(self._docs):
-            last = int(self._docs[-1])
-        else:
-            last = None
-        if last is not None and posting.doc <= last:
-            raise ValueError(f"postings out of order: {posting.doc} after {last}")
-        self._pending.append(posting)
-
-    def _flush(self) -> None:
-        pending, self._pending = self._pending, []
-        if pending:
-            self._docs = _column(
-                np.concatenate((self._docs, [p.doc for p in pending]))
-            )
-            self._tfs = _column(np.concatenate((self._tfs, [p.tf for p in pending])))
-
     @property
     def docs(self) -> np.ndarray:
         """Read-only int64 column of corpus positions, strictly increasing."""
-        if self._pending:
-            self._flush()
         return self._docs
 
     @property
     def tfs(self) -> np.ndarray:
         """Read-only int64 column of term frequencies, aligned with :attr:`docs`."""
-        if self._pending:
-            self._flush()
         return self._tfs
 
     def __len__(self) -> int:
-        return len(self._docs) + len(self._pending)
+        return len(self._docs)
 
     def __iter__(self) -> Iterator[Posting]:
         return map(Posting, self.docs.tolist(), self.tfs.tolist())

@@ -220,9 +220,8 @@ class EvalContext:
     Parameters
     ----------
     index:
-        Anything with ``postings(term)`` and ``num_documents`` — both
-        :class:`~repro.index.inverted_index.InvertedIndex` and
-        :class:`~repro.index.diskindex.DiskIndex` qualify.
+        Anything with ``postings(term)`` and ``num_documents``, i.e.
+        any :class:`~repro.index.backend.IndexBackend`.
     positional:
         Needed only for phrase queries.
     normalize:

@@ -7,8 +7,8 @@ the standard log-tf × smoothed-idf cosine-style score.
 Scorers speak only the :class:`~repro.index.backend.IndexBackend`
 protocol: term frequencies come from posting lists (fetched once per
 term via :class:`~repro.index.backend.TermFrequencyCache`), never from
-the corpus, so any backend — in-memory, compressed on-disk, sharded or
-SQLite — ranks identically.
+the corpus, so every backend — in-memory or SQLite — ranks
+identically.
 
 Every scorer ranks term-at-a-time (:func:`rank_by_impacts`): it turns
 each term's posting columns into a per-posting *impact* array once,

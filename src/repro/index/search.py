@@ -50,7 +50,7 @@ class SearchEngine:
 
     Storage is pluggable: ``backend`` selects the index implementation by
     name from :data:`repro.api.registries.BACKENDS` (``"memory"``,
-    ``"disk"``, ``"sharded"``, or anything a plugin registers), or may be
+    ``"sqlite"``, or anything a plugin registers), or may be
     a ``factory(corpus) -> IndexBackend`` closure, or an already-built
     backend instance. The engine — and everything above it — only ever
     talks to the :class:`~repro.index.backend.IndexBackend` protocol.
@@ -93,7 +93,7 @@ class SearchEngine:
 
         Scorers snapshot collection statistics (N, cached term
         frequencies) at construction; after a mutable backend (e.g. the
-        ``"dynamic"`` one) ingests documents, call this so ranking
+        ``"sqlite"`` one) ingests documents, call this so ranking
         reflects the current index instead of the construction-time
         snapshot.
         """

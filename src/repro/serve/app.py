@@ -28,10 +28,10 @@ Endpoints (all JSON):
 ``/metrics``    GET   request/cache/stage metrics (see API.md: Serving)
 ==============  ====  =====================================================
 
-Ingestion (``/ingest``) requires a mutable backend (``backend=dynamic``
-or ``backend=sqlite``); with a sqlite configuration (``store=<path>``)
+Ingestion (``/ingest``) requires a mutable backend (``backend=sqlite``):
 every accepted document is committed to the store before the response
-is written, so it survives a server restart.
+is written, so with a ``store=<path>`` it also survives a server
+restart.
 
 Caching: ``/expand`` reports and ``/search`` results are memoized as
 encoded JSON bytes in an :class:`~repro.serve.cache.LRUTTLCache` keyed
@@ -41,8 +41,8 @@ them, so a hit encodes nothing cached again. ``/batch`` items route
 through the same per-query path, so repeated queries inside and across
 batches hit the cache too. The index generation in the key plus the
 pool's mutation listeners (which call
-:meth:`ExpansionService.invalidate_config`) make served payloads immune
-to :class:`~repro.index.dynamic.DynamicIndex` ingestion staleness.
+:meth:`ExpansionService.invalidate_config`) mean no payload cached
+before an ingest is served after it.
 """
 
 from __future__ import annotations
@@ -344,15 +344,8 @@ class ExpansionService(RequestEdge):
             lookup_span.end()
         if hit:
             return report, "hit"
-        # Exclusive lock first, worker slot second: threads queued on a
-        # non-concurrent-read backend's lock must not sit on compute
-        # slots, or one config's serialization starves every other
-        # config's cache misses.
-        with entry.locked():
-            # analyze: ignore[LOCK002] - documented one-way ordering: the
-            # entry lock is always taken before a compute slot, never after
-            with self._compute_slots:
-                computed = entry.session.expand(query, algorithm=algorithm)
+        with self._compute_slots:
+            computed = entry.session.expand(query, algorithm=algorithm)
         payload = schema.report_to_dict(computed)
         variants = {
             "full": encode(payload),
@@ -394,15 +387,12 @@ class ExpansionService(RequestEdge):
         # /search bypasses the pipeline (retrieval only), so the compute
         # gets an explicit stage.retrieve span — the search-path analogue
         # of the per-stage spans Pipeline.run emits under /expand.
-        # Opened before the entry lock, so lock-wait shows in the span.
+        # Opened before the compute slot, so slot-wait shows in the span.
         with span("stage.retrieve", semantics=semantics):
-            with entry.locked():  # lock-then-slot, as in _expand_cached
-                # analyze: ignore[LOCK002] - same one-way entry-lock -> slot
-                # ordering as _expand_cached
-                with self._compute_slots:
-                    results = entry.session.search(
-                        query, top_k=top_k, semantics=semantics
-                    )
+            with self._compute_slots:
+                results = entry.session.search(
+                    query, top_k=top_k, semantics=semantics
+                )
         chunks = tuple(encode(schema.search_result_to_dict(r)) for r in results)
         self._cache.put(key, chunks)
         return chunks, "miss"
@@ -594,9 +584,9 @@ class ExpansionService(RequestEdge):
         is analyzed with the target session's analyzer. The whole batch
         is applied atomically per backend transaction semantics; the
         response reports the post-ingest index generation. With a
-        tenant, the write lands in that tenant's scope (private store or
-        per-tenant dynamic index) and its quotas apply transactionally —
-        a rejected batch changes nothing.
+        tenant, the write lands in that tenant's scope (its private or
+        throwaway store, when it has one) and its quotas apply
+        transactionally — a rejected batch changes nothing.
         """
         from repro.data.documents import document_from_payload
         from repro.errors import DataError, SchemaError

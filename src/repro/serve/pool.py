@@ -7,33 +7,30 @@ requests select with ``?config=<name>``. Specs parse from the compact
 CLI form::
 
     name:key=value,key=value,...
-    # e.g.  wiki:dataset=wikipedia,algorithm=iskr,k=3,backend=sharded,shards=8
+    # e.g.  wiki:dataset=wikipedia,algorithm=iskr,k=3,scoring=bm25
 
 The :class:`SessionPool` owns one lazily-built session per configuration
 (first request pays construction; everyone after shares the warm index,
 retrieval cache, and analysis cache), exposes each session pipeline's
 :class:`~repro.pipeline.StageStats` for ``/metrics``, and — for mutable
-backends — subscribes to
-:class:`~repro.index.dynamic.DynamicIndex` mutation listeners so every
-ingestion immediately:
+backends — subscribes a mutation listener to the index, which fires
+once per committed ingest batch and then:
 
 1. refreshes the session (retrieval cache, analysis cache, scorer
    statistics snapshot), and
 2. fires the pool's ``on_invalidate`` callback, which the service uses
    to drop that configuration's cached responses.
 
-Sessions whose backend declares ``concurrent_reads=False`` (the dynamic
-index) additionally get a per-session execution lock, which
-:meth:`PooledSession.locked` exposes to the service.
+Every backend serves concurrent reads, and a mutable one commits each
+ingest atomically, so sessions run requests without an entry lock.
 """
 
 from __future__ import annotations
 
-import contextlib
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from threading import Lock, RLock
-from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, Mapping
+from threading import Lock
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Mapping
 
 from repro.api.session import Session
 from repro.data.documents import Document
@@ -60,7 +57,6 @@ _SPEC_KEYS = {
     "retrieval": "retrieval",
     "scoring": "retrieval",
     "backend": "backend",
-    "shards": "shards",
     "k": "n_clusters",
     "n_clusters": "n_clusters",
     "top": "top_k_results",
@@ -72,7 +68,7 @@ _SPEC_KEYS = {
 
 #: Spec fields that must parse as integers (pool builds are lazy, so a
 #: typo here would otherwise only surface as a 400 on the first request).
-_INT_FIELDS = frozenset({"shards", "n_clusters", "top_k_results", "seed"})
+_INT_FIELDS = frozenset({"n_clusters", "top_k_results", "seed"})
 
 
 @dataclass
@@ -85,7 +81,6 @@ class ServeConfig:
     clusterer: str | None = None
     retrieval: str = "tfidf"
     backend: str = "memory"
-    shards: int | None = None
     n_clusters: int = 3
     top_k_results: int | None = 30
     semantics: str | None = None
@@ -107,12 +102,6 @@ class ServeConfig:
             value = getattr(self, field_name)
             if isinstance(value, str):
                 setattr(self, field_name, value.strip().lower())
-        if self.shards is not None and self.backend != "sharded":
-            raise ConfigError(
-                f"config {self.name!r} sets shards={self.shards} but "
-                f"backend={self.backend!r}; shards only applies to "
-                f"backend=sharded"
-            )
         if self.store is not None:
             # A store path implies the durable backend; "memory" is the
             # field default, so only an explicit conflicting choice errors.
@@ -201,12 +190,7 @@ class ServeConfig:
             builder.backend("sqlite", store=store)
         else:
             builder.dataset(self.dataset, **dict(self.dataset_kwargs))
-            backend_kwargs = (
-                {"shards": self.shards}
-                if self.backend == "sharded" and self.shards is not None
-                else {}
-            )
-            builder.backend(self.backend, **backend_kwargs)
+            builder.backend(self.backend)
         if self.clusterer is not None:
             builder.clusterer(self.clusterer)
         config: dict[str, Any] = {
@@ -230,7 +214,6 @@ class ServeConfig:
             "clusterer": self.clusterer,
             "retrieval": self.retrieval,
             "backend": self.backend,
-            "shards": self.shards,
             "n_clusters": self.n_clusters,
             "top_k_results": self.top_k_results,
             "semantics": self.semantics,
@@ -240,10 +223,10 @@ class ServeConfig:
 
 
 class PooledSession:
-    """A built session plus its serving plumbing (locking, invalidations).
+    """A built session plus its serving plumbing (invalidations).
 
     ``tenant`` is the owning tenant's name for dedicated per-tenant
-    entries (private store path or per-tenant dynamic index) and
+    entries (a private store path, or a throwaway store of its own) and
     ``None`` for entries shared by every caller of the config.
     """
 
@@ -256,9 +239,6 @@ class PooledSession:
         self.config = config
         self.session = session
         self.tenant = tenant
-        caps = session.engine.index.capabilities()
-        self._exclusive = not caps.concurrent_reads
-        self._lock = RLock()
         # Counter mutated from ingesting threads, read by describe();
         # a bare `+= 1` would drop increments under concurrent ingests.
         self._meta_lock = Lock()
@@ -287,15 +267,6 @@ class PooledSession:
     def generation(self) -> int:
         """The index's change counter (0 for immutable backends)."""
         return int(getattr(self.index, "generation", 0))
-
-    @contextlib.contextmanager
-    def locked(self) -> Iterator[None]:
-        """Serialize execution for backends without concurrent reads."""
-        if self._exclusive:
-            with self._lock:
-                yield
-        else:
-            yield
 
 
 class SessionPool:
@@ -366,16 +337,17 @@ class SessionPool:
         """Does ``tenant`` get its own session for ``config``?
 
         Yes when the tenant overrides the store path (private durable
-        namespace) or the backend is the in-process mutable one
-        (``dynamic`` — per-tenant sessions make each tenant's ingest
-        invisible to the others). Store-backed configs without an
-        override and immutable backends share the base entry: one
-        backend per store handle keeps the adopted corpus consistent,
-        and response-cache keys stay tenant-scoped regardless.
+        namespace), or when the config names no store path and its
+        backend is the mutable ``sqlite`` one: each tenant then gets its
+        own throwaway store, so one tenant's ingest is invisible to the
+        others. Configs with a shared store path and immutable backends
+        share the base entry: one backend per store handle keeps the
+        adopted corpus consistent, and response-cache keys stay
+        tenant-scoped regardless.
         """
         if tenant.stores.get(config.name) is not None:
             return True
-        return config.backend == "dynamic"
+        return config.store is None and config.backend == "sqlite"
 
     def get(
         self, name: str, tenant: "TenantSpec | None" = None
@@ -443,8 +415,9 @@ class SessionPool:
         if tenant is not None:
             override = tenant.stores.get(config.name)
             if override is not None:
-                # replace() re-runs validation, so e.g. a store override
-                # on a dynamic-backend config fails loudly here.
+                # replace() re-runs validation: a store path implies
+                # backend=sqlite, and any other explicit backend fails
+                # loudly here.
                 effective = replace(config, store=str(override))
         store = (
             self._store_handle(effective.store)
@@ -489,18 +462,16 @@ class SessionPool:
     ) -> int:
         """Append documents to ``name``'s index; returns how many landed.
 
-        Only configurations on a mutable backend (``backend=dynamic``
-        or ``backend=sqlite``) accept ingestion; anything else raises
-        :class:`ServeError`. A sqlite backend writes through to its
-        store, so the documents survive a restart. Invalidation
-        listeners fire once, after the whole batch.
+        Only configurations on a mutable backend (``backend=sqlite``)
+        accept ingestion; anything else raises :class:`ServeError`. The
+        backend writes through to its store, so with a ``store=`` path
+        the documents survive a restart. Invalidation listeners fire
+        once, after the whole batch.
 
         With a ``tenant`` and a ``quota``, the batch-size cap applies
-        up front and the document quota is enforced transactionally:
-        store-backed entries check it under the store's write lock
-        before the transaction begins (a rejected batch leaves
-        generation and document count untouched), dynamic entries check
-        under the session's exclusive lock.
+        up front and the document quota is enforced transactionally,
+        under the store's write lock before the transaction begins (a
+        rejected batch leaves generation and document count untouched).
         """
         entry = self.get(name, tenant)
         add_all = getattr(entry.index, "add_all", None)
@@ -508,22 +479,13 @@ class SessionPool:
             raise ServeError(
                 f"config {name!r} uses immutable backend "
                 f"{entry.index.capabilities().name!r}; ingestion needs a "
-                f"mutable backend (backend=dynamic or backend=sqlite)"
+                f"mutable backend (backend=sqlite)"
             )
         docs = list(documents)
-        guard = None
         if tenant is not None and quota is not None:
             quota.check_batch(tenant, len(docs))
-            if getattr(entry.index, "store", None) is not None:
-                guard = quota.store_guard(tenant)
-        with entry.locked():
-            if guard is not None:
-                return len(add_all(docs, guard=guard))
-            if tenant is not None and quota is not None:
-                # Dynamic entries are exclusive (locked() serializes),
-                # so the count cannot move between check and apply.
-                quota.check_index_growth(tenant, entry.index, docs)
-            return len(add_all(docs))
+            return len(add_all(docs, guard=quota.store_guard(tenant)))
+        return len(add_all(docs))
 
     # -- shutdown ------------------------------------------------------------
 

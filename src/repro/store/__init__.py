@@ -9,8 +9,8 @@ The persistence subsystem: everything the in-memory backends cannot do.
   exactly the committed state.
 * :class:`SQLiteIndexBackend` — the
   :class:`~repro.index.backend.IndexBackend` face of a store
-  (``capabilities(): persistent=True, mutable=True,
-  concurrent_reads=True``), registered as ``"sqlite"`` in
+  (``capabilities(): persistent=True, mutable=True``), registered as
+  ``"sqlite"`` in
   :data:`repro.api.registries.BACKENDS`::
 
       session = (Session.builder()

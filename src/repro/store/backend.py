@@ -7,18 +7,18 @@ mutation surface the serving layer expects from a mutable backend
 ``generation``), writing through to the store so every committed
 document survives a restart.
 
-Corpus adoption works like :class:`~repro.index.dynamic.DynamicIndex`:
-the backend shares the engine's :class:`~repro.data.corpus.Corpus`
-object, so documents upserted after construction are immediately
-retrievable through the engine. Construction has three modes:
+The backend *adopts* the engine's :class:`~repro.data.corpus.Corpus`:
+it shares the object rather than copying it, and every committed upsert
+appends to (or replaces in) that corpus, so documents upserted after
+construction are immediately retrievable through the engine.
+Construction has three modes:
 
 * no corpus — the corpus is loaded *from* the store (the restart path);
 * a corpus and an empty store — the corpus is bulk-loaded into the
   store (the first-boot path, one transaction);
 * a corpus and a populated store — the two are verified to describe the
   same documents (position-aligned ``doc_id`` and length), and a
-  mismatch raises instead of silently serving other data, exactly like
-  the ``"disk"`` backend's stale-file check.
+  mismatch raises instead of silently serving other data.
 """
 
 from __future__ import annotations
@@ -101,9 +101,9 @@ class SQLiteIndexBackend:
     def subscribe(self, listener: Callable) -> Callable[[], None]:
         """Register ``listener(backend)`` after every committed mutation.
 
-        Mirrors :meth:`DynamicIndex.subscribe
-        <repro.index.dynamic.DynamicIndex.subscribe>` — one notification
-        per batch, exceptions isolated, unsubscribe callable returned.
+        One notification per committed batch, after the corpus sync;
+        a listener's exception is isolated from the writer and the other
+        listeners. Returns a callable that unsubscribes.
         """
         return self._store.subscribe(lambda _store: listener(self))
 
@@ -152,9 +152,7 @@ class SQLiteIndexBackend:
 
         Queries stop matching it immediately; the corpus keeps the
         document (positions are permanent) and the postings stay until
-        :meth:`DocumentStore.compact` physically drops them. Accepting
-        either identity form keeps parity with
-        :meth:`DynamicIndex.remove <repro.index.dynamic.DynamicIndex.remove>`.
+        :meth:`DocumentStore.compact` physically drops them.
         """
         if isinstance(target, int):
             target = self._corpus[target].doc_id
@@ -194,12 +192,7 @@ class SQLiteIndexBackend:
         return self._store.doc_length(pos)
 
     def capabilities(self) -> BackendCapabilities:
-        return BackendCapabilities(
-            name="sqlite",
-            persistent=True,
-            mutable=True,
-            concurrent_reads=True,
-        )
+        return BackendCapabilities(name="sqlite", persistent=True, mutable=True)
 
     def _visible(self, positions: list[int]) -> list[int]:
         """Drop positions the adopted corpus cannot resolve yet.

@@ -17,17 +17,16 @@ the library lacks:
   whole store via the SQLite backup API, safe while readers and the
   writer are live;
 * **generation** — a monotonic counter bumped by every committed
-  mutation and persisted in ``meta``, feeding the serving layer's
-  cache-invalidation keys exactly like
-  :attr:`repro.index.dynamic.DynamicIndex.generation`;
+  mutation and persisted in ``meta``; it keys the serving layer's
+  response cache and the session caches, so nothing cached at one
+  generation is served at the next;
 * **changelog** — a persisted replication log: one generation-stamped
   record per committed mutation batch, written in the *same transaction*
   as the batch, tailed by :mod:`repro.feed` for incremental replica
   maintenance and truncated (behind consumer claims) by background
   compaction;
-* **subscribe** — mutation listeners mirroring
-  :meth:`DynamicIndex.subscribe <repro.index.dynamic.DynamicIndex.subscribe>`
-  (notified once per batch, exceptions isolated, empty batches silent).
+* **subscribe** — mutation listeners, notified once per committed
+  batch (a listener's exception is isolated; empty batches are silent).
 
 Concurrency: one writer connection guarded by a lock, plus one lazily
 opened read connection per thread — under WAL, readers never block the
@@ -314,9 +313,9 @@ class DocumentStore:
     def subscribe(self, listener: StoreListener) -> Callable[[], None]:
         """Register ``listener(store)`` to run after every committed mutation.
 
-        Same contract as :meth:`DynamicIndex.subscribe
-        <repro.index.dynamic.DynamicIndex.subscribe>`: one notification
-        per batch, exceptions isolated, unsubscribe callable returned.
+        One notification per committed batch, none for an empty one; a
+        listener that raises is skipped, not propagated to the writer or
+        the other listeners. Returns a callable that unsubscribes.
         """
         self._listeners.append(listener)
 

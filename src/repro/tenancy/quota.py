@@ -70,20 +70,3 @@ class QuotaManager:
             self.check_documents(spec, store.num_live, len(new_ids))
 
         return guard
-
-    def check_index_growth(
-        self, spec: TenantSpec, index: Any, documents: Sequence[Any]
-    ) -> None:
-        """Pre-check for non-store mutable backends (e.g. dynamic).
-
-        Callers must hold the session's exclusive lock so the count
-        cannot move between check and apply.
-        """
-        if spec.max_documents is None:
-            return
-        live = getattr(index, "num_live_documents", None)
-        if live is None:
-            live = getattr(index, "num_documents", 0)
-        if callable(live):
-            live = live()
-        self.check_documents(spec, int(live), len(documents))

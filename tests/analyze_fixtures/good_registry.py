@@ -25,9 +25,8 @@ BACKENDS = _Registry()
 
 
 class BackendCapabilities:
-    def __init__(self, mutable=False, sharded=False):
+    def __init__(self, mutable=False):
         self.mutable = mutable
-        self.sharded = sharded
 
 
 @BACKENDS.register("full")

@@ -95,15 +95,8 @@ class DictExpansionService(ExpansionService):
                 payload = {k: v for k, v in full.items() if k != "results"}
                 self._cache.put(key, payload)
                 return payload, "hit"
-        # Exclusive lock first, worker slot second: threads queued on a
-        # non-concurrent-read backend's lock must not sit on compute
-        # slots, or one config's serialization starves every other
-        # config's cache misses.
-        with entry.locked():
-            # analyze: ignore[LOCK002] - documented one-way ordering: the
-            # entry lock is always taken before a compute slot, never after
-            with self._compute_slots:
-                report = entry.session.expand(query, algorithm=algorithm)
+        with self._compute_slots:
+            report = entry.session.expand(query, algorithm=algorithm)
         payload = schema.report_to_dict(report)
         if results == "none":
             payload.pop("results", None)
@@ -137,15 +130,12 @@ class DictExpansionService(ExpansionService):
         # /search bypasses the pipeline (retrieval only), so the compute
         # gets an explicit stage.retrieve span — the search-path analogue
         # of the per-stage spans Pipeline.run emits under /expand.
-        # Opened before the entry lock, so lock-wait shows in the span.
+        # Opened before the compute slot, so slot-wait shows in the span.
         with span("stage.retrieve", semantics=semantics):
-            with entry.locked():  # lock-then-slot, as in _expand_cached
-                # analyze: ignore[LOCK002] - same one-way entry-lock -> slot
-                # ordering as _expand_cached
-                with self._compute_slots:
-                    results = entry.session.search(
-                        query, top_k=top_k, semantics=semantics
-                    )
+            with self._compute_slots:
+                results = entry.session.search(
+                    query, top_k=top_k, semantics=semantics
+                )
         payload = [schema.search_result_to_dict(r) for r in results]
         self._cache.put(key, payload)
         return payload, "miss"

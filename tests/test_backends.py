@@ -1,55 +1,35 @@
-"""The IndexBackend protocol: conformance, shard-merge correctness, selection.
+"""The IndexBackend protocol: conformance, capabilities, selection.
 
-Covers the storage seam end to end:
+Covers the storage seam end to end for both bundled backends
+(``memory`` and ``sqlite``):
 
 * protocol conformance (``isinstance(x, IndexBackend)``) and
-  ``capabilities()`` for every bundled backend;
-* property-style shard-merge correctness — ``ShardedIndex`` must return
-  byte-identical answers to ``InvertedIndex`` on randomized corpora for
-  AND/OR queries, postings, and statistics, across shard counts
-  (including 1 shard and more shards than documents) and including
-  unseen/empty-postings terms;
+  ``capabilities()``;
 * the ``BACKENDS`` registry and backend selection through
   ``Session.builder().backend(...)``, ``SearchEngine(backend=...)``, and
-  the CLI's ``--backend`` flag, with identical top-k results everywhere;
-* ``write_index`` round-trips for *any* protocol conformer (a sharded
-  index flattens to the same file as the flat index).
+  the CLI's ``--backend`` flag, with identical top-k results everywhere.
+
+Postings-level equivalence of the two backends under mutation is in
+``tests/test_store.py``; bit-identical ranking is in
+``tests/test_property_ranking.py``.
 """
 
 from __future__ import annotations
-
-import random
 
 import pytest
 
 from repro.api import BACKENDS, Session
 from repro.data.corpus import Corpus
-from repro.errors import ConfigError, IndexingError, QueryError
+from repro.errors import ConfigError, QueryError
 from repro.index import (
     BackendCapabilities,
-    DiskIndex,
-    DynamicIndex,
     IndexBackend,
     InvertedIndex,
     SearchEngine,
-    ShardedIndex,
-    write_index,
 )
+from repro.store import SQLiteIndexBackend
 
 from tests.conftest import make_doc
-
-TERMS = [f"t{i}" for i in range(12)]
-
-
-def random_corpus(rng: random.Random, n_docs: int) -> Corpus:
-    """A corpus of ``n_docs`` documents with random term bags."""
-    docs = []
-    for i in range(n_docs):
-        n_terms = rng.randint(1, 6)
-        bag = {t: rng.randint(1, 4) for t in rng.sample(TERMS, n_terms)}
-        docs.append(make_doc(f"d{i}", bag))
-    return Corpus(docs)
-
 
 @pytest.fixture
 def corpus() -> Corpus:
@@ -64,8 +44,8 @@ def corpus() -> Corpus:
     )
 
 
-def disk_from(corpus: Corpus, tmp_path) -> DiskIndex:
-    return DiskIndex.build(corpus, tmp_path / "idx.qecx")
+def sqlite_from(corpus: Corpus, tmp_path) -> SQLiteIndexBackend:
+    return SQLiteIndexBackend(tmp_path / "store.sqlite", corpus=corpus)
 
 
 # -- protocol conformance ----------------------------------------------------
@@ -73,162 +53,20 @@ def disk_from(corpus: Corpus, tmp_path) -> DiskIndex:
 
 class TestProtocol:
     def test_all_backends_conform(self, corpus, tmp_path):
-        backends = [
-            InvertedIndex(corpus),
-            ShardedIndex(corpus, n_shards=2),
-            DynamicIndex(list(corpus)),
-            disk_from(corpus, tmp_path),
-        ]
-        for backend in backends:
+        for backend in (InvertedIndex(corpus), sqlite_from(corpus, tmp_path)):
             assert isinstance(backend, IndexBackend)
 
     def test_capabilities(self, corpus, tmp_path):
         assert InvertedIndex(corpus).capabilities() == BackendCapabilities(
             name="memory"
         )
-        caps = ShardedIndex(corpus, n_shards=3).capabilities()
-        assert caps.sharded and caps.shards == 3
-        caps = disk_from(corpus, tmp_path).capabilities()
-        assert caps.persistent and caps.compressed and not caps.sharded
-        caps = DynamicIndex().capabilities()
-        assert caps.mutable and not caps.concurrent_reads
-
-    def test_capabilities_to_dict_is_json_ready(self, corpus):
-        payload = ShardedIndex(corpus, n_shards=2).capabilities().to_dict()
-        assert payload["name"] == "sharded"
-        assert payload["shards"] == 2
-        assert all(isinstance(k, str) for k in payload)
-
-
-# -- sharded vs flat equivalence ---------------------------------------------
-
-
-class TestShardMergeCorrectness:
-    @pytest.mark.parametrize("n_shards", [1, 2, 3, 7])
-    @pytest.mark.parametrize("trial", range(5))
-    def test_randomized_equivalence(self, n_shards, trial):
-        rng = random.Random(1000 * n_shards + trial)
-        corpus = random_corpus(rng, rng.randint(1, 40))
-        flat = InvertedIndex(corpus)
-        sharded = ShardedIndex(corpus, n_shards=n_shards)
-
-        assert sharded.num_documents == flat.num_documents
-        assert sharded.num_terms == flat.num_terms
-        assert sharded.vocabulary() == flat.vocabulary()
-        for pos in range(flat.num_documents):
-            assert sharded.doc_length(pos) == flat.doc_length(pos)
-
-        probe_terms = TERMS + ["unseen-term"]
-        for term in probe_terms:
-            assert sharded.document_frequency(term) == flat.document_frequency(term)
-            assert [(p.doc, p.tf) for p in sharded.postings(term)] == [
-                (p.doc, p.tf) for p in flat.postings(term)
-            ]
-            assert (term in sharded) == (term in flat)
-
-        for _ in range(10):
-            query = rng.sample(probe_terms, rng.randint(1, 4))
-            assert sharded.and_query(query) == flat.and_query(query)
-            assert sharded.or_query(query) == flat.or_query(query)
-
-    def test_empty_postings_term(self, corpus):
-        sharded = ShardedIndex(corpus, n_shards=2)
-        assert not sharded.postings("zzz")
-        assert sharded.document_frequency("zzz") == 0
-        assert sharded.and_query(["zzz"]) == []
-        assert sharded.or_query(["zzz"]) == []
-        assert sharded.and_query(["apple", "zzz"]) == []
-
-    def test_single_shard_is_flat(self, corpus):
-        flat = InvertedIndex(corpus)
-        single = ShardedIndex(corpus, n_shards=1)
-        assert single.n_shards == 1
-        assert single.or_query(["apple", "fruit"]) == flat.or_query(
-            ["apple", "fruit"]
+        assert sqlite_from(corpus, tmp_path).capabilities() == BackendCapabilities(
+            name="sqlite", persistent=True, mutable=True
         )
 
-    def test_more_shards_than_documents(self, corpus):
-        sharded = ShardedIndex(corpus, n_shards=16)
-        flat = InvertedIndex(corpus)
-        assert sharded.or_query(["apple", "store"]) == flat.or_query(
-            ["apple", "store"]
-        )
-        assert sharded.and_query(["apple", "fruit"]) == flat.and_query(
-            ["apple", "fruit"]
-        )
-
-    def test_serial_mode_matches_pooled(self, corpus):
-        pooled = ShardedIndex(corpus, n_shards=3)
-        serial = ShardedIndex(corpus, n_shards=3, max_workers=0)
-        assert pooled.or_query(["apple", "banana"]) == serial.or_query(
-            ["apple", "banana"]
-        )
-        pooled.close()
-
-    def test_closed_index_stays_serial(self, corpus):
-        sharded = ShardedIndex(corpus, n_shards=3)
-        want = sharded.or_query(["apple", "fruit"])
-        sharded.close()
-        assert sharded.or_query(["apple", "fruit"]) == want
-        assert sharded._pool is None  # close() is permanent, no respawn
-
-    def test_collection_frequencies_shard_local(self, corpus):
-        from repro.index import collection_term_frequencies
-
-        flat = collection_term_frequencies(InvertedIndex(corpus))
-        sharded = collection_term_frequencies(ShardedIndex(corpus, n_shards=3))
-        assert flat == sharded
-
-    def test_empty_query_rejected(self, corpus):
-        sharded = ShardedIndex(corpus, n_shards=2)
-        with pytest.raises(IndexingError):
-            sharded.and_query([])
-        with pytest.raises(IndexingError):
-            sharded.or_query([])
-
-    def test_bad_shard_count_rejected(self, corpus):
-        with pytest.raises(IndexingError):
-            ShardedIndex(corpus, n_shards=0)
-
-    def test_shard_of(self, corpus):
-        sharded = ShardedIndex(corpus, n_shards=2)
-        assert [sharded.shard_of(p) for p in range(5)] == [0, 1, 0, 1, 0]
-        with pytest.raises(IndexingError):
-            sharded.shard_of(99)
-
-    def test_disk_sub_backends(self, corpus, tmp_path):
-        """A shard can be any protocol conformer — here, disk readers."""
-        counter = iter(range(100))
-
-        def factory(sub_corpus):
-            return DiskIndex.build(sub_corpus, tmp_path / f"s{next(counter)}.qecx")
-
-        sharded = ShardedIndex(corpus, n_shards=2, shard_factory=factory)
-        flat = InvertedIndex(corpus)
-        assert sharded.or_query(["apple", "fruit"]) == flat.or_query(
-            ["apple", "fruit"]
-        )
-        assert sharded.capabilities().sharded
-
-
-# -- write_index round-trips -------------------------------------------------
-
-
-class TestPersistenceRoundTrip:
-    def test_sharded_flattens_to_same_file(self, corpus, tmp_path):
-        """write_index is protocol-generic: sharded == flat on disk."""
-        flat_path = tmp_path / "flat.qecx"
-        sharded_path = tmp_path / "sharded.qecx"
-        write_index(InvertedIndex(corpus), flat_path)
-        write_index(ShardedIndex(corpus, n_shards=3), sharded_path)
-        assert flat_path.read_bytes() == sharded_path.read_bytes()
-
-    def test_disk_round_trip_preserves_queries(self, corpus, tmp_path):
-        flat = InvertedIndex(corpus)
-        loaded = disk_from(corpus, tmp_path)
-        for terms in (["apple"], ["apple", "fruit"], ["banana", "store"]):
-            assert loaded.and_query(terms) == flat.and_query(terms)
-            assert loaded.or_query(terms) == flat.or_query(terms)
+    def test_capabilities_to_dict_is_json_ready(self, corpus, tmp_path):
+        payload = sqlite_from(corpus, tmp_path).capabilities().to_dict()
+        assert payload == {"name": "sqlite", "persistent": True, "mutable": True}
 
 
 # -- registry + engine + session selection -----------------------------------
@@ -236,44 +74,22 @@ class TestPersistenceRoundTrip:
 
 class TestBackendSelection:
     def test_registry_names(self):
-        for name in ("memory", "disk", "sharded"):
-            assert name in BACKENDS
+        assert list(BACKENDS.names()) == ["memory", "sqlite"]
 
-    def test_registry_create(self, corpus):
-        backend = BACKENDS.create("sharded", corpus, shards=2)
-        assert isinstance(backend, ShardedIndex)
-        assert backend.n_shards == 2
-
-    def test_disk_backend_persists_and_reuses(self, corpus, tmp_path):
-        path = tmp_path / "persisted.qecx"
-        first = BACKENDS.create("disk", corpus, path=path)
-        assert path.exists()
-        again = BACKENDS.create("disk", corpus, path=path)
-        assert again.vocabulary() == first.vocabulary()
-
-    def test_disk_backend_rejects_mismatched_file(self, corpus, tmp_path):
-        path = tmp_path / "persisted.qecx"
-        BACKENDS.create("disk", corpus, path=path)
-        smaller = Corpus([make_doc("x", {"apple": 1})])
-        with pytest.raises(IndexingError):
-            BACKENDS.create("disk", smaller, path=path)
-
-    def test_disk_backend_rejects_stale_same_size_file(self, corpus, tmp_path):
-        """Same document count, different content: reuse must refuse."""
-        path = tmp_path / "persisted.qecx"
-        BACKENDS.create("disk", corpus, path=path)
-        changed = Corpus(
-            make_doc(doc.doc_id, {t: tf + 1 for t, tf in doc.terms.items()})
-            for doc in corpus
-        )
-        with pytest.raises(IndexingError, match="does not match"):
-            BACKENDS.create("disk", changed, path=path)
+    def test_registry_create(self, corpus, tmp_path):
+        backend = BACKENDS.create("sqlite", corpus, path=tmp_path / "s.sqlite")
+        try:
+            assert isinstance(backend, SQLiteIndexBackend)
+            assert backend.or_query(["apple", "fruit"]) == InvertedIndex(
+                corpus
+            ).or_query(["apple", "fruit"])
+        finally:
+            backend.close()
 
     def test_backend_kwarg_typos_fail_at_build(self):
         for backend, kwargs in (
             ("memory", {"shards": 8}),
-            ("disk", {"codac": "gamma"}),
-            ("sharded", {"shardz": 3}),
+            ("sqlite", {"pth": "x.sqlite"}),
         ):
             with pytest.raises(ConfigError):
                 (
@@ -284,8 +100,8 @@ class TestBackendSelection:
                 )
 
     def test_engine_accepts_name_factory_and_instance(self, corpus):
-        by_name = SearchEngine(corpus, backend="sharded")
-        by_factory = SearchEngine(corpus, backend=lambda c: ShardedIndex(c, 2))
+        by_name = SearchEngine(corpus, backend="sqlite")
+        by_factory = SearchEngine(corpus, backend=lambda c: InvertedIndex(c))
         by_instance = SearchEngine(corpus, backend=InvertedIndex(corpus))
         by_class = SearchEngine(corpus, backend=InvertedIndex)
         queries = by_name.index.or_query(["apple", "fruit"])
@@ -303,7 +119,7 @@ class TestBackendSelection:
 
     @pytest.mark.parametrize(
         "backend,kwargs",
-        [("memory", {}), ("disk", {}), ("sharded", {"shards": 8})],
+        [("memory", {}), ("sqlite", {})],
     )
     def test_session_backend_identical_topk(self, backend, kwargs):
         session = (
@@ -339,9 +155,9 @@ class TestBackendSelection:
     def test_backend_conflicts_with_prebuilt_engine(self, corpus):
         engine = SearchEngine(corpus)
         with pytest.raises(ConfigError, match="prebuilt engine"):
-            Session.builder().engine(engine).backend("sharded").build()
+            Session.builder().engine(engine).backend("sqlite").build()
 
-    def test_sharded_expand_matches_memory(self):
+    def test_sqlite_expand_matches_memory(self):
         def build(backend, **kwargs):
             return (
                 Session.builder()
@@ -352,14 +168,14 @@ class TestBackendSelection:
             )
 
         memory = build("memory").expand("java").to_dict()
-        sharded = build("sharded", shards=4).expand("java").to_dict()
-        for payload in (memory, sharded):  # wall-clock fields may differ
+        sqlite = build("sqlite").expand("java").to_dict()
+        for payload in (memory, sqlite):  # wall-clock fields may differ
             payload.pop("clustering_seconds")
             payload.pop("expansion_seconds")
             payload["stage_timings"] = [
                 t["stage"] for t in payload["stage_timings"]
             ]
-        assert memory == sharded
+        assert memory == sqlite
 
 
 class TestUnknownBackendErrorMessages:
@@ -384,7 +200,7 @@ class TestUnknownBackendErrorMessages:
             )
         message = str(excinfo.value)
         assert "carrier-pigeon" in message
-        for name in ("memory", "disk", "sharded", "dynamic", "sqlite"):
+        for name in ("memory", "sqlite"):
             assert name in message
 
     def test_engine_backend_name_lists_names(self, corpus):
@@ -408,25 +224,25 @@ class TestUnknownBackendErrorMessages:
 
 
 class TestCliBackendFlag:
-    def test_expand_with_sharded_backend(self, capsys):
+    def test_expand_with_sqlite_backend(self, capsys):
         from repro.cli import main
 
         rc = main(
             [
                 "expand", "--dataset", "wikipedia", "--query", "java",
-                "--backend", "sharded", "--shards", "4",
+                "--backend", "sqlite", "-k", "3",
             ]
         )
         assert rc == 0
         assert "query='java'" in capsys.readouterr().out
 
-    def test_search_with_disk_backend(self, capsys):
+    def test_search_with_sqlite_backend(self, capsys):
         from repro.cli import main
 
         rc = main(
             [
                 "search", "--dataset", "shopping", "--query", "canon",
-                "--top", "3", "--backend", "disk",
+                "--top", "3", "--backend", "sqlite",
             ]
         )
         assert rc == 0

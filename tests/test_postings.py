@@ -16,14 +16,12 @@ class TestPostingList:
         assert len(pl) == 3
 
     def test_out_of_order_append_rejected(self):
-        pl = plist(5)
-        with pytest.raises(ValueError):
-            pl.append(Posting(3, 1))
+        with pytest.raises(ValueError, match="postings out of order"):
+            plist(5, 3)
 
     def test_duplicate_doc_rejected(self):
-        pl = plist(5)
-        with pytest.raises(ValueError):
-            pl.append(Posting(5, 2))
+        with pytest.raises(ValueError, match="postings out of order"):
+            PostingList([Posting(5, 1), Posting(5, 2)])
 
     def test_bool(self):
         assert not PostingList()

@@ -1,6 +1,6 @@
 """Property tests: term-at-a-time ranking equals the document-at-a-time reference.
 
-For every backend (memory, sharded, disk, dynamic, sqlite) and every
+For every backend (memory, sqlite) and every
 scorer (tfidf, bm25, lm), random small corpora are ranked through
 ``SearchEngine`` (AND, OR, and ``boolean_search`` with NOT) and through
 ``scorer.rank`` directly, and compared with the loops in
@@ -9,8 +9,8 @@ so every bit must match, not just the order.
 
 The corpora are built to collide: three term frequencies and a handful
 of document lengths make tied scores common. Queries may name unseen
-terms, ``scorer.rank`` gets duplicated query terms, and the dynamic and
-SQLite backends tombstone documents after the scorers are built.
+terms, ``scorer.rank`` gets duplicated query terms, and the SQLite
+backend tombstones documents after the scorers are built.
 """
 
 from __future__ import annotations
@@ -25,12 +25,9 @@ from hypothesis import strategies as st
 from repro.api.registries import SCORERS
 from repro.data.corpus import Corpus
 from repro.data.documents import Document
-from repro.index.diskindex import DiskIndex
-from repro.index.dynamic import DynamicIndex
 from repro.index.inverted_index import InvertedIndex
 from repro.index.queryparser import evaluate_query
 from repro.index.search import SearchEngine
-from repro.index.sharded import ShardedIndex
 from repro.store import SQLiteIndexBackend
 from repro.text.analyzer import Analyzer
 
@@ -40,8 +37,8 @@ WORDS = ("alpha", "bravo", "charlie", "delta")
 UNSEEN = "zulu"
 QUERY_WORDS = WORDS + (UNSEEN,)
 KS = (None, 0, 1, 3, 1000)
-BACKENDS = ("memory", "sharded", "disk", "dynamic", "sqlite")
-MUTABLE = ("dynamic", "sqlite")
+BACKENDS = ("memory", "sqlite")
+MUTABLE = ("sqlite",)
 
 documents = st.lists(
     st.tuples(
@@ -67,12 +64,6 @@ def _corpus(specs) -> Corpus:
 def _backend(name: str, corpus: Corpus, tmp: Path):
     if name == "memory":
         return InvertedIndex(corpus)
-    if name == "sharded":
-        return ShardedIndex(corpus, n_shards=3, max_workers=0)
-    if name == "disk":
-        return DiskIndex.build(corpus, tmp / "index.qecx")
-    if name == "dynamic":
-        return DynamicIndex(corpus=corpus)
     return SQLiteIndexBackend(tmp / "store.sqlite", corpus=corpus)
 
 

@@ -12,7 +12,6 @@ import pytest
 from repro.api import BACKENDS, schema
 from repro.data.documents import make_text_document
 from repro.errors import ConfigError, ServeError
-from repro.index.dynamic import DynamicIndex
 from repro.obs import LatencyHistogram
 from repro.serve import (
     ExpansionService,
@@ -170,14 +169,13 @@ class TestServeConfigParse:
     def test_full_spec(self):
         config = ServeConfig.parse(
             "fast:dataset=shopping,algorithm=pebc,clusterer=bisecting,"
-            "scoring=bm25,backend=sharded,shards=8,k=4,top=50,seed=7"
+            "scoring=bm25,backend=sqlite,k=4,top=50,seed=7"
         )
         assert config.dataset == "shopping"
         assert config.algorithm == "pebc"
         assert config.clusterer == "bisecting"
         assert config.retrieval == "bm25"
-        assert config.backend == "sharded"
-        assert config.shards == 8
+        assert config.backend == "sqlite"
         assert config.n_clusters == 4
         assert config.top_k_results == 50
         assert config.seed == 7
@@ -202,16 +200,24 @@ class TestServeConfigParse:
         with pytest.raises(ConfigError):
             config.build_session()
 
-    def test_shards_require_sharded_backend(self):
-        with pytest.raises(ConfigError, match="backend=sharded"):
-            ServeConfig.parse("w:backend=memory,shards=8")
-        assert ServeConfig.parse("w:backend=sharded,shards=8").shards == 8
+    @pytest.mark.parametrize("backend", ["sharded", "disk", "dynamic"])
+    def test_retired_backends_rejected_naming_the_registered_ones(self, backend):
+        config = ServeConfig.parse(f"w:backend={backend}")
+        with pytest.raises(ConfigError) as excinfo:
+            config.build_session()
+        message = str(excinfo.value)
+        assert backend in message
+        for name in BACKENDS.names():
+            assert name in message
+
+    def test_shards_key_rejected_naming_the_key(self):
+        with pytest.raises(ConfigError, match="unknown serve config key 'shards'"):
+            ServeConfig.parse("w:shards=8")
 
     def test_component_names_case_insensitive_like_registries(self):
-        config = ServeConfig.parse("w:backend=Sharded,shards=8,dataset=WIKIPEDIA")
-        assert config.backend == "sharded"
+        config = ServeConfig.parse("w:backend=SQLite,dataset=WIKIPEDIA")
+        assert config.backend == "sqlite"
         assert config.dataset == "wikipedia"
-        assert config.shards == 8
 
     def test_nameless_spec_rejected(self):
         with pytest.raises(ConfigError, match="has no name"):
@@ -227,8 +233,7 @@ class TestServeConfigParse:
     def test_numeric_keys_reject_non_integers_at_parse_time(self):
         # Pool builds are lazy; a typo must fail at startup, not as a
         # 400 on the first request.
-        for spec in ("w:k=abc", "w:seed=x", "w:top=ten",
-                     "w:backend=sharded,shards=many"):
+        for spec in ("w:k=abc", "w:seed=x", "w:top=ten"):
             with pytest.raises(ConfigError, match="needs an integer"):
                 ServeConfig.parse(spec)
 
@@ -256,27 +261,28 @@ class TestSessionPool:
 
     def test_ingest_requires_mutable_backend(self):
         pool = SessionPool([ServeConfig(name="wiki")])
-        with pytest.raises(ServeError, match="backend=dynamic"):
+        with pytest.raises(ServeError, match="backend=sqlite"):
             pool.ingest("wiki", [])
 
     def test_ingest_refreshes_and_fires_hook(self):
         invalidated = []
         pool = SessionPool(
-            [ServeConfig(name="dyn", backend="dynamic")],
+            [ServeConfig(name="live", backend="sqlite")],
             on_invalidate=invalidated.append,
         )
-        entry = pool.get("dyn")
+        entry = pool.get("live")
+        generation = entry.generation()
         entry.session.search("java")
         assert entry.session.cache_info()["retrieval"]["entries"] == 1
         analyzer = Analyzer(use_stemming=False)
         doc = make_text_document(
             doc_id="t-1", text="java island brew", analyzer=analyzer, title="t"
         )
-        assert pool.ingest("dyn", [doc]) == 1
-        assert invalidated == ["dyn"]
+        assert pool.ingest("live", [doc]) == 1
+        assert invalidated == ["live"]
         assert entry.invalidations == 1
         assert entry.session.cache_info()["retrieval"]["entries"] == 0
-        assert entry.generation() == 1
+        assert entry.generation() == generation + 1
 
     def test_describe_includes_live_state(self):
         pool = SessionPool([ServeConfig(name="wiki"), ServeConfig(name="b")])
@@ -288,29 +294,6 @@ class TestSessionPool:
         assert info["wiki"]["session"]["stages"][0] == "retrieve"
 
 
-class TestDynamicBackendRegistration:
-    def test_registered(self):
-        assert "dynamic" in BACKENDS
-
-    def test_adopts_engine_corpus(self):
-        from repro.api import Session
-
-        session = Session.builder().dataset("wikipedia").backend("dynamic").build()
-        index = session.engine.index
-        assert isinstance(index, DynamicIndex)
-        assert index.corpus is session.engine.corpus
-        n_before = len(session.search("java"))
-        analyzer = Analyzer(use_stemming=False)
-        index.add(
-            make_text_document(
-                doc_id="adopt-1", text="java java island",
-                analyzer=analyzer, title="x",
-            )
-        )
-        session.refresh()
-        assert len(session.search("java")) == n_before + 1
-
-
 # -- service (transport-free) ------------------------------------------------
 
 
@@ -320,7 +303,7 @@ def service():
         SessionPool(
             [
                 ServeConfig(name="wiki", n_clusters=3),
-                ServeConfig(name="dyn", backend="dynamic", n_clusters=3),
+                ServeConfig(name="live", backend="sqlite", n_clusters=3),
             ]
         ),
         cache_size=64,
@@ -521,7 +504,7 @@ class TestExpansionService:
         status, payload = service.handle("GET", "/healthz", {})
         assert status == 200
         assert payload["status"] == "ok"
-        assert set(payload["configs"]) == {"wiki", "dyn"}
+        assert set(payload["configs"]) == {"wiki", "live"}
         status, payload = service.handle("GET", "/configs", {})
         assert status == 200
         assert payload["configs"]["wiki"]["built"] is True
@@ -544,17 +527,17 @@ class TestExpansionService:
 
     def test_ingestion_invalidates_cached_expansions(self, service):
         _, before = service.handle(
-            "GET", "/expand", {"config": "dyn", "query": "java"}
+            "GET", "/expand", {"config": "live", "query": "java"}
         )
         before = json.loads(before)
         _, cached = service.handle(
-            "GET", "/expand", {"config": "dyn", "query": "java"}
+            "GET", "/expand", {"config": "live", "query": "java"}
         )
         cached = json.loads(cached)
         assert cached["cache"] == "hit"
         analyzer = Analyzer(use_stemming=False)
         service.pool.ingest(
-            "dyn",
+            "live",
             [
                 make_text_document(
                     doc_id=f"svc-{i}",
@@ -566,7 +549,7 @@ class TestExpansionService:
             ],
         )
         _, after = service.handle(
-            "GET", "/expand", {"config": "dyn", "query": "java"}
+            "GET", "/expand", {"config": "live", "query": "java"}
         )
         after = json.loads(after)
         assert after["cache"] == "miss"

@@ -662,7 +662,6 @@ class TestBackendProtocol:
         assert caps.name == "sqlite"
         assert caps.persistent is True
         assert caps.mutable is True
-        assert caps.concurrent_reads is True
 
     def test_empty_queries_rejected(self, store_path, docs):
         backend = SQLiteIndexBackend(store_path, corpus=Corpus(docs))
@@ -732,7 +731,7 @@ class TestBackendProtocol:
     def test_listener_sees_consistent_store_and_corpus(self, store_path, docs):
         # The invalidation contract: by the time a mutation listener
         # runs, both the committed store AND the adopted corpus must
-        # already reflect the batch (mirrors DynamicIndex's guarantee).
+        # already reflect the batch.
         corpus = Corpus(docs)
         backend = SQLiteIndexBackend(store_path, corpus=corpus)
         observed = []
@@ -842,7 +841,7 @@ class TestServeIntegration:
         from repro.serve import ServeConfig
 
         with pytest.raises(ConfigError):
-            ServeConfig.parse(f"wiki:store={store_path},backend=sharded")
+            ServeConfig.parse(f"wiki:store={store_path},backend=carrier-pigeon")
 
     def test_ingest_writes_through_and_invalidates(self, store_path):
         from repro.serve import ExpansionService, SessionPool
@@ -984,10 +983,18 @@ class TestStoreCli:
         assert "empty" in capsys.readouterr().err
 
     def test_store_conflicts_with_other_backends(self, store_path, capsys):
-        assert self.run(
-            "search", "--store", store_path, "--backend", "sharded",
-            "--query", "java",
-        ) == 2
+        from repro.api import BACKENDS
+
+        # Both built-ins are legal with --store ("memory" is the flag's
+        # default), so the conflict needs a third, registered backend.
+        BACKENDS.register("carrier-pigeon", BACKENDS.get("memory"))
+        try:
+            assert self.run(
+                "search", "--store", store_path, "--backend", "carrier-pigeon",
+                "--query", "java",
+            ) == 2
+        finally:
+            BACKENDS.unregister("carrier-pigeon")
         assert "sqlite" in capsys.readouterr().err
 
     def test_search_without_dataset_or_store_fails(self, capsys):

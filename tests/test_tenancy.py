@@ -251,7 +251,7 @@ def tenant_service():
     registry.create(TenantSpec(name="b"))
     registry.create(TenantSpec(name="scoped", configs=("nope",)))
     service = ExpansionService(
-        SessionPool([ServeConfig(name="dyn", backend="dynamic", n_clusters=3)]),
+        SessionPool([ServeConfig(name="live", backend="sqlite", n_clusters=3)]),
         cache_size=64,
         workers=2,
         tenants=registry,
@@ -263,7 +263,7 @@ def tenant_service():
 class TestServiceTenancy:
     def test_data_routes_require_a_tenant(self, tenant_service):
         status, payload = tenant_service.handle(
-            "GET", "/expand", {"config": "dyn", "query": "java"}
+            "GET", "/expand", {"config": "live", "query": "java"}
         )
         assert status == 400
         assert payload["error"] == "tenant_required"
@@ -271,7 +271,7 @@ class TestServiceTenancy:
     def test_unknown_tenant_404(self, tenant_service):
         status, payload = tenant_service.handle(
             "GET", "/expand",
-            {"config": "dyn", "query": "java", "tenant": "ghost"},
+            {"config": "live", "query": "java", "tenant": "ghost"},
         )
         assert status == 404
         assert payload["error"] == "unknown_tenant"
@@ -279,7 +279,7 @@ class TestServiceTenancy:
     def test_allowlist_enforced_403(self, tenant_service):
         status, payload = tenant_service.handle(
             "GET", "/expand",
-            {"config": "dyn", "query": "java", "tenant": "scoped"},
+            {"config": "live", "query": "java", "tenant": "scoped"},
         )
         assert status == 403
         assert payload["error"] == "forbidden"
@@ -295,7 +295,7 @@ class TestServiceTenancy:
 
     def test_responses_are_tenant_tagged(self, tenant_service):
         status, payload = tenant_service.handle(
-            "GET", "/search", {"config": "dyn", "query": "java", "tenant": "a"}
+            "GET", "/search", {"config": "live", "query": "java", "tenant": "a"}
         )
         payload = json.loads(payload)
         assert status == 200
@@ -303,7 +303,7 @@ class TestServiceTenancy:
 
     def test_cross_tenant_isolation(self, tenant_service):
         """A's ingest must not invalidate B's cache or move B's metrics."""
-        params = {"config": "dyn", "query": "java"}
+        params = {"config": "live", "query": "java"}
         for name in ("a", "b"):
             status, payload = tenant_service.handle(
                 "GET", "/expand", dict(params, tenant=name)
@@ -317,8 +317,8 @@ class TestServiceTenancy:
         status, payload = tenant_service.handle(
             "POST", "/ingest",
             {
-                "config": "dyn", "tenant": "a",
-                "documents": [{"doc_id": "n1", "text": "java island brew"}],
+                "config": "live", "tenant": "a",
+                "documents": [{"doc_id": "n1", "text": "java island brew zzqx"}],
             },
         )
         payload = json.loads(payload)
@@ -336,6 +336,17 @@ class TestServiceTenancy:
         payload = json.loads(payload)
         assert status == 200 and payload["cache"] == "miss"
 
+        # A's document lands in A's store only: B cannot retrieve it.
+        hits = {}
+        for name in ("a", "b"):
+            status, payload = tenant_service.handle(
+                "GET", "/search",
+                {"config": "live", "query": "zzqx", "tenant": name},
+            )
+            assert status == 200
+            hits[name] = json.loads(payload)["n_results"]
+        assert hits == {"a": 1, "b": 0}
+
         # And A's traffic never appears in B's metrics partition.
         b_metrics = tenant_service.tenant_metrics("b").snapshot()["endpoints"]
         assert b_metrics["expand"]["count"] == b_requests_before + 1
@@ -344,13 +355,13 @@ class TestServiceTenancy:
     def test_dedicated_dynamic_entries_per_tenant(self, tenant_service):
         pool = tenant_service.pool
         tenant_service.handle(
-            "GET", "/search", {"config": "dyn", "query": "java", "tenant": "a"}
+            "GET", "/search", {"config": "live", "query": "java", "tenant": "a"}
         )
-        assert "a::dyn" in pool.built_names()
+        assert "a::live" in pool.built_names()
 
     def test_metrics_snapshot_partitions_tenants(self, tenant_service):
         tenant_service.handle(
-            "GET", "/search", {"config": "dyn", "query": "java", "tenant": "a"}
+            "GET", "/search", {"config": "live", "query": "java", "tenant": "a"}
         )
         status, payload = tenant_service.handle("GET", "/metrics", {})
         assert status == 200
@@ -717,7 +728,7 @@ class TestClusterTenancy:
 
         tenant_service.search = explode
         status, payload = tenant_service.handle(
-            "GET", "/search", {"config": "dyn", "query": "java", "tenant": "a"}
+            "GET", "/search", {"config": "live", "query": "java", "tenant": "a"}
         )
         assert status == 500
         assert payload["error"] == "internal"
