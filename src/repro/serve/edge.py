@@ -19,7 +19,15 @@ envelope. This module owns that envelope, once:
   builds a body around members that are already JSON bytes, so a cached
   report is never encoded twice;
 * the HTTP front: :class:`HTTPFront`, one stdlib listener lifecycle
-  both tiers' servers share.
+  both tiers' servers share. It speaks HTTP/1.1 with keep-alive
+  (HTTP/1.0 and ``Connection: close`` close after the response) and
+  reads each request head in one pass, with the stdlib's limits: a
+  request or header line of at most 65,536 bytes (414, 431), at most
+  100 headers (431), HTTP/1.x only (505). A body needs exactly one
+  ``Content-Length``; ``Transfer-Encoding`` gets 411. Every method
+  reaches the route table (404/405; ``HEAD`` answers without a body),
+  and every response, front-level errors included, is the JSON
+  envelope written in one write.
 
 A tier subclasses :class:`RequestEdge` and supplies the handlers its
 route table names, each ``handler(params, tenant) -> (status,
@@ -36,6 +44,7 @@ import json
 import threading
 import time
 from dataclasses import dataclass
+from email.utils import formatdate
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Iterable, Mapping
 from urllib.parse import parse_qs, urlsplit
@@ -395,10 +404,12 @@ class RequestEdge:
                 body["paths"] = sorted(self.routes)
                 return 404, body
             if method not in route.methods:
-                return 405, error_body(
+                body = error_body(
                     "method_not_allowed",
                     f"{path} accepts {', '.join(route.methods)}",
                 )
+                body["allow"] = list(route.methods)
+                return 405, body
             if self._tenants is not None:
                 with span("tenant.resolve") as resolve_span:
                     tenant = self._check_tenant(params, route.data)
@@ -539,56 +550,185 @@ class RequestEdge:
 
 # -- the HTTP front ----------------------------------------------------------
 
-#: Lowercased header names matched by the handler's single header pass.
+#: The stdlib's limits: one request or header line, and header lines.
+_MAX_LINE = 65536
+_MAX_HEADERS = 100
 _TENANT_KEY = TENANT_HEADER.lower()
 _TRACE_KEY = TRACE_HEADER.lower()
 
 
+def _version(word: str) -> tuple[int, int] | None:
+    """``HTTP/major.minor`` as a pair, or None (the stdlib's RFC 2145 rules)."""
+    if not word.startswith("HTTP/"):
+        return None
+    numbers = word[5:].split(".")
+    if len(numbers) != 2 or not all(
+        n.isascii() and n.isdigit() and len(n) <= 10 for n in numbers
+    ):
+        return None
+    return int(numbers[0]), int(numbers[1])
+
+
 class _Handler(BaseHTTPRequestHandler):
-    """Maps HTTP requests onto the server's ``service.handle``."""
+    """Maps HTTP requests onto the server's ``service.handle``.
+
+    The stdlib keeps the connection loop, ``TCP_NODELAY`` and the socket
+    timeout; the request head is read here in one pass, and every
+    response, errors included, is one JSON-envelope write.
+    """
 
     protocol_version = "HTTP/1.1"
     server_version = "repro-serve/1.0"
-    # Headers and body go out as separate writes; with Nagle on, that
-    # write-write-read pattern stalls keep-alive clients for a delayed-ACK
-    # interval (~40ms) per request. TCP_NODELAY keeps hits sub-millisecond.
+    # With Nagle on, a response's last partial segment (and the write
+    # after a 100 Continue) waits for the client's delayed ACK (~40ms);
+    # TCP_NODELAY keeps hits sub-millisecond.
     disable_nagle_algorithm = True
 
-    def _params_from_query(self) -> dict[str, Any]:
-        parts = urlsplit(self.path)
-        return {k: v for k, v in parse_qs(parts.query).items()}
+    def handle_one_request(self) -> None:
+        try:
+            if self.parse_request():
+                self._serve()
+        except TimeoutError:  # a read or a write timed out: drop the connection
+            self.close_connection = True
 
-    def _fold_headers(self, params: dict[str, Any]) -> dict[str, Any]:
-        """Fold ``X-Repro-Tenant`` and ``X-Repro-Trace`` into params.
+    def parse_request(self) -> bool:
+        """Read one request head; answer a bad one and return False.
 
-        One pass over the raw headers — ``Message.get`` re-scans the
-        whole header list per call, and a second scan per request is
-        visible in the warm-path overhead gate. The tenant param is only
-        set when absent (explicit param wins). The trace id chosen here
-        (client-supplied or fresh) is what the service roots the trace
-        on, and what :meth:`_respond` echoes back — so the header
-        round-trips and a generated id still reaches the client for
-        ``/debug/traces`` lookup.
+        Keeps the stdlib's checks (line and header limits, version,
+        request-line shape, the ``//`` path reduction, ``Connection``,
+        ``Expect: 100-continue``) and adds body framing: a body needs
+        one ``Content-Length``.
         """
-        tenant = trace = None
-        for key, value in self.headers.items():
-            lowered = key.lower()
-            if tenant is None and lowered == _TENANT_KEY:
-                tenant = value
-            elif trace is None and lowered == _TRACE_KEY:
-                trace = value
-        if tenant and "tenant" not in params:
-            params["tenant"] = tenant
+        self.command = None
+        self.request_version = "HTTP/0.9"
+        self.close_connection = True
+        self._headers: list[tuple[str, str]] = []
+        self._trace_id: str | None = None
+        line = self.rfile.readline(_MAX_LINE + 1)
+        if len(line) > _MAX_LINE:
+            return self._refuse(414, "uri_too_long", "request line over 65536 bytes")
+        request_line = line.decode("iso-8859-1").rstrip("\r\n")
+        words = request_line.split()
+        if not words:  # the peer closed, or sent a blank line
+            return False
+        if len(words) >= 3:
+            version = _version(words[-1])
+            if version is None:
+                return self._refuse(
+                    400, "bad_request", f"bad request version {words[-1]!r}"
+                )
+            if version >= (2, 0):
+                return self._refuse(
+                    505, "version_not_supported", f"{words[-1]} is not supported"
+                )
+            self.close_connection = version < (1, 1)
+            self.request_version = words[-1]
+        if not 2 <= len(words) <= 3:
+            return self._refuse(
+                400, "bad_request", f"bad request line {request_line!r}"
+            )
+        self.command, self.path = words[0], words[1]
+        if len(words) == 2:
+            self.close_connection = True
+            if self.command != "GET":
+                return self._refuse(
+                    400, "bad_request", f"bad HTTP/0.9 method {self.command!r}"
+                )
+        if self.path.startswith("//"):  # gh-87389: never an absolute URI
+            self.path = "/" + self.path.lstrip("/")
+        while True:
+            line = self.rfile.readline(_MAX_LINE + 1)
+            if len(line) > _MAX_LINE:
+                return self._refuse(
+                    431, "headers_too_large", "header line over 65536 bytes"
+                )
+            if line in (b"\r\n", b"\n", b""):
+                break
+            if len(self._headers) == _MAX_HEADERS:
+                return self._refuse(431, "headers_too_large", "over 100 headers")
+            name, _, value = line.decode("iso-8859-1").partition(":")
+            self._headers.append((name.strip().lower(), value.strip()))
+        connection = (self._header("connection") or "").lower()
+        if connection == "close":
+            self.close_connection = True
+        elif connection == "keep-alive":
+            self.close_connection = False
+        # The body's extent must be known, or the connection cannot be
+        # reused: answer and close instead of reading.
+        if self._header("transfer-encoding") is not None:
+            return self._refuse(
+                411, "length_required", "a body needs Content-Length, "
+                "not Transfer-Encoding",
+            )
+        lengths = {value for key, value in self._headers if key == "content-length"}
+        if len(lengths) > 1:
+            return self._refuse(
+                400, "bad_request", f"conflicting Content-Length {sorted(lengths)}"
+            )
+        raw_length = lengths.pop() if lengths else "0"
+        if not (raw_length.isascii() and raw_length.isdigit()):
+            return self._refuse(
+                400, "bad_request", f"invalid Content-Length {raw_length!r}"
+            )
+        self._length = int(raw_length)
+        self._trace_id = self._choose_trace()
+        expect = (self._header("expect") or "").lower()
+        if expect == "100-continue" and self.request_version >= "HTTP/1.1":
+            self.wfile.write(b"HTTP/1.1 100 Continue\r\n\r\n")
+        return True
+
+    def _header(self, name: str) -> str | None:
+        """The first value of the lowercased header ``name``."""
+        for key, value in self._headers:
+            if key == name:
+                return value
+        return None
+
+    def _choose_trace(self) -> str | None:
+        """The request's trace id: the client's ``X-Repro-Trace`` or a
+        fresh one, or None when the service does not trace. It roots the
+        service's trace and is echoed on the response, so a generated id
+        still reaches the client for ``/debug/traces`` lookup."""
         tracer = getattr(self.server.service, "tracer", None)
         if tracer is None or not tracer.enabled:
-            self._trace_id = None
-            return params
-        # The chosen id rides self._trace_id into handle()'s trace_id
-        # keyword and the response echo — never through params.
-        self._trace_id = sanitize_trace_id(trace) or new_trace_id()
-        return params
+            return None
+        return sanitize_trace_id(self._header(_TRACE_KEY)) or new_trace_id()
+
+    def _refuse(self, status: int, code: str, message: str) -> bool:
+        """Answer a request the front cannot serve, and close."""
+        self.close_connection = True
+        self._trace_id = self._choose_trace()
+        self._respond(status, error_body(code, message))
+        return False
+
+    def _serve(self) -> None:
+        target = urlsplit(self.path)
+        params: dict[str, Any] = parse_qs(target.query)
+        raw = self.rfile.read(self._length) if self._length else b""
+        if raw and self.command == "POST":
+            try:
+                body = json.loads(raw.decode("utf-8"))
+            except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+                self._respond(400, error_body("bad_json", str(exc)))
+                return
+            if not isinstance(body, dict):
+                self._respond(400, error_body("bad_json", "body must be an object"))
+                return
+            params.update(body)
+        tenant = self._header(_TENANT_KEY)
+        if tenant and "tenant" not in params:  # an explicit param wins
+            params["tenant"] = tenant
+        service = self.server.service
+        if self._trace_id is None:  # untraced (or stub) service: legacy call
+            status, payload = service.handle(self.command, target.path, params)
+        else:
+            status, payload = service.handle(
+                self.command, target.path, params, trace_id=self._trace_id
+            )
+        self._respond(status, payload)
 
     def _respond(self, status: int, payload: Any) -> None:
+        """Write the status line, headers and body as one write."""
         if isinstance(payload, PrometheusText):
             body = bytes(payload)
             content_type = _PROM_CONTENT_TYPE
@@ -598,70 +738,28 @@ class _Handler(BaseHTTPRequestHandler):
             # the small error and admin dicts are encoded here.
             body = payload if isinstance(payload, bytes) else encode(payload)
             content_type = "application/json; charset=utf-8"
-        self.send_response(status)
-        self.send_header("Content-Type", content_type)
-        self.send_header("Content-Length", str(len(body)))
-        trace_id = getattr(self, "_trace_id", None)
-        if trace_id is not None:
-            self.send_header(TRACE_HEADER, trace_id)
-        if status == 429 and isinstance(payload, Mapping):
-            # Every shed payload (rate limit or admission, either tier)
-            # carries retry_after — surface it as the standard header.
-            retry_after = payload.get("retry_after")
-            if retry_after is not None:
-                self.send_header(
-                    "Retry-After", str(max(1, round(float(retry_after))))
-                )
-        self.end_headers()
-        self.wfile.write(body)
-
-    def _reject(self, params: dict[str, Any], code: str, message: str) -> None:
-        """Answer 400 before the request reaches the service."""
-        self._fold_headers(params)
-        self._respond(400, error_body(code, message))
-
-    def _serve(self, method: str, params: dict[str, Any]) -> None:
-        path = urlsplit(self.path).path
-        params = self._fold_headers(params)
-        service = self.server.service
-        if self._trace_id is None:  # untraced (or stub) service: legacy call
-            status, payload = service.handle(method, path, params)
-        else:
-            status, payload = service.handle(
-                method, path, params, trace_id=self._trace_id
-            )
-        self._respond(status, payload)
-
-    def do_GET(self) -> None:  # noqa: N802 — http.server API
-        self._serve("GET", self._params_from_query())
-
-    def do_POST(self) -> None:  # noqa: N802 — http.server API
-        params: dict[str, Any] = self._params_from_query()
-        raw_length = self.headers.get("Content-Length")
-        try:
-            length = int(raw_length or 0)
-        except ValueError:
-            length = -1
-        if length < 0:
-            # The body's extent is unknown, so the connection cannot be
-            # reused: answer and close instead of reading.
-            self.close_connection = True
-            self._reject(
-                params, "bad_request", f"invalid Content-Length {raw_length!r}"
-            )
-            return
-        if length:
-            raw = self.rfile.read(length)
-            try:
-                body = json.loads(raw.decode("utf-8"))
-            except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-                self._reject(params, "bad_json", str(exc))
-                return
-            if not isinstance(body, dict):
-                self._reject(params, "bad_json", "body must be an object")
-                return
-            params.update(body)
-        self._serve("POST", params)
+        reason = self.responses.get(status, ("",))[0]
+        head = (
+            f"HTTP/1.1 {status} {reason}\r\n"
+            f"Server: {self.server_version} {self.sys_version}\r\n"
+            f"Date: {self.server.http_date()}\r\nContent-Type: {content_type}\r\n"
+            f"Content-Length: {len(body)}\r\n"
+        )
+        if self._trace_id is not None:
+            head += f"{TRACE_HEADER}: {self._trace_id}\r\n"
+        if isinstance(payload, Mapping):
+            if status == 429 and payload.get("retry_after") is not None:
+                # Every shed payload (rate limit or admission, either
+                # tier) carries retry_after: surface the standard header.
+                retry_after = max(1, round(float(payload["retry_after"])))
+                head += f"Retry-After: {retry_after}\r\n"
+            elif status == 405 and "allow" in payload:
+                head += f"Allow: {', '.join(payload['allow'])}\r\n"
+        if self.close_connection:
+            head += "Connection: close\r\n"
+        if self.command == "HEAD":
+            body = b""
+        self.wfile.write(f"{head}\r\n".encode("latin-1") + body)
 
     def log_message(self, format: str, *args: Any) -> None:  # noqa: A002
         pass  # requests are observable via /metrics; stderr stays quiet
@@ -671,6 +769,14 @@ class _HTTPServer(ThreadingHTTPServer):
     daemon_threads = True
     allow_reuse_address = True
     service: Any
+    _date: tuple[int, str] = (0, "")
+
+    def http_date(self) -> str:
+        """The ``Date`` header value, formatted at most once per second."""
+        now = int(time.time())
+        if self._date[0] != now:
+            self._date = (now, formatdate(now, usegmt=True))  # one atomic swap
+        return self._date[1]
 
 
 class HTTPFront:

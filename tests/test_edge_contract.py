@@ -5,7 +5,10 @@ a tenant registry) and the :class:`ClusterCoordinator` over in-process
 fake replicas, and asserts the same status, ``error`` code, ``tenant``
 and ``trace_id``. The HTTP cases add the ``Retry-After`` header, the
 ``X-Repro-Trace`` echo, and malformed ``Content-Length`` handling on a
-raw socket. The table these tests pin is API.md's "Request envelope".
+raw socket. The raw-socket classes pin the HTTP front itself: the
+request-head checks it keeps from the stdlib, keep-alive and closing,
+body framing, every method reaching the route table, and one write per
+response. The table these tests pin is API.md's "Request envelope".
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ import pytest
 
 from repro.obs import TRACE_HEADER, TRACE_PARAM
 from repro.serve import ExpansionServer, ExpansionService, ServeConfig, SessionPool
+from repro.serve import edge as edge_module
 from repro.serve.cluster import ClusterCoordinator, ClusterServer
 from repro.tenancy import RateLimiter, TenantRegistry, TenantSpec
 
@@ -288,3 +292,286 @@ class TestEnvelopeOverHTTP:
         # The server is still healthy afterwards.
         status, _, _ = _get(server, "/healthz")
         assert status == 200
+
+
+# -- the HTTP front on a raw socket ------------------------------------------
+
+
+class _RawConnection:
+    """One raw socket to the front; reads each response by its
+    ``Content-Length``, so keep-alive and closing are both visible."""
+
+    def __init__(self, server) -> None:
+        self.sock = socket.create_connection((server.host, server.port), timeout=10)
+        self.buf = b""
+
+    def send(self, data: bytes) -> None:
+        self.sock.sendall(data)
+
+    def response(self, body: bool = True) -> tuple[int, dict[str, str], bytes]:
+        """``(status, lowercased headers (first wins), body)``; pass
+        ``body=False`` for a bodiless answer (``HEAD``, ``100``)."""
+        while b"\r\n\r\n" not in self.buf:
+            self._fill()
+        head, _, self.buf = self.buf.partition(b"\r\n\r\n")
+        lines = head.decode("latin-1").split("\r\n")
+        headers: dict[str, str] = {}
+        for line in lines[1:]:
+            name, _, value = line.partition(":")
+            headers.setdefault(name.strip().lower(), value.strip())
+        length = int(headers.get("content-length", 0)) if body else 0
+        while len(self.buf) < length:
+            self._fill()
+        data, self.buf = self.buf[:length], self.buf[length:]
+        return int(lines[0].split()[1]), headers, data
+
+    def request(self, data: bytes) -> tuple[int, dict[str, str], bytes]:
+        self.send(data)
+        return self.response()
+
+    def closed(self) -> bool:
+        """True once the server has closed its side with nothing unread."""
+        return self.buf == b"" and self.sock.recv(1) == b""
+
+    def _fill(self) -> None:
+        chunk = self.sock.recv(65536)
+        if not chunk:
+            raise ConnectionError("server closed the connection")
+        self.buf += chunk
+
+    def close(self) -> None:
+        self.sock.close()
+
+
+@pytest.fixture
+def raw(server):
+    connection = _RawConnection(server)
+    yield connection
+    connection.close()
+
+
+def _get_line(target: str, *headers: str, version: str = "HTTP/1.1") -> bytes:
+    lines = [f"GET {target} {version}", "Host: test", *headers, "", ""]
+    return "\r\n".join(lines).encode("latin-1")
+
+
+def _post(target: str, body: bytes, *headers: str) -> bytes:
+    lines = [f"POST {target} HTTP/1.1", "Host: test", *headers, "", ""]
+    return "\r\n".join(lines).encode("latin-1") + body
+
+
+_SEARCH = "/search?config=c&query=java"
+_ENVELOPE_HEADERS = ("server", "date", "content-type", "content-length", "x-repro-trace")
+
+
+def _assert_front_error(raw, status, code):
+    got, headers, body = raw.response()
+    assert got == status
+    assert headers["content-type"].startswith("application/json")
+    assert headers["connection"] == "close"
+    payload = json.loads(body)
+    assert payload["error"] == code and payload["message"]
+    assert raw.closed()
+
+
+class TestHTTPFront:
+    """The one-pass request reader keeps every stdlib check, and adds
+    body framing, on both tiers."""
+
+    def test_414_request_line_too_long(self, raw):
+        # Exactly one byte over the limit and no newline: the front has
+        # read everything, so it closes without a reset.
+        raw.send(b"GET /" + b"a" * (65537 - 5))
+        _assert_front_error(raw, 414, "uri_too_long")
+
+    def test_431_header_line_too_long(self, raw):
+        raw.send(b"GET /healthz HTTP/1.1\r\nX-Long: " + b"a" * (65537 - 8))
+        _assert_front_error(raw, 431, "headers_too_large")
+
+    def test_431_more_than_100_headers(self, raw):
+        raw.send(_get_line("/healthz", *(f"X-H{i}: v" for i in range(101))))
+        _assert_front_error(raw, 431, "headers_too_large")
+
+    def test_100_headers_are_accepted(self, raw):
+        # Host plus 99 more.
+        status, _, _ = raw.request(
+            _get_line("/healthz", *(f"X-H{i}: v" for i in range(99)))
+        )
+        assert status == 200
+
+    @pytest.mark.parametrize(
+        "request_line",
+        ["GET /healthz HTTP/1.x", "GET /healthz HTTP/1.1.1", "GET /healthz FTP/1.1"],
+    )
+    def test_400_bad_version(self, raw, request_line):
+        raw.send(f"{request_line}\r\n\r\n".encode())
+        _assert_front_error(raw, 400, "bad_request")
+
+    def test_505_http_2_and_later(self, raw):
+        raw.send(_get_line("/healthz", version="HTTP/2.0"))
+        _assert_front_error(raw, 505, "version_not_supported")
+
+    @pytest.mark.parametrize("request_line", ["GET", "GET /healthz extra HTTP/1.1"])
+    def test_400_request_line_of_two_or_three_words(self, raw, request_line):
+        raw.send(f"{request_line}\r\n\r\n".encode())
+        _assert_front_error(raw, 400, "bad_request")
+
+    def test_400_http_0_9_non_get(self, raw):
+        raw.send(b"POST /batch\r\n\r\n")
+        _assert_front_error(raw, 400, "bad_request")
+
+    def test_http_0_9_get_is_served_and_closes(self, raw):
+        status, _, body = raw.request(b"GET /healthz\r\n\r\n")
+        assert status == 200 and "status" in json.loads(body)
+        assert raw.closed()
+
+    def test_double_slash_path_is_reduced(self, raw):
+        status, _, body = raw.request(_get_line("//healthz"))
+        assert status == 200 and "status" in json.loads(body)
+
+    def test_three_requests_on_one_keep_alive_socket(self, raw):
+        for target in ("/healthz", "/nope", "/configs"):
+            status, headers, _ = raw.request(_get_line(target))
+            assert status in (200, 404)
+            assert "connection" not in headers
+
+    def test_http_1_0_closes(self, raw):
+        status, _, _ = raw.request(_get_line("/healthz", version="HTTP/1.0"))
+        assert status == 200
+        assert raw.closed()
+
+    def test_connection_close_closes(self, raw):
+        status, headers, _ = raw.request(_get_line("/healthz", "Connection: close"))
+        assert status == 200 and headers["connection"] == "close"
+        assert raw.closed()
+
+    def test_http_1_0_keep_alive_stays_open(self, raw):
+        line = _get_line("/healthz", "Connection: keep-alive", version="HTTP/1.0")
+        assert raw.request(line)[0] == 200
+        assert raw.request(line)[0] == 200
+
+    def test_expect_100_continue_before_the_body(self, raw):
+        body = json.dumps({"config": "c", "query": "java"}).encode()
+        raw.send(_post(
+            "/search", b"", "X-Repro-Tenant: a", "Expect: 100-continue",
+            f"Content-Length: {len(body)}",
+        ))
+        status, _, _ = raw.response(body=False)
+        assert status == 100
+        raw.send(body)
+        status, _, _ = raw.response()
+        assert status == 200
+
+    def test_header_names_are_case_insensitive_first_tenant_wins(self, raw):
+        status, _, _ = raw.request(
+            _get_line(_SEARCH, "x-repro-tenant: a", "X-REPRO-TENANT: ghost")
+        )
+        assert status == 200
+        status, _, body = raw.request(
+            _get_line(_SEARCH, "X-Repro-Tenant: ghost", "x-repro-tenant: a")
+        )
+        assert status == 404 and json.loads(body)["error"] == "unknown_tenant"
+        body = json.dumps({"config": "c", "query": "java"}).encode()
+        status, _, _ = raw.request(_post(
+            "/search", body, "x-repro-tenant: a", f"content-LENGTH: {len(body)}"
+        ))
+        assert status == 200
+
+    def test_every_response_carries_the_envelope_headers(self, server):
+        requests = [
+            _get_line("/healthz"),
+            _get_line("/nope"),
+            _get_line(_SEARCH, "X-Repro-Tenant: a"),
+            b"PUT /expand HTTP/1.1\r\nHost: test\r\n\r\n",
+            _get_line("/healthz", version="HTTP/2.0"),
+        ]
+        for data in requests:
+            connection = _RawConnection(server)
+            try:
+                _, headers, _ = connection.request(data)
+            finally:
+                connection.close()
+            for name in _ENVELOPE_HEADERS:
+                assert headers[name], name
+
+    def test_each_response_is_one_write(self, server, monkeypatch):
+        writes: list[int] = []
+
+        class CountingWriter:
+            def __init__(self, inner):
+                self._inner = inner
+
+            def write(self, data):
+                writes.append(len(data))
+                return self._inner.write(data)
+
+            def __getattr__(self, name):
+                return getattr(self._inner, name)
+
+        original_setup = edge_module._Handler.setup
+
+        def setup(handler):
+            original_setup(handler)
+            handler.wfile = CountingWriter(handler.wfile)
+
+        monkeypatch.setattr(edge_module._Handler, "setup", setup)
+        connection = _RawConnection(server)
+        try:
+            answered = 0
+            for data in (
+                _get_line("/healthz"),
+                _get_line(_SEARCH, "X-Repro-Tenant: a"),
+                _get_line("/nope"),
+                _post("/search", b"[1]", "X-Repro-Tenant: a", "Content-Length: 3"),
+                b"DELETE /search HTTP/1.1\r\nHost: test\r\n\r\n",
+            ):
+                connection.request(data)
+                answered += 1
+                assert len(writes) == answered
+            connection.request(_get_line("/healthz", version="HTTP/2.0"))
+            assert len(writes) == answered + 1
+        finally:
+            connection.close()
+
+
+class TestMethodsAndFraming:
+    @pytest.mark.parametrize("method", ["PUT", "DELETE", "PATCH", "OPTIONS"])
+    def test_405_on_any_method_with_the_allowed_ones(self, raw, method):
+        status, headers, body = raw.request(
+            f"{method} /expand?config=c&query=java HTTP/1.1\r\nHost: t\r\n\r\n"
+            .encode()
+        )
+        assert status == 405
+        assert headers["allow"] == "GET, POST"
+        assert headers["x-repro-trace"]
+        payload = json.loads(body)
+        assert payload["error"] == "method_not_allowed"
+        assert payload["allow"] == ["GET", "POST"]
+        assert payload["trace_id"] == headers["x-repro-trace"]
+
+    def test_404_on_any_method_on_an_unknown_path(self, raw):
+        status, _, body = raw.request(b"PUT /nope HTTP/1.1\r\nHost: t\r\n\r\n")
+        assert status == 404 and json.loads(body)["error"] == "not_found"
+
+    def test_head_answers_the_status_and_headers_without_a_body(self, raw):
+        raw.send(b"HEAD /expand HTTP/1.1\r\nHost: t\r\n\r\n")
+        status, headers, body = raw.response(body=False)
+        assert status == 405 and int(headers["content-length"]) > 0
+        assert headers["content-type"].startswith("application/json")
+        # No body followed: the next response starts right here.
+        status, _, _ = raw.request(_get_line("/healthz"))
+        assert status == 200
+
+    def test_411_on_a_chunked_body_and_close(self, raw):
+        raw.send(_post(
+            "/batch", b"1c\r\n" + b'{"queries":[{"query":"x"}]}\n' + b"\r\n0\r\n\r\n",
+            "X-Repro-Tenant: a", "Transfer-Encoding: chunked",
+        ))
+        _assert_front_error(raw, 411, "length_required")
+
+    def test_400_on_disagreeing_content_lengths_and_close(self, raw):
+        raw.send(_post(
+            "/search", b'{"config":"c","query":"java"}',
+            "X-Repro-Tenant: a", "Content-Length: 29", "Content-Length: 5",
+        ))
+        _assert_front_error(raw, 400, "bad_request")
