@@ -89,9 +89,10 @@ class CosineKMeans:
         n = matrix.shape[0]
         k = min(self._k, n)
         rng = np.random.default_rng(self._seed)
+        nonzeros = np.nonzero(matrix)
         best: KMeansResult | None = None
         for _ in range(self._n_init):
-            result = self._run_once(matrix, k, rng)
+            result = self._run_once(matrix, k, rng, nonzeros)
             if best is None or result.inertia < best.inertia:
                 best = result
         assert best is not None
@@ -113,35 +114,45 @@ class CosineKMeans:
                 candidates = [i for i in range(n) if i not in set(chosen)]
                 chosen.append(int(rng.choice(candidates)))
             else:
-                probs = dissim / total
-                chosen.append(int(rng.choice(n, p=probs)))
+                # ``rng.choice(n, p=probs)`` past its checks: the same draw.
+                cdf = (dissim / total).cumsum()
+                cdf /= cdf[-1]
+                chosen.append(int(cdf.searchsorted(rng.random(), side="right")))
             new_d = 1.0 - matrix @ matrix[chosen[-1]]
             dissim = np.minimum(dissim, np.clip(new_d, 0.0, None))
         return matrix[chosen].copy()
 
     def _run_once(
-        self, matrix: np.ndarray, k: int, rng: np.random.Generator
+        self, matrix: np.ndarray, k: int, rng: np.random.Generator, nonzeros=None
     ) -> KMeansResult:
+        """One Lloyd run (``nonzeros``: ``np.nonzero(matrix)``). Cluster sums
+        start at +0.0 and add nonzeros in row order: for float64 input with no
+        ``-0.0`` (any TF matrix), the bits of ``matrix[labels == c].sum(0)``."""
+        rows, cols = np.nonzero(matrix) if nonzeros is None else nonzeros
+        values, width = matrix[rows, cols], matrix.shape[1]
         centroids = self._seed_centroids(matrix, k, rng)
         labels = np.zeros(matrix.shape[0], dtype=np.int64)
         iterations = 0
         for iterations in range(1, self._max_iter + 1):
             new_labels = np.argmax(matrix @ centroids.T, axis=1)
             if iterations == 1:
-                stale = range(k)
+                stale = set(range(k))
             else:
                 moved = new_labels != labels
                 if not moved.any():
                     break  # converged: every mean below would come out the same
                 # A cluster no point entered or left keeps its members (in
                 # index order), so its mean, and centroid, are unchanged.
-                stale = np.union1d(labels[moved], new_labels[moved]).tolist()
-            sizes = np.bincount(new_labels, minlength=k)
+                stale = set(labels[moved].tolist()) | set(new_labels[moved].tolist())
+            sizes = np.bincount(new_labels, minlength=k).tolist()
+            # All sums in one scatter-add in input order (``bincount`` of no
+            # nonzeros is int zeros); then ``.mean``, ``linalg.norm`` op for op.
+            sums = np.bincount(new_labels[rows] * width + cols, values, k * width)
+            sums = sums.astype(np.float64, copy=False).reshape(k, width)
             for c in stale:
                 if not sizes[c]:
                     continue
-                # ``.mean`` and ``linalg.norm``, operation for operation.
-                mean = matrix[new_labels == c].sum(axis=0)
+                mean = sums[c]
                 mean /= sizes[c]
                 norm = math.sqrt(mean @ mean)
                 if norm > 0:

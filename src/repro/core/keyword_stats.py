@@ -22,6 +22,7 @@ import numpy as np
 
 from repro.core.universe import CandidateIncidence, ResultUniverse
 from repro.index.backend import IndexBackend
+from repro.index.scoring import per_distinct
 
 
 def value_ratio(benefit: float, cost: float) -> float:
@@ -74,6 +75,11 @@ class BenefitCostTable:
 
     as matvecs ``~H[rows] @ (w·U·R)`` and ``~H[rows] @ (w·C·R)``: the same
     nonzero products as ``(elim & U) @ w``, so the same bits.
+
+    Their last bits depend on the BLAS gemv kernel (OpenBLAS picks one per
+    CPU type) and on row position: identical rows can get different sums. So
+    rounding can decide §4.3's exact ties, and expansions are reproducible
+    for one BLAS kernel, not across kernels (see ROADMAP).
 
     ``refresh_affected`` recomputes only candidates with ``~H[k] & D ≠ ∅``
     for delta mask D, and returns how many were recomputed (the paper's
@@ -178,10 +184,14 @@ def best_row(
     values: np.ndarray, changed: np.ndarray, name_rank: np.ndarray
 ) -> int | None:
     """The row with the highest value, then fewest changed results, then
-    first name; ``None`` when every value is ``-inf`` (nothing eligible)."""
+    first name; ``None`` when every value is ``-inf`` (nothing eligible).
+    ``values`` holds no NaN (:func:`value_ratios` never makes one)."""
     if not values.size:
         return None
-    row = int(np.lexsort((name_rank, changed, -values))[0])
+    row = int(values.argmax())
+    tied = np.flatnonzero(values == values[row])
+    if tied.size > 1:
+        row = int(tied[np.lexsort((name_rank[tied], changed[tied]))[0]])
     return None if values[row] == -np.inf else row
 
 
@@ -206,18 +216,24 @@ def select_candidates(
     """
     if not 0.0 < fraction <= 1.0:
         raise ValueError(f"fraction must be in (0, 1], got {fraction}")
+    cols, scores = candidate_scores(index, universe, seed_terms)
+    # Columns follow the sorted vocabulary: (-score, col) is (-score, term).
+    order = cols[np.lexsort((cols, -scores))]
+    keep = max(int(round(cols.size * fraction)), min(min_candidates, cols.size))
+    return tuple(universe.counts.vocabulary[c] for c in order[:keep].tolist())
+
+
+def candidate_scores(
+    index: IndexBackend, universe: ResultUniverse, seed_terms: tuple[str, ...]
+) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`select_candidates`' columns, ascending, and their TF-IDF scores."""
     n_docs = max(index.num_documents, 1)
-    seed = set(seed_terms)
     counts = universe.counts
-    tfs = counts.term_tf().tolist()
-    present = np.count_nonzero(counts.counts, axis=0).tolist()
-    scored: list[tuple[float, str]] = []
-    for term, tf, n_has in zip(counts.vocabulary, tfs, present):
-        if term in seed or n_has == universe.n:
-            continue  # appears everywhere: E(k) empty, useless under AND
-        df = max(index.document_frequency(term), 1)
-        idf = math.log(1.0 + n_docs / df)
-        scored.append((tf * idf, term))
-    scored.sort(key=lambda item: (-item[0], item[1]))
-    keep = max(int(round(len(scored) * fraction)), min(min_candidates, len(scored)))
-    return tuple(term for _, term in scored[:keep])
+    keep_col = np.count_nonzero(counts.counts, axis=0) < universe.n
+    keep_col[[counts.columns[t] for t in seed_terms if t in counts.columns]] = False
+    cols = np.flatnonzero(keep_col)
+    dfs = [index.document_frequency(counts.vocabulary[c]) for c in cols.tolist()]
+    dfs = np.array(dfs, dtype=np.int64).clip(1)
+    # Scalar ``math.log`` per distinct df: ``np.log`` need not round like libm.
+    idf = per_distinct(dfs, lambda df: math.log(1.0 + n_docs / df))
+    return cols, counts.term_tf()[cols] * idf

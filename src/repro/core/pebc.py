@@ -70,11 +70,8 @@ class PEBC:
     def _and_sampler(self, task: ExpansionTask):
         """AND semantics (§4): eliminate ~x% of U via the chosen strategy."""
         rng = np.random.default_rng(self._seed)
-
-        def generate(fraction: float) -> SampleQuery:
-            return self._strategy.generate(task, fraction, rng)
-
-        return generate
+        sample = self._strategy.prepare(task)
+        return lambda fraction: sample(fraction, rng)
 
     def _or_sampler(self, task: ExpansionTask):
         """OR semantics (paper appendix): the mirror image of §4.3.

@@ -22,7 +22,9 @@ the target.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -56,6 +58,10 @@ class _EliminationState:
         self.seed_mask = self.uni.results_mask(task.seed_terms, semantics=AND)
         self.total_u = task.other_weight()
         self._set_mask(self.seed_mask)
+        self.missing_by_result = self.inc.missing.T.copy()  # row r: ~H[:, r]
+        self._w_other = np.where(task.cluster_mask, 0.0, self.uni.weights)
+        self._w_cluster = np.where(task.cluster_mask, self.uni.weights, 0.0)
+        self._scored: dict[bytes, tuple[np.ndarray, np.ndarray]] = {}
 
     def _set_mask(self, mask: np.ndarray) -> None:
         self.mask = mask
@@ -64,6 +70,18 @@ class _EliminationState:
         else:
             remaining = self.uni.weight_of(mask & self.other)
             self.share = (self.total_u - remaining) / self.total_u
+
+    def scores(self) -> tuple[np.ndarray, np.ndarray]:
+        """Each candidate's value and elimination count, once per R(q) of a task."""
+        key = self.mask.tobytes()
+        if key not in self._scored:
+            missing, mask = self.inc.missing_float, self.mask
+            # ~H @ (w·U·R) = (elim & U) @ w, same bits; a row subset need not be.
+            benefits = missing @ (self._w_other * mask)
+            costs = missing @ (self._w_cluster * mask)
+            counts = missing @ mask.astype(np.float64)
+            self._scored[key] = (value_ratios(benefits, costs), counts)
+        return self._scored[key]
 
     def eliminations(self) -> np.ndarray:
         """Row k: the results adding candidate k would eliminate now."""
@@ -112,10 +130,22 @@ class _Strategy:
     def generate(
         self, task: ExpansionTask, target_share: float, rng: np.random.Generator
     ) -> SampleQuery:
-        state = _EliminationState(task)
-        if target_share > 0.0 and state.total_u > 0.0:
-            self._eliminate(state, min(target_share, 1.0), rng)
-        return state.finish()
+        return self.prepare(task)(target_share, rng)
+
+    def prepare(
+        self, task: ExpansionTask
+    ) -> Callable[[float, np.random.Generator], SampleQuery]:
+        """``sample(target_share, rng)``: copies of one seed state, one memo."""
+        seed = _EliminationState(task)
+
+        def sample(target_share: float, rng: np.random.Generator) -> SampleQuery:
+            state = copy.copy(seed)
+            state.rows, state.chosen = [], seed.chosen.copy()
+            if target_share > 0.0 and state.total_u > 0.0:
+                self._eliminate(state, min(target_share, 1.0), rng)
+            return state.finish()
+
+        return sample
 
     def _eliminate(
         self, state: _EliminationState, target: float, rng: np.random.Generator
@@ -129,7 +159,7 @@ class SingleResultStrategy(_Strategy):
 
     The per-step keyword scan is vectorized over the candidate incidence
     matrix: one matvec pass computes every candidate's benefit, cost and
-    elimination count against the current R(q).
+    elimination count against the current R(q) (:meth:`_EliminationState.scores`).
     """
 
     name = "single-result"
@@ -138,9 +168,6 @@ class SingleResultStrategy(_Strategy):
         self, state: _EliminationState, target: float, rng: np.random.Generator
     ) -> None:
         task, inc = state.task, state.inc
-        weights = task.universe.weights
-        w_other = np.where(task.cluster_mask, 0.0, weights)
-        w_cluster = np.where(task.cluster_mask, weights, 0.0)
         blocked = task.universe.empty_mask()  # U results no candidate eliminates
         guard = 0
         max_steps = len(task.candidates) + task.universe.n + 1
@@ -150,15 +177,12 @@ class SingleResultStrategy(_Strategy):
             if not pickable.size:
                 break
             r = int(pickable[rng.integers(pickable.size)])  # = rng.choice(pickable)
-            eligible = inc.missing[:, r] & ~state.chosen
+            eligible = state.missing_by_result[r] & ~state.chosen
             if not eligible.any():
                 blocked[r] = True
                 continue
-            # ~H @ (w·U·R): the nonzero products of (elim & U) @ w, same bits.
-            benefits = inc.missing_float @ (w_other * state.mask)
-            costs = inc.missing_float @ (w_cluster * state.mask)
-            counts = inc.missing_float @ state.mask.astype(np.float64)
-            values = np.where(eligible, value_ratios(benefits, costs), -np.inf)
+            ratios, counts = state.scores()
+            values = np.where(eligible, ratios, -np.inf)
             row = best_row(values, counts, inc.name_rank)
             if row is None:
                 blocked[r] = True

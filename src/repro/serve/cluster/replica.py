@@ -11,7 +11,7 @@ no inherited locks, threads, or SQLite handles).
 Lifecycle::
 
     spawn -> build sessions (hydrate)  -> ("ready", address, authkey)
-          -> accept/serve RPC loop     -> SIGTERM
+          -> accept/serve RPC loop     -> SIGTERM (or the coordinator dies)
           -> stop accepting, drain in-flight, close stores -> exit 0
 
 **Snapshot hydration**: store-backed configurations arrive with their
@@ -39,6 +39,7 @@ per-config tailer stats (applied generation, lag, fallbacks, errors).
 from __future__ import annotations
 
 import dataclasses
+import multiprocessing.connection
 import signal
 import threading
 from dataclasses import dataclass, field
@@ -208,6 +209,13 @@ def build_replica_service(
     return tailing
 
 
+def _terminate_when_closed(sentinel: int, main_thread: int) -> None:
+    """SIGTERM the main thread once the parent's ``sentinel`` closes: a
+    coordinator killed outright runs no exit handler to stop its replicas."""
+    multiprocessing.connection.wait([sentinel])
+    signal.pthread_kill(main_thread, signal.SIGTERM)
+
+
 def replica_main(spec: ReplicaSpec, ready: Any) -> None:
     """Process entry point (see module docstring). ``ready`` is a Pipe end."""
     try:
@@ -243,6 +251,10 @@ def replica_main(spec: ReplicaSpec, ready: Any) -> None:
 
     signal.signal(signal.SIGTERM, _terminate)
     signal.signal(signal.SIGINT, _terminate)
+    parent = multiprocessing.parent_process()
+    if parent is not None:
+        watch = (parent.sentinel, threading.get_ident())
+        threading.Thread(target=_terminate_when_closed, args=watch, daemon=True).start()
 
     transport.serve()
     # Graceful exit: refuse new work, drain in-flight requests, release

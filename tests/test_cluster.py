@@ -16,6 +16,8 @@ from __future__ import annotations
 
 import json
 import socket
+import subprocess
+import sys
 import threading
 import time
 import urllib.error
@@ -1111,6 +1113,65 @@ class TestProcessCluster:
         # The survivor still serves its original hydration.
         assert health["replicas"]["r1"]["generations"]["db"] == 1
         assert health["status"] == "ok"
+
+
+_ORPHAN_COORDINATOR = """
+import json, multiprocessing, sys, time
+from multiprocessing import resource_tracker
+from repro.serve.cluster import create_cluster
+
+server = create_cluster(
+    [f"db:dataset=wikipedia,backend=sqlite,store={sys.argv[1]}"],
+    replicas=2, port=0, workers=1, start_timeout=120.0,
+)
+server.start()
+pids = [p.pid for p in multiprocessing.active_children()]
+print(json.dumps(pids + [resource_tracker._resource_tracker._pid]), flush=True)
+time.sleep(600)
+"""
+
+
+def _running(pid: int) -> bool:
+    """True while ``pid`` exists and is not a zombie awaiting its reaper."""
+    try:
+        with open(f"/proc/{pid}/stat") as stat:
+            return stat.read().rpartition(")")[2].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+
+
+@pytest.mark.slow
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc")
+def test_replicas_and_tracker_exit_when_the_coordinator_is_killed(tmp_path):
+    import os
+    import signal
+
+    store_path = tmp_path / "source.sqlite"
+    with DocumentStore(store_path) as store:
+        store.upsert_all(_seed_documents())
+    coordinator = subprocess.Popen(
+        [sys.executable, "-c", _ORPHAN_COORDINATOR, str(store_path)],
+        stdout=subprocess.PIPE,
+        text=True,
+    )
+    children: list[int] = []
+    try:
+        children = json.loads(coordinator.stdout.readline())
+        assert len(children) == 3  # two replicas and the resource tracker
+        assert all(_running(pid) for pid in children)
+        coordinator.kill()  # SIGKILL: no exit handler runs
+        coordinator.wait(10)
+        deadline = time.monotonic() + 8.0
+        while any(map(_running, children)) and time.monotonic() < deadline:
+            time.sleep(0.1)
+        assert not [pid for pid in children if _running(pid)]
+    finally:
+        coordinator.kill()
+        coordinator.wait(10)
+        coordinator.stdout.close()
+        for pid in children:
+            if _running(pid):
+                os.kill(pid, signal.SIGKILL)
 
 
 class TestBlockingClusterServeForeverStop:
