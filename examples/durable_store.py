@@ -70,7 +70,8 @@ def main() -> None:
         analyzer=analyzer,
     ))
     backend.remove(backend.corpus[1].doc_id)
-    session.refresh()  # drop cached retrievals + scorer snapshot
+    # The session needs no call here: its caches and its scorer's
+    # statistics key on the store generation, which each write moved.
     print(f"\nafter mutations: generation {store.generation}, "
           f"{store.num_live} live, {len(store) - store.num_live} tombstoned")
     hits = session.search("espresso")

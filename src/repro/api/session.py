@@ -663,19 +663,6 @@ class Session:
         self._engine.cache_clear()
         self._analysis_cache.clear()
 
-    def refresh(self) -> None:
-        """Invalidate every cache tier *and* the scorer's stats snapshot.
-
-        :meth:`clear_caches` plus a scorer rebuild on the wrapped engine —
-        the full response to a mutable-backend ingestion. The serving
-        layer (:mod:`repro.serve`) calls this from the mutation listener
-        it subscribes to the backend, once per committed ingest.
-        """
-        self.clear_caches()
-        refresh = getattr(self._engine.inner, "refresh_scoring", None)
-        if callable(refresh):
-            refresh()
-
     def describe(self) -> dict[str, Any]:
         """A JSON-able summary of the session's configuration."""
         return {

@@ -27,7 +27,8 @@ in the rest of the library.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
-from typing import Callable, Iterable, Protocol, runtime_checkable
+from types import SimpleNamespace
+from typing import Any, Callable, Iterable, Protocol, runtime_checkable
 
 import numpy as np
 
@@ -118,12 +119,13 @@ class TermFrequencyCache:
     each term's columns are fetched once and reused by every query.
     A scorer that passes ``impact`` also gets each term's per-posting
     score contributions, computed once per cached term. The cache also
-    holds the document-length vector scorers normalize by.
+    holds the document-length vector and the scorer's ``stats(backend)``.
 
-    Mutation-aware: backends exposing a ``generation`` counter (the
-    SQLite backend) invalidate every entry and the length vector on
-    change. Unsynchronized — a racing double-fetch under
-    threads stores identical values.
+    Mutation-aware: all of it is one backend ``generation``'s state,
+    replaced whole when the generation moves, so a scorer built before
+    a mutation ranks like a fresh one. A reader fills only the state of
+    the generation it read before fetching. Unsynchronized — a racing
+    double-fetch under threads stores identical values.
     """
 
     def __init__(
@@ -131,28 +133,37 @@ class TermFrequencyCache:
         backend: IndexBackend,
         maxsize: int = 4096,
         impact: ImpactFn | None = None,
+        stats: Callable[[IndexBackend], Any] | None = None,
     ) -> None:
         self._backend = backend
         self._maxsize = max(int(maxsize), 1)
         self._impact = impact
-        self._cache: dict[str, tuple[np.ndarray, np.ndarray, np.ndarray | None]] = {}
-        self._lengths: np.ndarray | None = None
-        self._generation = getattr(backend, "generation", None)
+        self._stats = stats
+        self._state = SimpleNamespace(generation=object())  # equals no generation
 
-    def _sync(self) -> None:
+    def _current(self) -> SimpleNamespace:
         generation = getattr(self._backend, "generation", None)
-        if generation != self._generation:
-            self._cache = {}
-            self._lengths = None
-            self._generation = generation
+        state = self._state
+        if state.generation != generation:
+            state = self._state = SimpleNamespace(
+                generation=generation, entries={}, lengths=None, stats=None
+            )
+        return state
+
+    def stats(self) -> Any:
+        """``stats(backend)`` of the current generation (``None`` without one)."""
+        state = self._current()
+        if state.stats is None and self._stats is not None:
+            state.stats = self._stats(self._backend)
+        return state.stats
 
     def entry(self, term: str) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
         """``(docs, tfs, impacts)`` for ``term`` (empty columns if unseen).
 
         ``impacts`` is ``None`` when the cache was built without ``impact``.
         """
-        self._sync()
-        hit = self._cache.get(term)
+        cache = self._current().entries
+        hit = cache.get(term)
         if hit is None:
             plist = self._backend.postings(term)
             docs, tfs = plist.docs, plist.tfs
@@ -161,14 +172,14 @@ class TermFrequencyCache:
                 impacts = self._impact(term, docs, tfs)
                 impacts.flags.writeable = False
             hit = (docs, tfs, impacts)
-            while len(self._cache) >= self._maxsize:
+            while len(cache) >= self._maxsize:
                 # pop() keyed defensively: a racing thread may have
-                # evicted (or cleared) the same entry already.
+                # evicted the same entry already.
                 try:
-                    self._cache.pop(next(iter(self._cache)), None)
+                    cache.pop(next(iter(cache)), None)
                 except StopIteration:  # pragma: no cover - thread race
                     break
-            self._cache[term] = hit
+            cache[term] = hit
         return hit
 
     def tf(self, term: str, pos: int) -> int:
@@ -184,14 +195,14 @@ class TermFrequencyCache:
         fetched again if a caller needs a position past the vector (a
         document that landed between the generation check and the query).
         """
-        self._sync()
-        lengths = self._lengths
+        state = self._current()
+        lengths = state.lengths
         if lengths is None or len(lengths) < upto:
             backend = self._backend
             n = max(upto, backend.num_documents)
             lengths = np.array([backend.doc_length(p) for p in range(n)], dtype=np.int64)
             lengths.flags.writeable = False
-            self._lengths = lengths
+            state.lengths = lengths
         return lengths
 
 

@@ -31,23 +31,27 @@ class BM25Scorer:
         self._index = index
         self._k1 = k1
         self._b = b
-        self._tf = TermFrequencyCache(index, impact=self._impacts)
+        self._tf = TermFrequencyCache(index, impact=self._impacts, stats=self._stats)
+
+    def _stats(self, index: IndexBackend) -> tuple[int, float]:
+        """N and the average document length, per generation."""
         n = max(index.num_documents, 1)
         total_len = int(self._tf.doc_lengths().sum())
-        self._avg_len = (total_len / n) if n else 1.0
-        self._n = n
+        return n, (total_len / n) if n else 1.0
 
     def idf(self, term: str) -> float:
         """BM25 idf: ``log(1 + (N - df + 0.5) / (df + 0.5))`` (never negative)."""
         df = self._index.document_frequency(term)
-        return math.log(1.0 + (self._n - df + 0.5) / (df + 0.5))
+        n, _ = self._tf.stats()
+        return math.log(1.0 + (n - df + 0.5) / (df + 0.5))
 
     def _impacts(self, term: str, docs: np.ndarray, tfs: np.ndarray) -> np.ndarray:
         """``idf · tf · (k1 + 1) / (tf + norm(doc))``, evaluated in that order."""
         if not len(docs):
             return np.zeros(0, dtype=np.float64)
         dl = np.maximum(self._tf.doc_lengths(int(docs[-1]) + 1)[docs], 1)
-        norm = self._k1 * (1.0 - self._b + self._b * dl / max(self._avg_len, 1e-9))
+        _, avg_len = self._tf.stats()
+        norm = self._k1 * (1.0 - self._b + self._b * dl / max(avg_len, 1e-9))
         return self.idf(term) * tfs * (self._k1 + 1.0) / (tfs + norm)
 
     def score(self, doc_pos: int, terms: Iterable[str]) -> float:

@@ -46,10 +46,13 @@ class LMDirichletScorer:
             raise ConfigError(f"mu must be > 0, got {mu}")
         self._index = index
         self._mu = mu
-        self._tf = TermFrequencyCache(index, impact=self._impacts)
+        self._tf = TermFrequencyCache(index, impact=self._impacts, stats=self._stats)
+
+    @staticmethod
+    def _stats(index: IndexBackend) -> tuple[dict[str, int], int]:
+        """The collection model (term counts and their total), per generation."""
         counts = collection_term_frequencies(index)
-        self._collection_counts = counts
-        self._collection_total = max(sum(counts.values()), 1)
+        return counts, max(sum(counts.values()), 1)
 
     @property
     def mu(self) -> float:
@@ -57,8 +60,9 @@ class LMDirichletScorer:
 
     def collection_probability(self, term: str) -> float:
         """p(t|C) with add-one mass for unseen terms (never zero)."""
-        count = self._collection_counts.get(term, 0)
-        return (count + 1.0) / (self._collection_total + len(self._collection_counts) + 1.0)
+        counts, total = self._tf.stats()
+        count = counts.get(term, 0)
+        return (count + 1.0) / (total + len(counts) + 1.0)
 
     def idf(self, term: str) -> float:
         """Rarity proxy for interface parity: ``-log p(t|C)``."""

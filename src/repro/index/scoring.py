@@ -102,8 +102,12 @@ class TfIdfScorer:
 
     def __init__(self, index: IndexBackend) -> None:
         self._index = index
-        self._n = max(index.num_documents, 1)
-        self._tf = TermFrequencyCache(index, impact=self._impacts)
+        self._tf = TermFrequencyCache(index, impact=self._impacts, stats=self._stats)
+
+    @staticmethod
+    def _stats(index: IndexBackend) -> int:
+        """N, per generation."""
+        return max(index.num_documents, 1)
 
     def idf(self, term: str) -> float:
         """Smoothed inverse document frequency: ``log(1 + N/df)``.
@@ -112,7 +116,7 @@ class TfIdfScorer:
         them is well-defined; they simply match no documents.
         """
         df = self._index.document_frequency(term)
-        return math.log(1.0 + self._n / max(df, 1))
+        return math.log(1.0 + self._tf.stats() / max(df, 1))
 
     def tf_weight(self, tf: int) -> float:
         """Sub-linear term-frequency weight: ``1 + log(tf)``."""

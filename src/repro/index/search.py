@@ -66,7 +66,6 @@ class SearchEngine:
         self._corpus = corpus
         self._analyzer = analyzer or Analyzer()
         self._index = self._resolve_backend(backend, corpus)
-        self._scoring = scoring
         self._scorer = self._build_scorer(scoring)
 
     def _build_scorer(self, scoring: str | Callable):
@@ -87,17 +86,6 @@ class SearchEngine:
                 f"unknown scoring {scoring!r}; "
                 f"registered scorers: {', '.join(SCORERS.names())}"
             ) from None
-
-    def refresh_scoring(self) -> None:
-        """Rebuild the scorer from the original scoring spec.
-
-        Scorers snapshot collection statistics (N, cached term
-        frequencies) at construction; after a mutable backend (e.g. the
-        ``"sqlite"`` one) ingests documents, call this so ranking
-        reflects the current index instead of the construction-time
-        snapshot.
-        """
-        self._scorer = self._build_scorer(self._scoring)
 
     @staticmethod
     def _resolve_backend(

@@ -39,10 +39,12 @@ on ``(config, endpoint, query, params, index generation)``; a response
 splices its per-request members (``cache``, ``seconds``, ...) around
 them, so a hit encodes nothing cached again. ``/batch`` items route
 through the same per-query path, so repeated queries inside and across
-batches hit the cache too. The index generation in the key plus the
-pool's mutation listeners (which call
-:meth:`ExpansionService.invalidate_config`) mean no payload cached
-before an ingest is served after it.
+batches hit the cache too. The index generation in the key means no
+payload cached before an ingest is served after it: the store publishes
+a generation only after its commit, so a response computed from the old
+rows is keyed under the old generation. The pool's mutation listeners
+(which call :meth:`ExpansionService.invalidate_config`) only free the
+dead entries.
 """
 
 from __future__ import annotations

@@ -105,9 +105,9 @@ class TailingReplicaService:
     * owns the tailers' lifecycle — :meth:`close` stops them *before*
       draining the service, so no mutation lands mid-shutdown;
     * exposes :attr:`on_gap`, called with the config name when a tailer
-      hits a truncated log prefix; ``replica_main`` points it at the
-      transport's shutdown so the process exits cleanly and the
-      supervisor re-hydrates it from a fresh snapshot (gap recovery IS
+      hits a truncated log prefix; ``replica_main`` points it at its
+      SIGTERM shutdown so the process exits cleanly and the supervisor
+      re-hydrates it from a fresh snapshot (gap recovery IS
       restart-equals-rehydrate, not a second code path).
     """
 
@@ -226,14 +226,12 @@ def replica_main(spec: ReplicaSpec, ready: Any) -> None:
             service.handle, span_export=service.trace_export
         )
         if isinstance(service, TailingReplicaService):
-            # A gap means this replica's history is gone: exit the serve
-            # loop cleanly (off-thread — close() joins the accept loop)
-            # and let the supervisor re-hydrate us from a fresh snapshot.
-            service.on_gap = lambda _config: threading.Thread(
-                target=transport.close,
-                name="repro-replica-gap-exit",
-                daemon=True,
-            ).start()
+            # A gap means this replica's history is gone: SIGTERM the main
+            # thread, as parent death does (close() from another thread
+            # leaves accept() blocked), so serve() returns and the
+            # supervisor re-hydrates us from a fresh snapshot.
+            main = threading.get_ident()
+            service.on_gap = lambda _config: signal.pthread_kill(main, signal.SIGTERM)
     except Exception as exc:  # noqa: BLE001 — report the failure, don't hang the parent
         try:
             ready.send(("error", f"{type(exc).__name__}: {exc}"))

@@ -16,10 +16,13 @@ retrieval cache, and analysis cache), exposes each session pipeline's
 backends — subscribes a mutation listener to the index, which fires
 once per committed ingest batch and then:
 
-1. refreshes the session (retrieval cache, analysis cache, scorer
-   statistics snapshot), and
+1. clears the session's retrieval and analysis caches, and
 2. fires the pool's ``on_invalidate`` callback, which the service uses
    to drop that configuration's cached responses.
+
+The listener only frees memory and counts invalidations: every cache
+and scorer keys on the index generation, which the store publishes
+after the commit, so nothing stale is served without it.
 
 Every backend serves concurrent reads, and a mutable one commits each
 ingest atomically, so sessions run requests without an entry lock.
@@ -278,8 +281,8 @@ class SessionPool:
         The named configurations to serve.
     on_invalidate:
         ``callback(config_name)`` fired after a mutable backend ingests
-        documents (and the session has been refreshed) — the service
-        hooks its response cache here.
+        documents (after the session's caches are cleared) — the
+        service hooks its response cache here.
     retrieval_cache_size / analysis_cache_size:
         Per-session cache capacities (None = session defaults).
     """
@@ -435,15 +438,14 @@ class SessionPool:
         )
         subscribe = getattr(entry.index, "subscribe", None)
         if callable(subscribe):
-            # The invalidation contract: ingestion -> session refresh
-            # (retrieval/analysis caches + scorer snapshot) -> service
-            # callback (response-cache invalidation). Runs on the
-            # ingesting thread, after the index is consistent.
+            # Frees what an ingest made unreachable: session caches, then
+            # the service's responses. Every cache and scorer already
+            # keys on the generation, so correctness does not need this.
             subscribe(lambda _index, _entry=entry: self._invalidate(_entry))
         return entry
 
     def _invalidate(self, entry: PooledSession) -> None:
-        entry.session.refresh()
+        entry.session.clear_caches()
         entry.record_invalidation()
         if self._on_invalidate is not None:
             # The entry key ("config" or "tenant::config") tells the

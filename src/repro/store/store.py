@@ -17,8 +17,8 @@ the library lacks:
   whole store via the SQLite backup API, safe while readers and the
   writer are live;
 * **generation** — a monotonic counter bumped by every committed
-  mutation and persisted in ``meta``; it keys the serving layer's
-  response cache and the session caches, so nothing cached at one
+  mutation, persisted in ``meta`` and shown to readers only after the
+  commit; it keys every cache above the store, so nothing cached at one
   generation is served at the next;
 * **changelog** — a persisted replication log: one generation-stamped
   record per committed mutation batch, written in the *same transaction*
@@ -124,7 +124,7 @@ class DocumentStore:
 
     def _load_mirrors(self) -> None:
         """Rebuild the in-memory hot state from the committed database."""
-        self._generation = int(self._meta("generation"))
+        generation = int(self._meta("generation"))
         self._changelog_floor = int(self._meta("changelog_floor"))
         self._doc_lengths: list[int] = []
         self._deleted: set[int] = set()
@@ -161,6 +161,8 @@ class DocumentStore:
                 "SELECT term_id, COUNT(*) FROM postings GROUP BY term_id"
             )
         self._df: dict[int, int] = dict(rows)
+        # Last, so readers never see a new generation over old mirrors.
+        self._pending_generation = self._generation = generation
 
     def close(self) -> None:
         """Close the writer connection (per-thread readers close with GC)."""
@@ -452,10 +454,10 @@ class DocumentStore:
         generation bump, mirrors untouched.
 
         ``on_committed(positions)`` runs after the COMMIT but *before*
-        the write lock is released and before listeners fire — the hook
-        the backend uses to sync its adopted corpus, so concurrent
-        batches apply their corpus updates in commit order and every
-        listener observes a consistent (store, corpus) pair.
+        the generation is published and listeners fire — the hook the
+        backend uses to sync its adopted corpus, so concurrent batches
+        apply their corpus updates in commit order and a reader of the
+        new generation sees a consistent (store, corpus) pair.
         """
         docs = list(documents)
         if not docs:
@@ -476,8 +478,11 @@ class DocumentStore:
                 self._writer.execute("ROLLBACK")
                 self._load_mirrors()
                 raise
-            if on_committed is not None:
-                on_committed(positions)
+            try:
+                if on_committed is not None:
+                    on_committed(positions)
+            finally:
+                self._generation = self._pending_generation
         self._notify()
         return positions
 
@@ -516,10 +521,11 @@ class DocumentStore:
         return positions
 
     def _bump_generation(self) -> None:
-        self._generation += 1
+        """Write the next generation; readers see it once it commits."""
+        self._pending_generation += 1
         self._writer.execute(
             "UPDATE meta SET value = ? WHERE key = 'generation'",
-            (str(self._generation),),
+            (str(self._pending_generation),),
         )
 
     def _log_change(
@@ -541,7 +547,7 @@ class DocumentStore:
             "INSERT INTO changelog (generation, kind, doc_ids, payload) "
             "VALUES (?, ?, ?, ?)",
             (
-                self._generation,
+                self._pending_generation,
                 kind,
                 json.dumps(list(doc_ids)),
                 json.dumps(payload or {}, sort_keys=True),
@@ -770,7 +776,8 @@ class DocumentStore:
 
 
 class _WriteTransaction:
-    """Write lock + explicit transaction; rollback reloads the mirrors."""
+    """Write lock + transaction; commit publishes the generation, rollback
+    discards it and reloads the mirrors."""
 
     def __init__(self, store: DocumentStore) -> None:
         self._store = store
@@ -788,6 +795,7 @@ class _WriteTransaction:
         try:
             if exc_type is None:
                 self._store._writer.execute("COMMIT")
+                self._store._generation = self._store._pending_generation
             else:
                 self._store._writer.execute("ROLLBACK")
                 # The in-memory mirrors may have advanced past the

@@ -14,7 +14,7 @@ only: ``memory`` is immutable). They check that
   session's ``expand(q, a)`` under ``schema.report_content``;
 * the second algorithm on the same seed runs zero k-means fits, and
   exactly one when an ingest moved the generation in between;
-* ``clear_caches()`` and ``refresh()`` drop the analysis cache;
+* ``clear_caches()`` drops the analysis cache;
 * a ``with_config(n_clusters=...)`` sibling does not reuse another
   config's labels;
 * a reused analysis keeps the one-stage-measurement invariant: report
@@ -79,11 +79,7 @@ def _build(backend: str, tmp_path_factory) -> Session:
     if backend == "sqlite":
         path = tmp_path_factory.mktemp("analysis") / "store.sqlite"
         builder.backend("sqlite", path=path)
-    session = builder.build()
-    subscribe = getattr(session.engine.index, "subscribe", None)
-    if subscribe is not None:  # refresh on ingest, as the session pool does
-        subscribe(lambda _index: session.refresh())
-    return session
+    return builder.build()
 
 
 @pytest.fixture(scope="module")
@@ -140,7 +136,7 @@ class TestAnalysisReuse:
         query=st.sampled_from(QUERIES),
         algorithm=st.sampled_from(ALGORITHM_NAMES),
         backend=st.sampled_from(BACKENDS),
-        drop=st.sampled_from(("clear_caches", "refresh")),
+        drop=st.sampled_from(("clear_caches",)),
     )
     def test_clear_and_refresh_drop_the_analysis(
         self, sessions, query, algorithm, backend, drop
@@ -274,9 +270,10 @@ class _IngestingEngine:
     """A search engine that commits one ingest from inside ``search``.
 
     The armed search reads its results first and ingests second, so it
-    hands back previous-generation results after the ingest's listener
-    has cleared the session's caches: an unlocked ``sqlite`` read that
-    straddles a write, made deterministic.
+    hands back previous-generation results after the ingest has
+    committed: an unlocked ``sqlite`` read that straddles a write, made
+    deterministic. No listener is subscribed; the generation alone must
+    keep those results from being served at the new one.
     """
 
     def __init__(self, engine, document: Document) -> None:
@@ -307,7 +304,6 @@ class TestStraddlingIngest:
         document = Document(doc_id="straddler", terms={"java": 9, "espresso": 3})
         engine = _IngestingEngine(base.engine.inner, document)
         session = Session.builder().engine(engine).config(**CONFIG).build()
-        engine.index.subscribe(lambda _index: session.refresh())
         generation = engine.index.generation
 
         getattr(session, call)("java")  # straddles the ingest

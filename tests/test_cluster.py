@@ -1174,6 +1174,69 @@ def test_replicas_and_tracker_exit_when_the_coordinator_is_killed(tmp_path):
                 os.kill(pid, signal.SIGKILL)
 
 
+@pytest.mark.slow
+def test_gapped_follow_replica_exits_and_is_rehydrated(tmp_path):
+    """A changefeed gap ends the replica process; the supervisor respawns it.
+
+    The source changelog is truncated past the replica's position (two
+    commits, then a truncation to the newest generation). The tailer
+    sees the gap at its next poll, the replica must exit rather than
+    keep serving its stale copy, and the supervisor must restart it
+    from a fresh snapshot at the source's generation.
+    """
+    store_path = tmp_path / "source.sqlite"
+    with DocumentStore(store_path) as store:
+        store.upsert_all(_seed_documents())
+    server = create_cluster(
+        [f"db:dataset=wikipedia,backend=sqlite,store={store_path}"],
+        replicas=1,
+        port=0,
+        workers=1,
+        follow=True,
+        feed_poll_interval=0.5,
+        compaction_interval=3600.0,
+        start_timeout=120.0,
+    )
+    server.start()
+
+    def r0() -> dict:
+        return _http(server, "GET", "/cluster")[2]["replicas"]["r0"]
+
+    def poll(done, seconds: float) -> dict:
+        deadline = time.monotonic() + seconds
+        state = r0()
+        while not done(state) and time.monotonic() < deadline:
+            time.sleep(0.1)
+            state = r0()
+        return state
+
+    try:
+        first_pid = r0()["pid"]
+
+        def exited(state: dict) -> bool:
+            return not (state["alive"] and state["pid"] == first_pid)
+
+        with DocumentStore(store_path) as store:
+            for n in range(3):
+                # A tailer that polls between the last commit and the
+                # truncation sees no gap; the next round makes one.
+                store.upsert(Document(doc_id=f"gap-{n}-a", terms={"java": 1}))
+                store.upsert(Document(doc_id=f"gap-{n}-b", terms={"java": 1}))
+                store.truncate_changelog(store.generation)
+                generation = store.generation
+                if exited(poll(exited, 3.0)):
+                    break
+        state = r0()
+        assert exited(state), "the gapped replica kept running instead of exiting"
+        state = poll(lambda s: s["alive"] and s["state"] == "serving", 60.0)
+        assert state["alive"] and state["pid"] != first_pid
+        assert state["restarts"] == 1
+        _, _, health = _http(server, "GET", "/healthz")
+        assert health["replicas"]["r0"]["generations"]["db"] == generation
+    finally:
+        server.stop()
+
+
 class TestBlockingClusterServeForeverStop:
     """stop() must wake a blocking serve_forever (the CLI/signal path)."""
 
