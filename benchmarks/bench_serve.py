@@ -524,21 +524,24 @@ def run_cluster(smoke: bool) -> int:
         json.dumps(results, indent=2) + "\n", encoding="utf-8"
     )
 
-    import trajectory
+    # Smoke runs check the gates only: the trajectory keeps full runs,
+    # so a smoke run leaves BENCH_trajectory.json as it is.
+    if not smoke:
+        import trajectory
 
-    trajectory.record(
-        pr=6,
-        title="repro.serve.cluster — multi-process replicated serving",
-        headline=(
-            f"warm zipfian throughput {rps[1]:.0f}/{rps[2]:.0f}/{rps[4]:.0f} "
-            f"req/s at 1/2/4 replicas ({scaling:.2f}x at 4, cpu_count={cpu_count}); "
-            f"past saturation {shed_count}/{total} requests shed with 429 at "
-            f"p95 {shed_p95_ms:.1f} ms (gate: prompt shed always; >= "
-            f"{SCALING_FLOOR}x scaling on >= {SCALING_MIN_CPUS} cores)"
-        ),
-        metrics=results,
-        source="benchmarks/bench_serve.py --cluster",
-    )
+        trajectory.record(
+            pr=6,
+            title="repro.serve.cluster — multi-process replicated serving",
+            headline=(
+                f"warm zipfian throughput {rps[1]:.0f}/{rps[2]:.0f}/{rps[4]:.0f} "
+                f"req/s at 1/2/4 replicas ({scaling:.2f}x at 4, cpu_count={cpu_count}); "
+                f"past saturation {shed_count}/{total} requests shed with 429 at "
+                f"p95 {shed_p95_ms:.1f} ms (gate: prompt shed always; >= "
+                f"{SCALING_FLOOR}x scaling on >= {SCALING_MIN_CPUS} cores)"
+            ),
+            metrics=results,
+            source="benchmarks/bench_serve.py --cluster",
+        )
 
     failures = []
     if gate_scaling and scaling < SCALING_FLOOR:

@@ -11,9 +11,10 @@ JSON list sorted by PR number::
     [{"pr": 4, "title": ..., "headline": ..., "metrics": {...},
       "source": "benchmarks/bench_serve.py"}, ...]
 
-``record()`` is idempotent per PR — benchmarks call it every run and the
-entry is replaced, not duplicated — so re-running a benchmark refreshes
-that PR's numbers in place. Machine-dependent figures (throughput,
+``record()`` is idempotent per PR — benchmarks call it on every full
+(non-``--smoke``) run and the entry is replaced, not duplicated — so
+re-running a benchmark refreshes that PR's numbers in place, and a
+smoke run (CI, a local check) leaves the file as it is. Machine-dependent figures (throughput,
 latency) include enough environment context (``cpu_count``) to be read
 honestly across machines.
 """

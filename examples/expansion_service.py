@@ -9,9 +9,10 @@ story over real HTTP requests:
 2. ``/expand`` twice — cold miss, then a warm cache hit;
 3. ``/batch`` — repeated queries inside a batch hit the same cache;
 4. ingestion into a ``backend=sqlite`` configuration (no ``store=``
-   path, so a throwaway store) — the mutation listener invalidates
-   cached responses, so the next ``/expand`` is a *miss* with fresh
-   (changed) content, never a stale answer;
+   path, so a throwaway store) — the index generation in every cache
+   key moves, so the next ``/expand`` is a *miss* with fresh (changed)
+   content, never a stale answer, and that request frees the dead
+   cached responses;
 5. ``/metrics`` — request counters, all three cache tiers, and the
    per-stage latency histograms the pipeline records as it runs.
 

@@ -16,9 +16,9 @@ Three ways an entry leaves the cache, each separately counted:
 * **expiration** — the entry outlived its TTL (checked lazily on
   lookup, and sweepable via :meth:`LRUTTLCache.purge_expired`);
 * **invalidation** — an explicit :meth:`LRUTTLCache.invalidate` /
-  :meth:`LRUTTLCache.clear` call (e.g. from the mutation listener the
-  session pool subscribes to a mutable backend, which fires once per
-  committed ingest).
+  :meth:`LRUTTLCache.clear` call (e.g. by the serving layer on the first
+  request after a mutable backend's generation moved, to free what the
+  move made unreachable).
 
 The clock is injectable for tests (defaults to ``time.monotonic``).
 """

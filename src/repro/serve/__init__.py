@@ -2,7 +2,7 @@
 
 Turns the one-shot :class:`~repro.api.Session` world into a serving
 system: a pool of warm sessions (one per named configuration), a
-thread-safe LRU+TTL response cache with ingestion-hooked invalidation,
+thread-safe LRU+TTL response cache keyed on the index generation,
 live request/stage metrics, and a stdlib-only JSON-over-HTTP front
 (``/expand``, ``/search``, ``/batch``, ``/configs``, ``/healthz``,
 ``/metrics``). See the "Serving" section of API.md.

@@ -42,9 +42,10 @@ through the same per-query path, so repeated queries inside and across
 batches hit the cache too. The index generation in the key means no
 payload cached before an ingest is served after it: the store publishes
 a generation only after its commit, so a response computed from the old
-rows is keyed under the old generation. The pool's mutation listeners
-(which call :meth:`ExpansionService.invalidate_config`) only free the
-dead entries.
+rows is keyed under the old generation. The dead entries are freed by
+the first request after the move: :meth:`PooledSession.advanced` sees
+the new generation, and the service calls
+:meth:`ExpansionService.invalidate_config` for that entry.
 """
 
 from __future__ import annotations
@@ -174,8 +175,6 @@ class ExpansionService(RequestEdge):
         if not isinstance(pool, SessionPool):
             pool = SessionPool(pool)
         self._pool = pool
-        if pool.invalidation_hook is None:
-            pool.invalidation_hook = self.invalidate_config
         try:
             self._cache = LRUTTLCache(maxsize=cache_size, ttl=cache_ttl)
         except ValueError as exc:
@@ -303,7 +302,13 @@ class ExpansionService(RequestEdge):
                 f"parameter 'config' is required with multiple "
                 f"configurations; configured: {', '.join(names)}"
             )
-        return self._pool.get(str(name), tenant)
+        entry = self._pool.get(str(name), tenant)
+        if entry.advanced():
+            # The entry key ("config" or "tenant::config") scopes the
+            # drop: a dedicated tenant entry frees only its tenant's
+            # responses.
+            self.invalidate_config(entry.key)
+        return entry
 
     # -- cached per-query execution ------------------------------------------
 
@@ -809,8 +814,7 @@ def create_server(
     """Assemble pool → service → HTTP server in one call.
 
     ``configs`` entries may be :class:`ServeConfig` objects or CLI spec
-    strings (``name:key=value,...``). The pool's invalidation hook is
-    wired to the service's response cache. ``tenants`` (a
+    strings (``name:key=value,...``). ``tenants`` (a
     :class:`~repro.tenancy.TenantRegistry` or a path to a tenants JSON
     file) switches the service to multi-tenant mode. The observability
     knobs (``tracing``/``trace_capacity``/``slow_threshold``/
@@ -822,7 +826,6 @@ def create_server(
     ]
     if isinstance(tenants, str):
         tenants = TenantRegistry(tenants)
-    # ExpansionService wires the pool's invalidation hook to its cache.
     service = ExpansionService(
         SessionPool(parsed),
         cache_size=cache_size,

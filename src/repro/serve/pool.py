@@ -11,18 +11,16 @@ CLI form::
 
 The :class:`SessionPool` owns one lazily-built session per configuration
 (first request pays construction; everyone after shares the warm index,
-retrieval cache, and analysis cache), exposes each session pipeline's
-:class:`~repro.pipeline.StageStats` for ``/metrics``, and — for mutable
-backends — subscribes a mutation listener to the index, which fires
-once per committed ingest batch and then:
+retrieval cache, and analysis cache) and exposes each session pipeline's
+:class:`~repro.pipeline.StageStats` for ``/metrics``.
 
-1. clears the session's retrieval and analysis caches, and
-2. fires the pool's ``on_invalidate`` callback, which the service uses
-   to drop that configuration's cached responses.
-
-The listener only frees memory and counts invalidations: every cache
-and scorer keys on the index generation, which the store publishes
-after the commit, so nothing stale is served without it.
+Every cache and scorer keys on the index generation, which the store
+publishes only after a batch commits, so nothing stale is ever served.
+What a move of the generation leaves behind is unreachable, and
+:meth:`PooledSession.advanced` frees it: the first request after any
+move (an ingest, a replica's changefeed replay, a ``refresh()``) finds
+the generation changed and clears the session caches, and the service
+then drops that entry's cached responses.
 
 Every backend serves concurrent reads, and a mutable one commits each
 ingest atomically, so sessions run requests without an entry lock.
@@ -33,7 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from threading import Lock
-from typing import TYPE_CHECKING, Any, Callable, Iterable, Mapping
+from typing import TYPE_CHECKING, Any, Iterable, Mapping
 
 from repro.api.session import Session
 from repro.data.documents import Document
@@ -226,7 +224,7 @@ class ServeConfig:
 
 
 class PooledSession:
-    """A built session plus its serving plumbing (invalidations).
+    """A built session plus the generation it last served.
 
     ``tenant`` is the owning tenant's name for dedicated per-tenant
     entries (a private store path, or a throwaway store of its own) and
@@ -242,10 +240,7 @@ class PooledSession:
         self.config = config
         self.session = session
         self.tenant = tenant
-        # Counter mutated from ingesting threads, read by describe();
-        # a bare `+= 1` would drop increments under concurrent ingests.
-        self._meta_lock = Lock()
-        self._invalidations = 0
+        self._served = self.generation()
 
     @property
     def key(self) -> str:
@@ -255,21 +250,26 @@ class PooledSession:
         return f"{self.tenant}{TENANT_KEY_SEP}{self.config.name}"
 
     @property
-    def invalidations(self) -> int:
-        with self._meta_lock:
-            return self._invalidations
-
-    def record_invalidation(self) -> None:
-        with self._meta_lock:
-            self._invalidations += 1
-
-    @property
     def index(self):
         return self.session.engine.index
 
     def generation(self) -> int:
         """The index's change counter (0 for immutable backends)."""
         return int(getattr(self.index, "generation", 0))
+
+    def advanced(self) -> bool:
+        """Clear the session caches if the index moved since the last call.
+
+        Returns whether it moved, so the caller can drop its own dead
+        entries too. Only memory depends on this: every cache keys on
+        the generation, so two threads racing here just clear twice.
+        """
+        generation = self.generation()
+        if generation == self._served:
+            return False
+        self._served = generation
+        self.session.clear_caches()
+        return True
 
 
 class SessionPool:
@@ -279,10 +279,6 @@ class SessionPool:
     ----------
     configs:
         The named configurations to serve.
-    on_invalidate:
-        ``callback(config_name)`` fired after a mutable backend ingests
-        documents (after the session's caches are cleared) — the
-        service hooks its response cache here.
     retrieval_cache_size / analysis_cache_size:
         Per-session cache capacities (None = session defaults).
     """
@@ -290,7 +286,6 @@ class SessionPool:
     def __init__(
         self,
         configs: Iterable[ServeConfig],
-        on_invalidate: Callable[[str], None] | None = None,
         retrieval_cache_size: int | None = None,
         analysis_cache_size: int | None = None,
     ) -> None:
@@ -303,7 +298,6 @@ class SessionPool:
             self._configs[config.name] = config
         if not self._configs:
             raise ConfigError("a session pool needs at least one config")
-        self._on_invalidate = on_invalidate
         self._retrieval_cache_size = retrieval_cache_size
         self._analysis_cache_size = analysis_cache_size
         # Keyed by entry key: "config" or "tenant::config" (dedicated
@@ -320,14 +314,6 @@ class SessionPool:
         self._stores_lock = Lock()
 
     # -- lookup --------------------------------------------------------------
-
-    @property
-    def invalidation_hook(self) -> Callable[[str], None] | None:
-        return self._on_invalidate
-
-    @invalidation_hook.setter
-    def invalidation_hook(self, callback: Callable[[str], None] | None) -> None:
-        self._on_invalidate = callback
 
     def names(self) -> tuple[str, ...]:
         return tuple(self._configs)
@@ -432,26 +418,10 @@ class SessionPool:
             analysis_cache_size=self._analysis_cache_size,
             store=store,
         )
-        entry = PooledSession(
+        return PooledSession(
             effective, session,
             tenant=None if tenant is None else tenant.name,
         )
-        subscribe = getattr(entry.index, "subscribe", None)
-        if callable(subscribe):
-            # Frees what an ingest made unreachable: session caches, then
-            # the service's responses. Every cache and scorer already
-            # keys on the generation, so correctness does not need this.
-            subscribe(lambda _index, _entry=entry: self._invalidate(_entry))
-        return entry
-
-    def _invalidate(self, entry: PooledSession) -> None:
-        entry.session.clear_caches()
-        entry.record_invalidation()
-        if self._on_invalidate is not None:
-            # The entry key ("config" or "tenant::config") tells the
-            # service which cache scope to drop: a dedicated tenant
-            # entry invalidates only that tenant's responses.
-            self._on_invalidate(entry.key)
 
     # -- ingestion -----------------------------------------------------------
 
@@ -467,8 +437,8 @@ class SessionPool:
         Only configurations on a mutable backend (``backend=sqlite``)
         accept ingestion; anything else raises :class:`ServeError`. The
         backend writes through to its store, so with a ``store=`` path
-        the documents survive a restart. Invalidation listeners fire
-        once, after the whole batch.
+        the documents survive a restart. The whole batch is published as
+        one generation.
 
         With a ``tenant`` and a ``quota``, the batch-size cap applies
         up front and the document quota is enforced transactionally,
@@ -548,7 +518,6 @@ class SessionPool:
             info["built"] = entry is not None
             if entry is not None:
                 info["generation"] = entry.generation()
-                info["invalidations"] = entry.invalidations
                 info["session"] = entry.session.describe()
             tenants: dict[str, Any] = {}
             for tentry in entries.values():
@@ -557,7 +526,6 @@ class SessionPool:
                 tenants[tentry.tenant] = {
                     "built": True,
                     "generation": tentry.generation(),
-                    "invalidations": tentry.invalidations,
                     "store": tentry.config.store,
                 }
             info["tenants"] = tenants

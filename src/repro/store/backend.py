@@ -3,9 +3,10 @@
 The backend adapts a :class:`~repro.store.store.DocumentStore` to the
 retrieval protocol every scorer and engine already speaks, and adds the
 mutation surface the serving layer expects from a mutable backend
-(:meth:`add` / :meth:`add_all` / :meth:`remove` / :meth:`subscribe` /
-``generation``), writing through to the store so every committed
-document survives a restart.
+(:meth:`add` / :meth:`add_all` / :meth:`remove` / ``generation``),
+writing through to the store so every committed document survives a
+restart. Cache owners pull ``generation``: it moves only when a
+committed batch's state is published, and nothing is pushed to them.
 
 The backend *adopts* the engine's :class:`~repro.data.corpus.Corpus`:
 it shares the object rather than copying it, and every committed upsert
@@ -98,15 +99,6 @@ class SQLiteIndexBackend:
         """The store's monotonic change counter (cache-invalidation key)."""
         return self._store.generation
 
-    def subscribe(self, listener: Callable) -> Callable[[], None]:
-        """Register ``listener(backend)`` after every committed mutation.
-
-        One notification per committed batch, after the corpus sync;
-        a listener's exception is isolated from the writer and the other
-        listeners. Returns a callable that unsubscribes.
-        """
-        return self._store.subscribe(lambda _store: listener(self))
-
     # -- mutation (write-through) --------------------------------------------
 
     def add(self, doc: Document) -> int:
@@ -119,16 +111,16 @@ class SQLiteIndexBackend:
         documents: Iterable[Document],
         guard: Callable[[DocumentStore, list[Document]], None] | None = None,
     ) -> list[int]:
-        """Upsert a batch durably (one transaction, one notification).
+        """Upsert a batch durably (one transaction, one generation).
 
         New ``doc_id`` values append to the adopted corpus; known ones
         are rewritten in place (corpus entry replaced), so engine
         lookups at any returned position always see the stored payload.
         The corpus sync runs in the store's ``on_committed`` hook —
-        under the write lock, in commit order, before listeners fire —
-        so concurrent ingests cannot interleave corpus appends out of
-        store-position order, and every mutation listener observes a
-        consistent (store, corpus) pair.
+        under the write lock, in commit order, before the generation is
+        published — so concurrent ingests cannot interleave corpus
+        appends out of store-position order, and every reader of the new
+        generation observes a consistent (store, corpus) pair.
 
         ``guard`` is forwarded to :meth:`DocumentStore.upsert_all` and
         runs under the write lock before the transaction begins — the

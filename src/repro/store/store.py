@@ -24,9 +24,7 @@ the library lacks:
   record per committed mutation batch, written in the *same transaction*
   as the batch, tailed by :mod:`repro.feed` for incremental replica
   maintenance and truncated (behind consumer claims) by background
-  compaction;
-* **subscribe** — mutation listeners, notified once per committed
-  batch (a listener's exception is isolated; empty batches are silent).
+  compaction.
 
 Concurrency: one writer connection guarded by a lock, plus one lazily
 opened read connection per thread — under WAL, readers never block the
@@ -36,12 +34,17 @@ memory so scorers pay no SQL per ``doc_length`` call. So is each term's
 live document frequency (``term_id -> df``, only terms with a live
 posting): ``document_frequency``, ``vocabulary`` and ``num_terms`` are
 mirror reads, so idf costs a dict lookup instead of a posting-list
-fetch. Writers keep every mirror current inside the transaction, under
-the write lock. The mirrors are rebuilt from the database at open, after
-a rolled-back write, and by :meth:`DocumentStore.refresh`, which is what
-makes a reopen after a crash (or a plain restart) land in exactly the
-committed state. They assume one writer *process*: a process that did
-not write a change sees it only after ``refresh()`` or a reopen.
+fetch. The mirrors, the generation and the changelog floor form one
+:class:`_State` object. Readers read the published state once per call
+and never see it change. Every write runs in one transaction path
+(:class:`_WriteTransaction`): the writer changes a private copy of the
+state and publishes it only after COMMIT, so no reader ever sees a
+batch that did not commit, and a rollback just drops the copy. The
+state is loaded from the database at open and by
+:meth:`DocumentStore.refresh`, which is what makes a reopen after a
+crash (or a plain restart) land in exactly the committed state. It
+assumes one writer *process*: a process that did not write a change
+sees it only after ``refresh()`` or a reopen.
 """
 
 from __future__ import annotations
@@ -51,6 +54,7 @@ import os
 import sqlite3
 import threading
 import time
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator
 
@@ -60,7 +64,37 @@ from repro.obs import span as _trace_span
 from repro.errors import StoreError
 from repro.store import schema
 
-StoreListener = Callable[["DocumentStore"], None]
+
+@dataclass(slots=True)
+class _State:
+    """One committed view of the store's hot state.
+
+    Never changed once published: a writer changes the copy that
+    :meth:`next` returns, and the copy replaces the published state
+    only after COMMIT.
+    """
+
+    generation: int
+    changelog_floor: int
+    lengths: list[int]
+    deleted: set[int]
+    pos_by_doc_id: dict[str, int]
+    term_ids: dict[str, int]
+    #: Live document frequency per term_id; only terms with at least one
+    #: live posting have an entry.
+    df: dict[int, int]
+
+    def next(self) -> "_State":
+        """A private copy at the next generation, for one write batch."""
+        return _State(
+            self.generation + 1,
+            self.changelog_floor,
+            self.lengths.copy(),
+            self.deleted.copy(),
+            self.pos_by_doc_id.copy(),
+            self.term_ids.copy(),
+            self.df.copy(),
+        )
 
 
 class DocumentStore:
@@ -77,7 +111,6 @@ class DocumentStore:
         self._path.parent.mkdir(parents=True, exist_ok=True)
         self._write_lock = threading.RLock()
         self._local = threading.local()
-        self._listeners: list[StoreListener] = []
         self._closed = False
         # The writer connection; shared across threads, always used under
         # the write lock. isolation_level=None = explicit transactions.
@@ -123,46 +156,46 @@ class DocumentStore:
         return row[0]
 
     def _load_mirrors(self) -> None:
-        """Rebuild the in-memory hot state from the committed database."""
-        generation = int(self._meta("generation"))
-        self._changelog_floor = int(self._meta("changelog_floor"))
-        self._doc_lengths: list[int] = []
-        self._deleted: set[int] = set()
-        self._pos_by_doc_id: dict[str, int] = {}
-        for pos, doc_id, length, deleted in self._writer.execute(
+        """Publish a state read from the committed database (open, refresh)."""
+        lengths: list[int] = []
+        deleted: set[int] = set()
+        pos_by_doc_id: dict[str, int] = {}
+        for pos, doc_id, length, dead in self._writer.execute(
             "SELECT pos, doc_id, length, deleted FROM documents ORDER BY pos"
         ):
-            if pos != len(self._doc_lengths):
+            if pos != len(lengths):
                 raise StoreError(
                     f"store at {self._path} has a position gap at {pos}; "
                     f"the documents table is corrupt"
                 )
-            self._doc_lengths.append(int(length))
-            self._pos_by_doc_id[doc_id] = pos
-            if deleted:
-                self._deleted.add(pos)
-        self._term_ids: dict[str, int] = {
-            term: term_id
-            for term_id, term in self._writer.execute(
-                "SELECT term_id, term FROM vocabulary"
-            )
-        }
-        # Live document frequency per term_id; only terms with at least
-        # one live posting have an entry. Tombstoned postings linger until
-        # compact(), so only a store with tombstones pays for the join.
-        if self._deleted:
-            rows = self._writer.execute(
+            lengths.append(int(length))
+            pos_by_doc_id[doc_id] = pos
+            if dead:
+                deleted.add(pos)
+        # Tombstoned postings linger until compact(), so only a store
+        # with tombstones pays for the join.
+        if deleted:
+            df = dict(self._writer.execute(
                 "SELECT p.term_id, COUNT(*) FROM postings p "
                 "JOIN documents d ON d.pos = p.pos "
                 "WHERE d.deleted = 0 GROUP BY p.term_id"
-            )
+            ))
         else:
-            rows = self._writer.execute(
+            df = dict(self._writer.execute(
                 "SELECT term_id, COUNT(*) FROM postings GROUP BY term_id"
-            )
-        self._df: dict[int, int] = dict(rows)
-        # Last, so readers never see a new generation over old mirrors.
-        self._pending_generation = self._generation = generation
+            ))
+        self._state = _State(
+            generation=int(self._meta("generation")),
+            changelog_floor=int(self._meta("changelog_floor")),
+            lengths=lengths,
+            deleted=deleted,
+            pos_by_doc_id=pos_by_doc_id,
+            term_ids=self._read_term_ids(),
+            df=df,
+        )
+
+    def _read_term_ids(self) -> dict[str, int]:
+        return dict(self._writer.execute("SELECT term, term_id FROM vocabulary"))
 
     def close(self) -> None:
         """Close the writer connection (per-thread readers close with GC)."""
@@ -186,51 +219,52 @@ class DocumentStore:
         return self._path
 
     @property
-    # analyze: ignore[GUARD001] - lock-free reader by design: mirror bindings are replaced atomically (GIL) and a slightly stale view is acceptable to concurrent readers
+    # analyze: ignore[GUARD001] - lock-free reader by design: it reads the published state once, and a published state never changes
     def generation(self) -> int:
         """Monotone change counter; bump = every snapshot above is stale."""
-        return self._generation
+        return self._state.generation
 
-    # analyze: ignore[GUARD001] - lock-free reader by design: mirror bindings are replaced atomically (GIL) and a slightly stale view is acceptable to concurrent readers
     def __len__(self) -> int:
         """Total allocated positions, tombstones included."""
-        return len(self._doc_lengths)
+        return self.num_positions
 
     @property
-    # analyze: ignore[GUARD001] - lock-free reader by design: mirror bindings are replaced atomically (GIL) and a slightly stale view is acceptable to concurrent readers
+    # analyze: ignore[GUARD001] - lock-free reader by design: it reads the published state once, and a published state never changes
     def num_positions(self) -> int:
-        return len(self._doc_lengths)
+        return len(self._state.lengths)
 
     @property
-    # analyze: ignore[GUARD001] - lock-free reader by design: mirror bindings are replaced atomically (GIL) and a slightly stale view is acceptable to concurrent readers
+    # analyze: ignore[GUARD001] - lock-free reader by design: it reads the published state once, and a published state never changes
     def num_live(self) -> int:
         """Documents that queries can still match."""
-        return len(self._doc_lengths) - len(self._deleted)
+        state = self._state
+        return len(state.lengths) - len(state.deleted)
 
-    # analyze: ignore[GUARD001] - lock-free reader by design: mirror bindings are replaced atomically (GIL) and a slightly stale view is acceptable to concurrent readers
+    # analyze: ignore[GUARD001] - lock-free reader by design: it reads the published state once, and a published state never changes
     def __contains__(self, doc_id: object) -> bool:
-        pos = self._pos_by_doc_id.get(doc_id)  # type: ignore[arg-type]
-        return pos is not None and pos not in self._deleted
+        state = self._state
+        pos = state.pos_by_doc_id.get(doc_id)  # type: ignore[arg-type]
+        return pos is not None and pos not in state.deleted
 
-    # analyze: ignore[GUARD001] - lock-free reader by design: mirror bindings are replaced atomically (GIL) and a slightly stale view is acceptable to concurrent readers
+    # analyze: ignore[GUARD001] - lock-free reader by design: it reads the published state once, and a published state never changes
     def position(self, doc_id: str) -> int:
         """Position of ``doc_id`` (live or tombstoned)."""
         try:
-            return self._pos_by_doc_id[doc_id]
+            return self._state.pos_by_doc_id[doc_id]
         except KeyError:
             raise StoreError(f"unknown doc_id: {doc_id!r}") from None
 
-    # analyze: ignore[GUARD001] - lock-free reader by design: mirror bindings are replaced atomically (GIL) and a slightly stale view is acceptable to concurrent readers
+    # analyze: ignore[GUARD001] - lock-free reader by design: it reads the published state once, and a published state never changes
     def is_deleted(self, pos: int) -> bool:
-        return pos in self._deleted
+        return pos in self._state.deleted
 
-    # analyze: ignore[GUARD001] - lock-free reader by design: mirror bindings are replaced atomically (GIL) and a slightly stale view is acceptable to concurrent readers
+    # analyze: ignore[GUARD001] - lock-free reader by design: it reads the published state once, and a published state never changes
     def deleted_positions(self) -> frozenset[int]:
-        return frozenset(self._deleted)
+        return frozenset(self._state.deleted)
 
-    # analyze: ignore[GUARD001] - lock-free reader by design: mirror bindings are replaced atomically (GIL) and a slightly stale view is acceptable to concurrent readers
+    # analyze: ignore[GUARD001] - lock-free reader by design: it reads the published state once, and a published state never changes
     def doc_length(self, pos: int) -> int:
-        return self._doc_lengths[pos]
+        return self._state.lengths[pos]
 
     # -- document access -----------------------------------------------------
 
@@ -277,89 +311,68 @@ class DocumentStore:
 
     # -- postings access -----------------------------------------------------
 
-    # analyze: ignore[GUARD001] - lock-free reader by design: mirror bindings are replaced atomically (GIL) and a slightly stale view is acceptable to concurrent readers
+    # analyze: ignore[GUARD001] - lock-free reader by design: it reads the published state once, and a published state never changes
     def term_postings(self, term: str) -> list[tuple[int, int]]:
         """Live ``(position, tf)`` pairs for ``term``, position-sorted."""
-        term_id = self._term_ids.get(term)
+        state = self._state
+        term_id = state.term_ids.get(term)
         if term_id is None:
             return []
         rows = self._read_conn().execute(
             "SELECT pos, tf FROM postings WHERE term_id = ? ORDER BY pos",
             (term_id,),
         ).fetchall()
-        if self._deleted:
-            dead = self._deleted
+        if state.deleted:
+            dead = state.deleted
             return [(pos, tf) for pos, tf in rows if pos not in dead]
         return [(int(pos), int(tf)) for pos, tf in rows]
 
-    # analyze: ignore[GUARD001] - lock-free reader by design: mirror bindings are replaced atomically (GIL) and a slightly stale view is acceptable to concurrent readers
+    # analyze: ignore[GUARD001] - lock-free reader by design: it reads the published state once, and a published state never changes
     def document_frequency(self, term: str) -> int:
         """Live documents containing ``term`` (a mirror lookup, no SQL)."""
-        term_id = self._term_ids.get(term)
-        return 0 if term_id is None else self._df.get(term_id, 0)
+        state = self._state
+        term_id = state.term_ids.get(term)
+        return 0 if term_id is None else state.df.get(term_id, 0)
 
-    # analyze: ignore[GUARD001] - lock-free reader by design: mirror bindings are replaced atomically (GIL) and a slightly stale view is acceptable to concurrent readers
+    # analyze: ignore[GUARD001] - lock-free reader by design: it reads the published state once, and a published state never changes
     def vocabulary(self) -> list[str]:
         """Terms with at least one live posting, sorted."""
-        df = self._df
-        # Iterate a copy: the writer interns new terms in place.
-        return sorted(t for t, tid in self._term_ids.copy().items() if tid in df)
+        state = self._state
+        df = state.df
+        return sorted(t for t, tid in state.term_ids.items() if tid in df)
 
-    # analyze: ignore[GUARD001] - lock-free reader by design: mirror bindings are replaced atomically (GIL) and a slightly stale view is acceptable to concurrent readers
+    # analyze: ignore[GUARD001] - lock-free reader by design: it reads the published state once, and a published state never changes
     def num_terms(self) -> int:
         """Count of terms with at least one live posting."""
-        return len(self._df)
-
-    # -- mutation listeners --------------------------------------------------
-
-    def subscribe(self, listener: StoreListener) -> Callable[[], None]:
-        """Register ``listener(store)`` to run after every committed mutation.
-
-        One notification per committed batch, none for an empty one; a
-        listener that raises is skipped, not propagated to the writer or
-        the other listeners. Returns a callable that unsubscribes.
-        """
-        self._listeners.append(listener)
-
-        def unsubscribe() -> None:
-            try:
-                self._listeners.remove(listener)
-            except ValueError:
-                pass
-
-        return unsubscribe
-
-    def _notify(self) -> None:
-        for listener in list(self._listeners):
-            try:
-                listener(self)
-            except Exception:  # noqa: BLE001 — listener isolation
-                continue
+        return len(self._state.df)
 
     # -- write path ----------------------------------------------------------
 
-    def _transaction(self):
-        """Context manager: write lock + BEGIN IMMEDIATE .. COMMIT/ROLLBACK."""
-        return _WriteTransaction(self)
+    def _transaction(
+        self, stage: bool = True, guard: Callable[[], None] | None = None
+    ) -> "_WriteTransaction":
+        """The one write path: lock, guard, BEGIN, stage, COMMIT, publish."""
+        return _WriteTransaction(self, stage, guard)
 
-    def _intern_terms(self, terms: Iterable[str]) -> dict[str, int]:
-        """Term → term_id, inserting unseen terms (writer lock held)."""
-        missing = [t for t in terms if t not in self._term_ids]
+    def _intern_terms(self, terms: Iterable[str], state: _State) -> dict[str, int]:
+        """Term → term_id, inserting unseen terms into the staged state."""
+        ids = state.term_ids
+        missing = [t for t in terms if t not in ids]
         for term in missing:
             cur = self._writer.execute(
                 "INSERT OR IGNORE INTO vocabulary (term) VALUES (?)", (term,)
             )
             if cur.lastrowid and cur.rowcount:
-                self._term_ids[term] = cur.lastrowid
+                ids[term] = cur.lastrowid
             else:  # pragma: no cover - interned by a racing process
                 row = self._writer.execute(
                     "SELECT term_id FROM vocabulary WHERE term = ?", (term,)
                 ).fetchone()
-                self._term_ids[term] = row[0]
-        return self._term_ids
+                ids[term] = row[0]
+        return ids
 
-    def _stored_term_ids(self, pos: int) -> list[int]:
-        """Term ids of the document row at ``pos`` (writer lock held).
+    def _stored_term_ids(self, pos: int, state: _State) -> list[int]:
+        """Term ids of the document row at ``pos`` (transaction open).
 
         A primary-key read of the row's ``terms`` JSON; terms pruned from
         the vocabulary by :meth:`compact` have no postings left and are
@@ -368,12 +381,13 @@ class DocumentStore:
         (terms,) = self._writer.execute(
             "SELECT terms FROM documents WHERE pos = ?", (pos,)
         ).fetchone()
-        ids = self._term_ids
+        ids = state.term_ids
         return [ids[t] for t in json.loads(terms) if t in ids]
 
-    def _forget_df(self, term_ids: Iterable[int]) -> None:
-        """Decrement live df for one document leaving (writer lock held)."""
-        df = self._df
+    @staticmethod
+    def _forget_df(state: _State, term_ids: Iterable[int]) -> None:
+        """Decrement the staged live df for one document leaving."""
+        df = state.df
         for term_id in term_ids:
             count = df[term_id] - 1
             if count:
@@ -381,9 +395,9 @@ class DocumentStore:
             else:
                 del df[term_id]
 
-    def _upsert_one(self, doc: Document) -> int:
+    def _upsert_one(self, doc: Document, state: _State) -> int:
         """Write one document inside the open transaction; return its pos."""
-        existing = self._pos_by_doc_id.get(doc.doc_id)
+        existing = state.pos_by_doc_id.get(doc.doc_id)
         payload = (
             doc.kind,
             doc.title,
@@ -392,17 +406,17 @@ class DocumentStore:
             doc.length(),
         )
         if existing is None:
-            pos = len(self._doc_lengths)
+            pos = len(state.lengths)
             self._writer.execute(
                 "INSERT INTO documents (pos, doc_id, kind, title, fields, "
                 "terms, length) VALUES (?, ?, ?, ?, ?, ?, ?)",
                 (pos, doc.doc_id) + payload,
             )
-            self._doc_lengths.append(doc.length())
-            self._pos_by_doc_id[doc.doc_id] = pos
+            state.lengths.append(doc.length())
+            state.pos_by_doc_id[doc.doc_id] = pos
         else:
             pos = existing
-            old_ids = self._stored_term_ids(pos)
+            old_ids = self._stored_term_ids(pos, state)
             self._writer.execute(
                 "UPDATE documents SET kind = ?, title = ?, fields = ?, "
                 "terms = ?, length = ?, deleted = 0 WHERE pos = ?",
@@ -413,14 +427,14 @@ class DocumentStore:
                 "DELETE FROM postings WHERE term_id = ? AND pos = ?",
                 [(term_id, pos) for term_id in old_ids],
             )
-            if pos in self._deleted:
-                self._deleted.discard(pos)  # delete() already forgot its df
+            if pos in state.deleted:
+                state.deleted.discard(pos)  # delete() already forgot its df
             else:
-                self._forget_df(old_ids)
-            self._doc_lengths[pos] = doc.length()
+                self._forget_df(state, old_ids)
+            state.lengths[pos] = doc.length()
         terms = sorted(doc.terms)
-        ids = self._intern_terms(terms)
-        df = self._df
+        ids = self._intern_terms(terms, state)
+        df = state.df
         rows = []
         for term in terms:
             term_id = ids[term]
@@ -441,23 +455,22 @@ class DocumentStore:
         on_committed: Callable[[list[int]], None] | None = None,
         guard: Callable[["DocumentStore", list[Document]], None] | None = None,
     ) -> list[int]:
-        """Upsert a batch in one transaction; listeners notified once.
+        """Upsert a batch in one transaction, published as one generation.
 
-        An empty batch commits nothing, bumps nothing, and notifies
-        nobody. On any error the whole batch rolls back (the in-memory
-        mirrors are reloaded from the committed state), so a partially
-        bad batch never becomes durable.
+        An empty batch commits nothing and bumps nothing. On any error the
+        whole batch rolls back and readers never saw any of it, so a
+        partially bad batch never becomes durable or visible.
 
         ``guard(store, docs)`` — if given — runs under the write lock
         *before* the transaction begins; raising from it (e.g. a tenant
         quota check) rejects the batch atomically: no row written, no
-        generation bump, mirrors untouched.
+        generation bump.
 
         ``on_committed(positions)`` runs after the COMMIT but *before*
-        the generation is published and listeners fire — the hook the
-        backend uses to sync its adopted corpus, so concurrent batches
-        apply their corpus updates in commit order and a reader of the
-        new generation sees a consistent (store, corpus) pair.
+        the new state is published — the hook the backend uses to sync
+        its adopted corpus, so concurrent batches apply their corpus
+        updates in commit order and a reader of the new generation sees
+        a consistent (store, corpus) pair.
         """
         docs = list(documents)
         if not docs:
@@ -465,25 +478,13 @@ class DocumentStore:
         # The span opens before the write lock, so lock-wait under
         # contention is visible in the trace; no-op outside a request.
         with _trace_span("store.transaction", op="upsert", docs=len(docs)), \
-                self._write_lock:  # analyze: ignore[LOCK001] - sqlite ops on the writer connection run under the write lock by design: one writer, mutators serialized
-            if guard is not None:
-                guard(self, docs)
-            self._writer.execute("BEGIN IMMEDIATE")
-            try:
-                positions = [self._upsert_one(doc) for doc in docs]
-                self._bump_generation()
-                self._log_change("upsert", [doc.doc_id for doc in docs])
-                self._writer.execute("COMMIT")
-            except BaseException:
-                self._writer.execute("ROLLBACK")
-                self._load_mirrors()
-                raise
-            try:
-                if on_committed is not None:
-                    on_committed(positions)
-            finally:
-                self._generation = self._pending_generation
-        self._notify()
+                self._transaction(
+                    guard=None if guard is None else lambda: guard(self, docs)
+                ) as txn:
+            positions = [self._upsert_one(doc, txn.staged) for doc in docs]
+            self._log_change(txn.staged, "upsert", [doc.doc_id for doc in docs])
+            if on_committed is not None:
+                txn.on_committed = lambda: on_committed(positions)
         return positions
 
     def delete(self, doc_id: str) -> int:
@@ -496,58 +497,49 @@ class DocumentStore:
         return self.delete_all([doc_id])[0]
 
     def delete_all(self, doc_ids: Iterable[str]) -> list[int]:
-        """Tombstone a batch in one transaction; listeners notified once."""
+        """Tombstone a batch in one transaction, published as one generation."""
         ids = list(doc_ids)
         if not ids:
             return []
         with _trace_span("store.transaction", op="delete", docs=len(ids)), \
-                self._transaction():  # analyze: ignore[LOCK001] - sqlite ops on the writer connection run under the write lock by design: one writer, mutators serialized
+                self._transaction() as txn:  # analyze: ignore[LOCK001] - sqlite ops on the writer connection run under the write lock by design: one writer, mutators serialized
+            state = txn.staged
             positions = []
             for doc_id in ids:
-                pos = self._pos_by_doc_id.get(doc_id)
+                pos = state.pos_by_doc_id.get(doc_id)
                 if pos is None:
                     raise StoreError(f"unknown doc_id: {doc_id!r}")
-                if pos in self._deleted:
+                if pos in state.deleted:
                     raise StoreError(f"doc_id already deleted: {doc_id!r}")
                 self._writer.execute(
                     "UPDATE documents SET deleted = 1 WHERE pos = ?", (pos,)
                 )
-                self._deleted.add(pos)
-                self._forget_df(self._stored_term_ids(pos))
+                state.deleted.add(pos)
+                self._forget_df(state, self._stored_term_ids(pos, state))
                 positions.append(pos)
-            self._bump_generation()
-            self._log_change("delete", ids)
-        self._notify()
+            self._log_change(state, "delete", ids)
         return positions
-
-    def _bump_generation(self) -> None:
-        """Write the next generation; readers see it once it commits."""
-        self._pending_generation += 1
-        self._writer.execute(
-            "UPDATE meta SET value = ? WHERE key = 'generation'",
-            (str(self._pending_generation),),
-        )
 
     def _log_change(
         self,
+        state: _State,
         kind: str,
         doc_ids: Iterable[str],
         payload: dict[str, Any] | None = None,
     ) -> None:
         """Append one replication-log record inside the open transaction.
 
-        Runs right after :meth:`_bump_generation`, so the record carries
-        the batch's generation and commits (or rolls back) atomically
-        with the data it describes. Document payloads are not copied
-        here — the changefeed materializes them from ``documents`` at
-        read time, so the log stays O(batch) small and replays always
-        converge on the latest stored payload.
+        The record carries the staged state's generation and commits (or
+        rolls back) atomically with the data it describes. Document
+        payloads are not copied here — the changefeed materializes them
+        from ``documents`` at read time, so the log stays O(batch) small
+        and replays always converge on the latest stored payload.
         """
         self._writer.execute(
             "INSERT INTO changelog (generation, kind, doc_ids, payload) "
             "VALUES (?, ?, ?, ?)",
             (
-                self._pending_generation,
+                state.generation,
                 kind,
                 json.dumps(list(doc_ids)),
                 json.dumps(payload or {}, sort_keys=True),
@@ -575,7 +567,7 @@ class DocumentStore:
         generation counter stays aligned with the source's.
         """
         with _trace_span("store.transaction", op="compact"), \
-                self._transaction():  # analyze: ignore[LOCK001] - sqlite ops on the writer connection run under the write lock by design: one writer, mutators serialized
+                self._transaction() as txn:  # analyze: ignore[LOCK001] - sqlite ops on the writer connection run under the write lock by design: one writer, mutators serialized
             dropped = self._writer.execute(
                 "DELETE FROM postings WHERE pos IN "
                 "(SELECT pos FROM documents WHERE deleted = 1)"
@@ -584,41 +576,32 @@ class DocumentStore:
                 "DELETE FROM vocabulary WHERE NOT EXISTS "
                 "(SELECT 1 FROM postings p WHERE p.term_id = vocabulary.term_id)"
             ).rowcount
-            self._bump_generation()
+            # The df mirror needs no pruning: writers drop a term's entry
+            # when its last live posting goes, and compaction removes no
+            # live posting.
+            txn.staged.term_ids = self._read_term_ids()
             self._log_change(
+                txn.staged,
                 "compact",
                 [],
                 {"postings_dropped": int(dropped), "terms_dropped": int(orphaned)},
             )
-        with self._write_lock:  # analyze: ignore[LOCK001] - sqlite ops on the writer connection run under the write lock by design: one writer, mutators serialized
-            # The term-map rebuild uses the writer connection and replaces
-            # a guarded mirror; outside the lock it would race a concurrent
-            # upsert's term interning and clobber its newly-added terms.
-            # The df mirror needs no pruning: writers drop a term's entry
-            # when its last live posting goes, and compaction removes no
-            # live posting.
-            self._term_ids = {
-                term: term_id
-                for term_id, term in self._writer.execute(
-                    "SELECT term_id, term FROM vocabulary"
-                )
-            }
-            if vacuum:
+        if vacuum:
+            with self._write_lock:  # analyze: ignore[LOCK001] - sqlite ops on the writer connection run under the write lock by design: one writer, mutators serialized
                 self._writer.execute("VACUUM")
                 # Fold the WAL back into the main file so the VACUUM's
                 # space savings are visible on disk, not parked in the
                 # -wal file.
                 self._writer.execute("PRAGMA wal_checkpoint(TRUNCATE)")
-        self._notify()
         return {"postings_dropped": int(dropped), "terms_dropped": int(orphaned)}
 
     # -- replication log -----------------------------------------------------
 
     @property
-    # analyze: ignore[GUARD001] - lock-free reader by design: mirror bindings are replaced atomically (GIL) and a slightly stale view is acceptable to concurrent readers
+    # analyze: ignore[GUARD001] - lock-free reader by design: it reads the published state once, and a published state never changes
     def changelog_floor(self) -> int:
         """Newest generation *not* in the log (rows cover floor+1..generation)."""
-        return self._changelog_floor
+        return self._state.changelog_floor
 
     def changelog_length(self) -> int:
         """Count of replication-log records still retained."""
@@ -633,10 +616,12 @@ class DocumentStore:
         Raises the changelog floor (never lowers it, never past the
         current generation). Truncation is maintenance, not mutation: it
         does **not** bump the generation — the log must stay contiguous
-        from floor+1 to generation — and does not notify listeners.
+        from floor+1 to generation. The new floor is published after the
+        COMMIT.
         """
-        with self._transaction():  # analyze: ignore[LOCK001] - sqlite ops on the writer connection run under the write lock by design: one writer, mutators serialized
-            floor = max(self._changelog_floor, min(int(upto), self._generation))
+        with self._transaction(stage=False) as txn:  # analyze: ignore[LOCK001] - sqlite ops on the writer connection run under the write lock by design: one writer, mutators serialized
+            state = self._state
+            floor = max(state.changelog_floor, min(int(upto), state.generation))
             dropped = self._writer.execute(
                 "DELETE FROM changelog WHERE generation <= ?", (floor,)
             ).rowcount
@@ -644,7 +629,8 @@ class DocumentStore:
                 "UPDATE meta SET value = ? WHERE key = 'changelog_floor'",
                 (str(floor),),
             )
-            self._changelog_floor = floor
+            # No mirror changes, so the staged state shares them.
+            txn.staged = replace(state, changelog_floor=floor)
         return int(dropped)
 
     def claim(self, consumer: str, generation: int) -> None:
@@ -695,7 +681,7 @@ class DocumentStore:
         nothing changed: a single meta read decides whether to reload.
         """
         with self._write_lock:
-            if int(self._meta("generation")) != self._generation:
+            if int(self._meta("generation")) != self._state.generation:
                 self._load_mirrors()
 
     def snapshot(self, dest: str | Path) -> Path:
@@ -741,7 +727,7 @@ class DocumentStore:
             src.close()
         return cls(dest)
 
-    # analyze: ignore[GUARD001] - lock-free reader by design: mirror bindings are replaced atomically (GIL) and a slightly stale view is acceptable to concurrent readers
+    # analyze: ignore[GUARD001] - lock-free reader by design: it reads the published state once, and a published state never changes
     def stats(self) -> dict[str, Any]:
         """JSON-ready store statistics (for ``repro store stats`` and tests)."""
         conn = self._read_conn()
@@ -753,21 +739,22 @@ class DocumentStore:
                 size += os.path.getsize(str(self._path) + suffix)
             except OSError:
                 continue
-        documents = len(self._doc_lengths)
-        tombstones = len(self._deleted)
+        state = self._state
+        documents = len(state.lengths)
+        tombstones = len(state.deleted)
         return {
             "path": str(self._path),
             "schema_version": schema.SCHEMA_VERSION,
-            "generation": self._generation,
+            "generation": state.generation,
             "documents": documents,
-            "live_documents": self.num_live,
+            "live_documents": documents - tombstones,
             "tombstones": tombstones,
             # The compaction trigger's inputs (see repro.feed): how much
             # of the store is dead weight, how long the replication log
             # has grown, and where the slowest feed consumer stands.
             "tombstone_ratio": tombstones / documents if documents else 0.0,
             "changelog_len": self.changelog_length(),
-            "changelog_floor": self._changelog_floor,
+            "changelog_floor": state.changelog_floor,
             "oldest_unclaimed_generation": self.oldest_unclaimed_generation(),
             "terms": int(terms),
             "postings": int(postings),
@@ -776,30 +763,71 @@ class DocumentStore:
 
 
 class _WriteTransaction:
-    """Write lock + transaction; commit publishes the generation, rollback
-    discards it and reloads the mirrors."""
+    """The store's one write path.
 
-    def __init__(self, store: DocumentStore) -> None:
+    In order: take the write lock, run the ``guard``, BEGIN, stage (a
+    private copy of the published state at the next generation, whose
+    number is written to ``meta``), run the body, COMMIT, run
+    ``on_committed``, publish the staged state, release the lock. The
+    body changes only :attr:`staged`. Anything that raises, COMMIT
+    included, rolls back and drops the copy, so readers never see a
+    batch that did not commit. With ``stage=False`` the body may set
+    :attr:`staged` itself, or publish nothing.
+    """
+
+    def __init__(
+        self,
+        store: DocumentStore,
+        stage: bool,
+        guard: Callable[[], None] | None,
+    ) -> None:
         self._store = store
+        self._stage = stage
+        self._guard = guard
+        self.staged: _State | None = None
+        self.on_committed: Callable[[], None] | None = None
 
-    def __enter__(self) -> DocumentStore:
-        self._store._write_lock.acquire()
+    def __enter__(self) -> "_WriteTransaction":
+        store = self._store
+        store._write_lock.acquire()
         try:
-            self._store._writer.execute("BEGIN IMMEDIATE")
+            if self._guard is not None:
+                self._guard()
+            store._writer.execute("BEGIN IMMEDIATE")
+            if self._stage:
+                self.staged = store._state.next()
+                store._writer.execute(
+                    "UPDATE meta SET value = ? WHERE key = 'generation'",
+                    (str(self.staged.generation),),
+                )
         except BaseException:
-            self._store._write_lock.release()
+            self._abort()
             raise
-        return self._store
+        return self
 
     def __exit__(self, exc_type, exc, tb) -> None:
+        if exc_type is not None:
+            self._abort()
+            return
+        store = self._store
         try:
-            if exc_type is None:
-                self._store._writer.execute("COMMIT")
-                self._store._generation = self._store._pending_generation
-            else:
+            store._writer.execute("COMMIT")
+        except BaseException:
+            self._abort()
+            raise
+        try:
+            if self.on_committed is not None:
+                self.on_committed()
+        finally:
+            if self.staged is not None:
+                store._state = self.staged
+            store._write_lock.release()
+
+    def _abort(self) -> None:
+        """Roll back whatever is open, drop the copy, release the lock."""
+        self.staged = None
+        try:
+            if self._store._writer.in_transaction:
                 self._store._writer.execute("ROLLBACK")
-                # The in-memory mirrors may have advanced past the
-                # rolled-back writes; rebuild them from committed state.
-                self._store._load_mirrors()
         finally:
             self._store._write_lock.release()

@@ -14,7 +14,6 @@ from repro.data.documents import make_text_document
 from repro.pipeline import StageStats
 from repro.serve.app import ExpansionServer
 from repro.serve.cluster.server import ClusterServer
-from repro.serve.pool import ServeConfig, SessionPool
 from repro.store.store import DocumentStore
 from repro.text.analyzer import Analyzer
 
@@ -55,26 +54,6 @@ class TestMetricsSnapshotTornRead:
         snap = stats.snapshot()
         assert snap  # writers made progress
         assert all("count" in stats for stats in snap.values())
-
-
-class TestInvalidationCounterAtomicity:
-    def test_concurrent_invalidations_all_count(self):
-        # The counter used to be a bare `+= 1` on the entry; concurrent
-        # ingests could lose increments. It now goes through a lock.
-        pool = SessionPool([ServeConfig(name="wiki")])
-        entry = pool.get("wiki")
-        n_threads, per_thread = 8, 200
-
-        def bump():
-            for _ in range(per_thread):
-                entry.record_invalidation()
-
-        threads = [threading.Thread(target=bump) for _ in range(n_threads)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=10)
-        assert entry.invalidations == n_threads * per_thread
 
 
 class TestCompactTermMapConsistency:

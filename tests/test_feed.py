@@ -85,15 +85,12 @@ class TestChangelog:
         assert "d0" in store  # the rollback kept the delete out too
 
     def test_truncation_raises_floor_without_bumping_generation(self, store):
-        events = []
-        store.subscribe(lambda s: events.append(s.generation))
         store.upsert_all(_docs(2))
         store.upsert_all(_docs(2, offset=2))
         assert store.truncate_changelog(1) == 1
         assert store.changelog_floor == 1
         assert store.generation == 2
         assert store.changelog_length() == 1
-        assert events == [1, 2]  # maintenance does not notify listeners
         # Floor never lowers, never passes the generation.
         assert store.truncate_changelog(0) == 0
         assert store.truncate_changelog(99) == 1

@@ -1,18 +1,25 @@
 """The store generation alone keeps every reader's view current.
 
-No mutation listener is needed for correctness: the store publishes a
-generation only after its transaction commits, every session and
-response cache keys on the generation it read before computing, and
-each scorer's collection statistics (N, the average length, the
-collection model) are per-generation state of its term cache. So after
-any committed mutation, a session built before it answers exactly like
-a fresh session built over the mutated store.
+The store publishes one state per committed batch, after its
+transaction commits; every session and response cache keys on the
+generation it read before computing, and each scorer's collection
+statistics (N, the average length, the collection model) are
+per-generation state of its term cache. So after any committed
+mutation, a session built before it answers exactly like a fresh
+session built over the mutated store, and a batch that rolls back
+leaves nothing behind.
 
 * :class:`TestMutationWithoutListener` mutates a ``sqlite`` session
-  (``add_all``, then ``remove``) for each built-in scorer, with no
-  listener subscribed, and compares ``search`` scores by ``float.hex``
+  (``add_all``, then ``remove``) for each built-in scorer, with nothing
+  told of the mutation, and compares ``search`` scores by ``float.hex``
   and ``expand`` reports by ``schema.report_content`` against a fresh
   session.
+* :class:`TestRolledBackBatch` runs a reader between the two documents
+  of a batch that then rolls back: the reader must see the committed
+  state, and the session must afterwards answer like a fresh one.
+* :class:`TestFailingCommit` makes a write's COMMIT raise: the error
+  propagates, nothing is published, no transaction is left open, and
+  the next write succeeds.
 * :class:`TestTermFrequencyCache` lets a write land while a reader is
   fetching a term's postings: the straddling fetch must not overwrite
   the new generation's entry.
@@ -21,7 +28,7 @@ a fresh session built over the mutated store.
   to answer like a fresh one.
 * :class:`TestPreCommitWindow` forces one interleaving: a reader starts
   inside the write transaction and its cache writes land only after the
-  commit's listeners have run. The next ``Session.search`` and the next
+  batch is published. The next ``Session.search`` and the next
   ``ExpansionService.search`` must still equal a fresh session, and the
   generation read inside the transaction must still be the old one.
 """
@@ -29,6 +36,7 @@ a fresh session built over the mutated store.
 from __future__ import annotations
 
 import json
+import sqlite3
 import sys
 import threading
 
@@ -123,6 +131,126 @@ class TestMutationWithoutListener:
         assert removed not in {r.document.doc_id for r in session.search(QUERY)}
 
 
+class TestRolledBackBatch:
+    @pytest.mark.parametrize("scoring", SCORERS)
+    def test_a_reader_inside_a_rolled_back_batch_keeps_nothing(
+        self, sqlite_session, scoring, monkeypatch
+    ):
+        session = sqlite_session(scoring)
+        store = session.engine.index.store
+        generation = store.generation
+        committed = (store.num_positions, store.document_frequency(QUERY))
+        # The second document's field is a set, which json.dumps rejects
+        # only after the first document's rows are written.
+        batch = [
+            Document(doc_id="good", terms={QUERY: 3, "espresso": 1}),
+            Document(doc_id="bad", terms={QUERY: 1}, fields={"tags": {"x"}}),
+        ]
+        seen = []
+        upsert_one = DocumentStore._upsert_one
+
+        def upsert_then_read(store, *args, **kwargs):
+            pos = upsert_one(store, *args, **kwargs)
+            if not seen:
+                seen.append(
+                    (store.num_positions, store.document_frequency(QUERY))
+                )
+                # Cold caches: both compute inside the open transaction.
+                session.search(QUERY, top_k=5)
+                session.expand(QUERY)
+            return pos
+
+        monkeypatch.setattr(DocumentStore, "_upsert_one", upsert_then_read)
+        with pytest.raises(TypeError):
+            session.engine.index.add_all(batch)
+        monkeypatch.undo()
+
+        assert seen == [committed]
+        assert store.generation == generation
+        assert "good" not in store
+        reference = fresh(session, scoring)
+        assert bits(session.search(QUERY, top_k=5)) == bits(
+            reference.search(QUERY, top_k=5)
+        )
+        assert bits(session.search(QUERY)) == bits(reference.search(QUERY))
+        assert content(session.expand(QUERY)) == content(reference.expand(QUERY))
+
+
+class _FailingCommit:
+    """A writer connection whose next COMMIT raises (and does not run)."""
+
+    def __init__(self, conn: sqlite3.Connection) -> None:
+        self._conn = conn
+
+    def execute(self, sql: str, *args):
+        if sql == "COMMIT":
+            raise sqlite3.OperationalError("injected COMMIT failure")
+        return self._conn.execute(sql, *args)
+
+    def __getattr__(self, name: str):
+        return getattr(self._conn, name)
+
+
+def _view(store: DocumentStore) -> tuple:
+    """Everything a reader can learn from the store's published state."""
+    terms = store.vocabulary()
+    return (
+        store.generation,
+        store.changelog_floor,
+        store.num_positions,
+        store.num_live,
+        store.deleted_positions(),
+        terms,
+        [store.document_frequency(t) for t in terms],
+        [store.doc_length(p) for p in range(store.num_positions)],
+        [store.term_postings(t) for t in ("a", "b", "c", "d")],
+    )
+
+
+class TestFailingCommit:
+    @pytest.mark.parametrize(
+        "write",
+        [
+            lambda store: store.upsert_all(
+                [Document(doc_id="d3", terms={"a": 1, "d": 2})]
+            ),
+            lambda store: store.delete_all(["d0"]),
+            lambda store: store.compact(),
+        ],
+        ids=["upsert_all", "delete_all", "compact"],
+    )
+    def test_nothing_is_published_and_the_next_write_succeeds(
+        self, tmp_path, write
+    ):
+        store = DocumentStore(tmp_path / "commit.sqlite")
+        try:
+            store.upsert_all(
+                [
+                    Document(doc_id="d0", terms={"a": 1, "b": 1}),
+                    Document(doc_id="d1", terms={"a": 2, "c": 1}),
+                    Document(doc_id="d2", terms={"b": 3}),
+                    Document(doc_id="gone", terms={"c": 1, "b": 1}),
+                ]
+            )
+            store.delete("gone")
+            before = _view(store)
+            writer = store._writer
+            store._writer = _FailingCommit(writer)
+            try:
+                with pytest.raises(sqlite3.OperationalError, match="injected"):
+                    write(store)
+            finally:
+                store._writer = writer
+            assert _view(store) == before
+            assert not writer.in_transaction
+            write(store)
+            assert store.generation == before[0] + 1
+        finally:
+            store.close()
+        with DocumentStore(tmp_path / "commit.sqlite") as reopened:
+            assert reopened.generation == before[0] + 1
+
+
 class _MovingBackend:
     """One term in one document; ``during_fetch`` runs inside a fetch."""
 
@@ -211,7 +339,7 @@ class TestPreCommitWindow:
         old = backend.generation
 
         reader_at_put = threading.Event()
-        listeners_done = threading.Event()
+        published = threading.Event()
         seen: dict[str, int] = {}
         reader = threading.Thread(
             target=service.search, args=({"config": "db", "query": QUERY},)
@@ -221,10 +349,10 @@ class TestPreCommitWindow:
 
         def held_put(cache, *args, **kwargs):
             # Only the reader's cache writes wait, and only until the
-            # commit's listeners have run.
+            # batch has been published.
             if threading.current_thread() is reader:
                 reader_at_put.set()
-                assert listeners_done.wait(HANDOFF_TIMEOUT)
+                assert published.wait(HANDOFF_TIMEOUT)
             return put(cache, *args, **kwargs)
 
         log_change = DocumentStore._log_change
@@ -238,10 +366,9 @@ class TestPreCommitWindow:
 
         monkeypatch.setattr(LRUTTLCache, "put", held_put)
         monkeypatch.setattr(DocumentStore, "_log_change", log_and_read)
-        # Subscribed after the pool's listener, so it fires after it.
-        backend.subscribe(lambda _index: listeners_done.set())
 
         backend.add_all(_ingested())
+        published.set()
         reader.join(HANDOFF_TIMEOUT)
         assert not reader.is_alive()
         monkeypatch.undo()

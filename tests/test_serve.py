@@ -265,24 +265,76 @@ class TestSessionPool:
             pool.ingest("wiki", [])
 
     def test_ingest_refreshes_and_fires_hook(self):
-        invalidated = []
-        pool = SessionPool(
-            [ServeConfig(name="live", backend="sqlite")],
-            on_invalidate=invalidated.append,
+        # Nothing is pushed on ingest: the first request after it sees
+        # the new generation, clears the entry's session caches and
+        # drops the config's dead responses.
+        service = ExpansionService(
+            SessionPool([ServeConfig(name="live", backend="sqlite")])
         )
-        entry = pool.get("live")
-        generation = entry.generation()
-        entry.session.search("java")
-        assert entry.session.cache_info()["retrieval"]["entries"] == 1
-        analyzer = Analyzer(use_stemming=False)
-        doc = make_text_document(
-            doc_id="t-1", text="java island brew", analyzer=analyzer, title="t"
+        try:
+            pool = service.pool
+            for query in ("java", "rockets", "columbia"):
+                service.handle("GET", "/expand", {"config": "live", "query": query})
+            entry = pool.get("live")
+            generation = entry.generation()
+            before = service.cache.stats()
+            assert before["entries"] == 6  # both variants per query
+            analyzer = Analyzer(use_stemming=False)
+            doc = make_text_document(
+                doc_id="t-1", text="java island brew", analyzer=analyzer, title="t"
+            )
+            assert pool.ingest("live", [doc]) == 1
+            assert entry.generation() == generation + 1
+            assert entry.session.cache_info()["analysis"]["entries"] == 3
+            assert service.cache.stats()["entries"] == 6
+
+            status, body = service.handle(
+                "GET", "/expand", {"config": "live", "query": "java"}
+            )
+            assert status == 200 and json.loads(body)["cache"] == "miss"
+            after = service.cache.stats()
+            assert after["invalidations"] == before["invalidations"] + 6
+            assert after["entries"] == 2 < before["entries"]
+            # Only the new generation's own work is left.
+            assert entry.session.cache_info()["analysis"]["entries"] == 1
+            assert entry.session.cache_info()["retrieval"]["entries"] == 1
+        finally:
+            service.close()
+
+    def test_refresh_after_another_handle_wrote_frees_dead_entries(
+        self, tmp_path
+    ):
+        from repro.store import DocumentStore
+
+        path = tmp_path / "shared.sqlite"
+        service = ExpansionService(
+            SessionPool([ServeConfig(name="db", store=str(path))])
         )
-        assert pool.ingest("live", [doc]) == 1
-        assert invalidated == ["live"]
-        assert entry.invalidations == 1
-        assert entry.session.cache_info()["retrieval"]["entries"] == 0
-        assert entry.generation() == generation + 1
+        try:
+            params = {"config": "db", "query": "java"}
+            service.handle("GET", "/expand", params)
+            entry = service.pool.get("db")
+            store = entry.index.store
+            generation = entry.generation()
+            before = service.cache.stats()
+            assert before["entries"] == 2
+            analyzer = Analyzer(use_stemming=False)
+            with DocumentStore(path) as other:
+                other.upsert(
+                    make_text_document(
+                        doc_id="elsewhere", text="java elsewhere",
+                        analyzer=analyzer, title="e",
+                    )
+                )
+            assert entry.generation() == generation  # not seen yet
+            store.refresh()
+            assert entry.generation() == generation + 1
+            service.handle("GET", "/search", params)
+            after = service.cache.stats()
+            assert after["invalidations"] == before["invalidations"] + 2
+            assert entry.session.cache_info()["analysis"]["entries"] == 0
+        finally:
+            service.close()
 
     def test_describe_includes_live_state(self):
         pool = SessionPool([ServeConfig(name="wiki"), ServeConfig(name="b")])

@@ -176,56 +176,6 @@ class TestUpsertAndDelete:
         assert store.generation == 0
 
 
-class TestListeners:
-    def test_notified_once_per_batch(self, store_path, docs):
-        store = DocumentStore(store_path)
-        calls = []
-        store.subscribe(lambda s: calls.append(s.generation))
-        store.upsert_all(docs)
-        assert calls == [1]
-        store.delete_all(["d1", "d2"])
-        assert calls == [1, 2]
-
-    def test_empty_batch_does_not_notify(self, store_path):
-        store = DocumentStore(store_path)
-        calls = []
-        store.subscribe(lambda s: calls.append(1))
-        store.upsert_all([])
-        store.delete_all([])
-        assert calls == []
-
-    def test_listener_exceptions_isolated(self, store_path, docs):
-        store = DocumentStore(store_path)
-        calls = []
-
-        def bad(s):
-            raise RuntimeError("boom")
-
-        store.subscribe(bad)
-        store.subscribe(lambda s: calls.append(1))
-        store.upsert_all(docs)
-        assert calls == [1]
-
-    def test_unsubscribe_is_idempotent(self, store_path, docs):
-        store = DocumentStore(store_path)
-        calls = []
-        unsubscribe = store.subscribe(lambda s: calls.append(1))
-        store.upsert(docs[0])
-        unsubscribe()
-        unsubscribe()
-        store.upsert(docs[1])
-        assert calls == [1]
-
-    def test_compact_notifies(self, store_path, docs):
-        store = DocumentStore(store_path)
-        store.upsert_all(docs)
-        store.delete("d1")
-        calls = []
-        store.subscribe(lambda s: calls.append(s.generation))
-        store.compact()
-        assert len(calls) == 1
-
-
 class TestCompaction:
     def test_drops_tombstoned_postings_and_orphaned_terms(self, store_path):
         store = DocumentStore(store_path)
@@ -729,18 +679,37 @@ class TestBackendProtocol:
         assert backend.and_query(["apple"]) == [0]
 
     def test_listener_sees_consistent_store_and_corpus(self, store_path, docs):
-        # The invalidation contract: by the time a mutation listener
-        # runs, both the committed store AND the adopted corpus must
-        # already reflect the batch.
+        # A reader that polls the generation and sees the batch's
+        # generation must already find the batch in both the committed
+        # store AND the adopted corpus.
+        import threading
+        import time
+
         corpus = Corpus(docs)
         backend = SQLiteIndexBackend(store_path, corpus=corpus)
+        target = backend.generation + 1
         observed = []
-        backend.subscribe(
-            lambda b: observed.append(
-                (len(b.corpus), [b.corpus[p].doc_id for p in b.and_query(["cherry"])])
+        started = threading.Event()
+
+        def poll() -> None:
+            started.set()
+            deadline = time.monotonic() + 10
+            while backend.generation < target:
+                if time.monotonic() > deadline:
+                    return
+            observed.append(
+                (
+                    len(backend.corpus),
+                    [backend.corpus[p].doc_id for p in backend.and_query(["cherry"])],
+                )
             )
-        )
+
+        poller = threading.Thread(target=poll, daemon=True)
+        poller.start()
+        assert started.wait(10)
         backend.add(make_doc("d4", {"cherry": 1}))
+        poller.join(10)
+        assert not poller.is_alive()
         assert observed == [(4, ["d4"])]
 
     def test_concurrent_ingest_keeps_corpus_aligned_with_store(
