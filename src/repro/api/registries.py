@@ -288,7 +288,7 @@ def _make_sqlite_backend(
     path: "str | Path | None" = None,
     store: "DocumentStore | None" = None,
 ) -> "SQLiteIndexBackend":
-    """Durable SQLite-backed index that *adopts* the engine's corpus.
+    """Durable SQLite-backed index; the store's published documents are its corpus.
 
     ``store`` is an open :class:`~repro.store.DocumentStore` (the
     serving layer passes one so the pool and the backend share a single

@@ -301,7 +301,7 @@ class SessionBuilder:
         return self
 
     def engine(self, engine: SearchEngine) -> "SessionBuilder":
-        """Adopt a prebuilt engine (mutually exclusive with dataset/corpus/retrieval)."""
+        """Use a prebuilt engine (mutually exclusive with dataset/corpus/retrieval)."""
         self._engine = engine
         return self
 

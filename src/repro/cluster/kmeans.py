@@ -1,8 +1,8 @@
 """Spherical k-means: k-means over L2-normalized TF vectors (cosine).
 
-This is the clustering method of the paper's experimental setup (§C):
-"We adopt k-means for result clustering ... the similarity of two results is
-the cosine similarity of the vectors." With unit-norm inputs, maximizing
+This is the clustering method of the paper's experimental setup (§C): results
+are clustered with k-means, and the similarity of two results is the cosine
+similarity of their vectors. With unit-norm inputs, maximizing
 cosine similarity to the centroid equals minimizing Euclidean distance, and
 re-normalizing centroids each round yields the classic spherical k-means.
 

@@ -9,11 +9,13 @@ from repro.errors import DataError
 
 
 class Corpus:
-    """An immutable-after-construction collection of :class:`Document`.
+    """An ordered collection of :class:`Document`.
 
     Documents keep their insertion order (document position doubles as the
     integer id used by the index and the clustering layer). Duplicate
-    ``doc_id`` values are rejected.
+    ``doc_id`` values are rejected. A corpus that an index or a store has
+    published is never changed: :meth:`add` and :meth:`replace` are for
+    building one, or for the private :meth:`copy` a store writer stages.
     """
 
     def __init__(self, documents: Iterable[Document] = ()) -> None:
@@ -37,7 +39,7 @@ class Corpus:
         The position is unchanged — document identity is the integer
         position everywhere in the library, and the durable store
         (:mod:`repro.store`) keeps ``doc_id -> position`` stable across
-        upserts, so an adopted corpus must too. Unknown ids raise.
+        upserts, so its corpus must too. Unknown ids raise.
         """
         try:
             pos = self._by_id[doc.doc_id]
@@ -45,6 +47,13 @@ class Corpus:
             raise DataError(f"unknown doc_id: {doc.doc_id!r}") from None
         self._docs[pos] = doc
         return pos
+
+    def copy(self) -> "Corpus":
+        """A shallow copy (the list and the id map; documents are shared)."""
+        other = Corpus()
+        other._docs = self._docs.copy()
+        other._by_id = self._by_id.copy()
+        return other
 
     def __len__(self) -> int:
         return len(self._docs)

@@ -46,6 +46,7 @@ _BACKEND_SURFACE = frozenset(
     {
         "num_documents",
         "num_terms",
+        "corpus",
         "__contains__",
         "vocabulary",
         "postings",

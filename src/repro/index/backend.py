@@ -16,6 +16,9 @@ The protocol is deliberately small:
   :class:`~repro.index.postings.PostingList` of (corpus position, tf);
 * boolean retrieval — ``and_query(terms)`` / ``or_query(terms)``
   returning sorted corpus positions;
+* the documents — ``corpus``, the
+  :class:`~repro.data.corpus.Corpus` those positions index (a mutable
+  backend's grows as it accepts documents);
 * self-description — ``capabilities()`` returning a
   :class:`BackendCapabilities` record callers can branch on (is it
   persistent? does it accept new documents?).
@@ -32,6 +35,7 @@ from typing import Any, Callable, Iterable, Protocol, runtime_checkable
 
 import numpy as np
 
+from repro.data.corpus import Corpus
 from repro.index.postings import PostingList
 
 
@@ -78,6 +82,10 @@ class IndexBackend(Protocol):
 
     @property
     def num_terms(self) -> int:  # pragma: no cover - protocol
+        ...
+
+    @property
+    def corpus(self) -> Corpus:  # pragma: no cover - protocol
         ...
 
     def __contains__(self, term: object) -> bool:  # pragma: no cover

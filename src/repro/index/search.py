@@ -53,7 +53,10 @@ class SearchEngine:
     ``"sqlite"``, or anything a plugin registers), or may be
     a ``factory(corpus) -> IndexBackend`` closure, or an already-built
     backend instance. The engine — and everything above it — only ever
-    talks to the :class:`~repro.index.backend.IndexBackend` protocol.
+    talks to the :class:`~repro.index.backend.IndexBackend` protocol, and
+    resolves result positions in the backend's :attr:`corpus` as it
+    stands after the query, so documents a mutable backend gained since
+    construction resolve too.
     """
 
     def __init__(
@@ -63,7 +66,6 @@ class SearchEngine:
         scoring: str | Callable = "tfidf",
         backend: str | Callable | IndexBackend = "memory",
     ) -> None:
-        self._corpus = corpus
         self._analyzer = analyzer or Analyzer()
         self._index = self._resolve_backend(backend, corpus)
         self._scorer = self._build_scorer(scoring)
@@ -122,7 +124,7 @@ class SearchEngine:
 
     @property
     def corpus(self) -> Corpus:
-        return self._corpus
+        return self._index.corpus
 
     @property
     def index(self) -> IndexBackend:
@@ -210,11 +212,7 @@ class SearchEngine:
             term = normalize(word)
             if term and term not in words:
                 words.append(term)
-        ranked = self._scorer.rank(positions, words, top_k)
-        return [
-            SearchResult(position=pos, document=self._corpus[pos], score=score)
-            for pos, score in ranked
-        ]
+        return self._results(self._scorer.rank(positions, words, top_k))
 
     def search_terms(
         self,
@@ -229,8 +227,16 @@ class SearchEngine:
             positions = self._index.or_query(terms)
         else:
             raise QueryError(f"unknown semantics: {semantics!r}")
-        ranked = self._scorer.rank(positions, terms, top_k)
+        return self._results(self._scorer.rank(positions, terms, top_k))
+
+    def _results(self, ranked: list[tuple[int, float]]) -> list[SearchResult]:
+        """Resolve ranked positions in the corpus read after the query.
+
+        Read once, after retrieval: a mutable backend's corpus only grows,
+        so it holds every position the query returned.
+        """
+        corpus = self._index.corpus
         return [
-            SearchResult(position=pos, document=self._corpus[pos], score=score)
+            SearchResult(position=pos, document=corpus[pos], score=score)
             for pos, score in ranked
         ]

@@ -307,9 +307,10 @@ class SessionPool:
         self._build_locks = {name: Lock() for name in self._configs}
         self._lock = Lock()
         # Shared DocumentStore handles, keyed by resolved path: entries
-        # that name the same store file share one connection (two
-        # handles on one file would desync their in-memory mirrors and
-        # adopted corpora). close() closes each exactly once.
+        # that name the same store file share one handle, so they all
+        # read its one published state (documents included); a second
+        # handle would see this process's writes only after refresh().
+        # close() closes each exactly once.
         self._stores: dict[str, "DocumentStore"] = {}
         self._stores_lock = Lock()
 
@@ -330,9 +331,10 @@ class SessionPool:
         backend is the mutable ``sqlite`` one: each tenant then gets its
         own throwaway store, so one tenant's ingest is invisible to the
         others. Configs with a shared store path and immutable backends
-        share the base entry: one backend per store handle keeps the
-        adopted corpus consistent, and response-cache keys stay
-        tenant-scoped regardless.
+        share the base entry: every session on the store handle reads
+        its one published state, so a separate entry would hold nothing
+        different, and response-cache keys stay tenant-scoped
+        regardless.
         """
         if tenant.stores.get(config.name) is not None:
             return True

@@ -8,13 +8,16 @@ writing through to the store so every committed document survives a
 restart. Cache owners pull ``generation``: it moves only when a
 committed batch's state is published, and nothing is pushed to them.
 
-The backend *adopts* the engine's :class:`~repro.data.corpus.Corpus`:
-it shares the object rather than copying it, and every committed upsert
-appends to (or replaces in) that corpus, so documents upserted after
-construction are immediately retrievable through the engine.
+The backend keeps no documents of its own: :attr:`corpus` is the
+store's published :class:`~repro.data.corpus.Corpus`, which every
+committed batch replaces together with the postings, so a document is
+retrievable through every backend and engine on the store handle as
+soon as its batch is published — whoever wrote it, including another
+process whose write :meth:`DocumentStore.refresh` picked up.
 Construction has three modes:
 
-* no corpus — the corpus is loaded *from* the store (the restart path);
+* no corpus — the store's documents are served as they are (the
+  restart path);
 * a corpus and an empty store — the corpus is bulk-loaded into the
   store (the first-boot path, one transaction);
 * a corpus and a populated store — the two are verified to describe the
@@ -43,8 +46,8 @@ class SQLiteIndexBackend:
     store:
         An open :class:`DocumentStore` or a path to one.
     corpus:
-        The corpus to align with (see module docstring); ``None`` loads
-        it from the store.
+        The corpus to load into an empty store or verify against a
+        populated one (see module docstring); ``None`` skips both.
     """
 
     def __init__(
@@ -55,14 +58,11 @@ class SQLiteIndexBackend:
         if not isinstance(store, DocumentStore):
             store = DocumentStore(store)
         self._store = store
-        if corpus is None:
-            corpus = store.corpus()
-        elif len(store) == 0:
-            if len(corpus):
-                store.upsert_all(list(corpus))
-        else:
-            self._verify_alignment(store, corpus)
-        self._corpus = corpus
+        if corpus is not None:
+            if len(store):
+                self._verify_alignment(store, corpus)
+            else:
+                store.upsert_all(corpus)
 
     @staticmethod
     def _verify_alignment(store: DocumentStore, corpus: Corpus) -> None:
@@ -92,7 +92,8 @@ class SQLiteIndexBackend:
 
     @property
     def corpus(self) -> Corpus:
-        return self._corpus
+        """The store's published documents, in position order."""
+        return self._store.corpus()
 
     @property
     def generation(self) -> int:
@@ -113,31 +114,15 @@ class SQLiteIndexBackend:
     ) -> list[int]:
         """Upsert a batch durably (one transaction, one generation).
 
-        New ``doc_id`` values append to the adopted corpus; known ones
-        are rewritten in place (corpus entry replaced), so engine
-        lookups at any returned position always see the stored payload.
-        The corpus sync runs in the store's ``on_committed`` hook —
-        under the write lock, in commit order, before the generation is
-        published — so concurrent ingests cannot interleave corpus
-        appends out of store-position order, and every reader of the new
-        generation observes a consistent (store, corpus) pair.
+        New ``doc_id`` values append at the next position; known ones
+        are rewritten in place, and :attr:`corpus` shows the stored
+        payload from the publish of the batch on.
 
         ``guard`` is forwarded to :meth:`DocumentStore.upsert_all` and
         runs under the write lock before the transaction begins — the
         tenancy layer's transactional quota hook.
         """
-        docs = list(documents)
-        if not docs:
-            return []
-
-        def sync_corpus(_positions: list[int]) -> None:
-            for doc in docs:
-                if doc.doc_id in self._corpus:
-                    self._corpus.replace(doc)
-                else:
-                    self._corpus.add(doc)
-
-        return self._store.upsert_all(docs, on_committed=sync_corpus, guard=guard)
+        return self._store.upsert_all(documents, guard=guard)
 
     def remove(self, target: str | int) -> int:
         """Tombstone a document (by ``doc_id`` or integer position).
@@ -147,7 +132,7 @@ class SQLiteIndexBackend:
         :meth:`DocumentStore.compact` physically drops them.
         """
         if isinstance(target, int):
-            target = self._corpus[target].doc_id
+            target = self.corpus[target].doc_id
         return self._store.delete(target)
 
     # -- IndexBackend protocol -----------------------------------------------
@@ -186,19 +171,6 @@ class SQLiteIndexBackend:
     def capabilities(self) -> BackendCapabilities:
         return BackendCapabilities(name="sqlite", persistent=True, mutable=True)
 
-    def _visible(self, positions: list[int]) -> list[int]:
-        """Drop positions the adopted corpus cannot resolve yet.
-
-        A lock-free reader can observe a committed batch's postings in
-        the instant before :meth:`add_all`'s corpus sync runs; such
-        positions become visible on the very next query instead of
-        crashing result materialization.
-        """
-        bound = len(self._corpus)
-        if positions and positions[-1] >= bound:
-            return [pos for pos in positions if pos < bound]
-        return positions
-
     def and_query(self, terms: Iterable[str]) -> list[int]:
         term_list = list(terms)
         if not term_list:
@@ -206,15 +178,13 @@ class SQLiteIndexBackend:
         lists = [self.postings(t) for t in term_list]
         if any(not pl for pl in lists):
             return []
-        return self._visible(intersect_all(lists).doc_ids())
+        return intersect_all(lists).doc_ids()
 
     def or_query(self, terms: Iterable[str]) -> list[int]:
         term_list = list(terms)
         if not term_list:
             raise IndexingError("OR query needs at least one term")
-        return self._visible(
-            union_all([self.postings(t) for t in term_list]).doc_ids()
-        )
+        return union_all([self.postings(t) for t in term_list]).doc_ids()
 
     def close(self) -> None:
         self._store.close()

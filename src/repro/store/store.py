@@ -28,15 +28,20 @@ the library lacks:
 
 Concurrency: one writer connection guarded by a lock, plus one lazily
 opened read connection per thread — under WAL, readers never block the
-writer and always see the last committed state. Hot per-document state
-(lengths, tombstones, the vocabulary interning map) is mirrored in
-memory so scorers pay no SQL per ``doc_length`` call. So is each term's
-live document frequency (``term_id -> df``, only terms with a live
-posting): ``document_frequency``, ``vocabulary`` and ``num_terms`` are
-mirror reads, so idf costs a dict lookup instead of a posting-list
-fetch. The mirrors, the generation and the changelog floor form one
-:class:`_State` object. Readers read the published state once per call
-and never see it change. Every write runs in one transaction path
+writer and always see the last committed state. The documents
+themselves (a :class:`~repro.data.corpus.Corpus` in position order,
+tombstones included, which also maps ``doc_id -> position``) and the
+hot per-document state (lengths, tombstones, the vocabulary interning
+map) are mirrored in memory, so results resolve and scorers pay no SQL
+per ``doc_length`` call. So is each term's live document frequency
+(``term_id -> df``, only terms with a live posting):
+``document_frequency``, ``vocabulary`` and ``num_terms`` are mirror
+reads, so idf costs a dict lookup instead of a posting-list fetch. The
+mirrors, the generation and the changelog floor form one
+:class:`_State` object. Every backend and serving config on a handle
+reads its documents from there, so none keeps a copy that could go
+stale. Readers read the published state once per call and never see it
+change. Every write runs in one transaction path
 (:class:`_WriteTransaction`): the writer changes a private copy of the
 state and publishes it only after COMMIT, so no reader ever sees a
 batch that did not commit, and a rollback just drops the copy. The
@@ -61,7 +66,7 @@ from typing import Any, Callable, Iterable, Iterator
 from repro.data.corpus import Corpus
 from repro.data.documents import Document
 from repro.obs import span as _trace_span
-from repro.errors import StoreError
+from repro.errors import DataError, StoreError
 from repro.store import schema
 
 
@@ -76,9 +81,10 @@ class _State:
 
     generation: int
     changelog_floor: int
+    #: Every document in position order, tombstoned ones included.
+    corpus: Corpus
     lengths: list[int]
     deleted: set[int]
-    pos_by_doc_id: dict[str, int]
     term_ids: dict[str, int]
     #: Live document frequency per term_id; only terms with at least one
     #: live posting have an entry.
@@ -89,9 +95,9 @@ class _State:
         return _State(
             self.generation + 1,
             self.changelog_floor,
+            self.corpus.copy(),
             self.lengths.copy(),
             self.deleted.copy(),
-            self.pos_by_doc_id.copy(),
             self.term_ids.copy(),
             self.df.copy(),
         )
@@ -157,19 +163,21 @@ class DocumentStore:
 
     def _load_mirrors(self) -> None:
         """Publish a state read from the committed database (open, refresh)."""
+        corpus = Corpus()
         lengths: list[int] = []
         deleted: set[int] = set()
-        pos_by_doc_id: dict[str, int] = {}
-        for pos, doc_id, length, dead in self._writer.execute(
-            "SELECT pos, doc_id, length, deleted FROM documents ORDER BY pos"
+        for row in self._writer.execute(
+            "SELECT pos, length, deleted, doc_id, kind, title, fields, terms "
+            "FROM documents ORDER BY pos"
         ):
+            pos, length, dead = row[:3]
             if pos != len(lengths):
                 raise StoreError(
                     f"store at {self._path} has a position gap at {pos}; "
                     f"the documents table is corrupt"
                 )
+            corpus.add(self._row_to_document(row[3:]))
             lengths.append(int(length))
-            pos_by_doc_id[doc_id] = pos
             if dead:
                 deleted.add(pos)
         # Tombstoned postings linger until compact(), so only a store
@@ -187,9 +195,9 @@ class DocumentStore:
         self._state = _State(
             generation=int(self._meta("generation")),
             changelog_floor=int(self._meta("changelog_floor")),
+            corpus=corpus,
             lengths=lengths,
             deleted=deleted,
-            pos_by_doc_id=pos_by_doc_id,
             term_ids=self._read_term_ids(),
             df=df,
         )
@@ -229,9 +237,8 @@ class DocumentStore:
         return self.num_positions
 
     @property
-    # analyze: ignore[GUARD001] - lock-free reader by design: it reads the published state once, and a published state never changes
     def num_positions(self) -> int:
-        return len(self._state.lengths)
+        return len(self.corpus())
 
     @property
     # analyze: ignore[GUARD001] - lock-free reader by design: it reads the published state once, and a published state never changes
@@ -243,15 +250,15 @@ class DocumentStore:
     # analyze: ignore[GUARD001] - lock-free reader by design: it reads the published state once, and a published state never changes
     def __contains__(self, doc_id: object) -> bool:
         state = self._state
-        pos = state.pos_by_doc_id.get(doc_id)  # type: ignore[arg-type]
-        return pos is not None and pos not in state.deleted
+        if doc_id not in state.corpus:
+            return False
+        return state.corpus.position(doc_id) not in state.deleted  # type: ignore[arg-type]
 
-    # analyze: ignore[GUARD001] - lock-free reader by design: it reads the published state once, and a published state never changes
     def position(self, doc_id: str) -> int:
         """Position of ``doc_id`` (live or tombstoned)."""
         try:
-            return self._state.pos_by_doc_id[doc_id]
-        except KeyError:
+            return self.corpus().position(doc_id)
+        except DataError:
             raise StoreError(f"unknown doc_id: {doc_id!r}") from None
 
     # analyze: ignore[GUARD001] - lock-free reader by design: it reads the published state once, and a published state never changes
@@ -300,20 +307,26 @@ class DocumentStore:
         ):
             yield self._row_to_document(row)
 
+    # analyze: ignore[GUARD001] - lock-free reader by design: it reads the published state once, and a published state never changes
     def corpus(self) -> Corpus:
-        """A :class:`Corpus` of *all* positions, in position order.
+        """The published :class:`Corpus` of *all* positions, in position order.
 
         Tombstoned documents are included so corpus positions line up
         with the store's permanent positions — the backend never returns
         them from queries, so they are unreachable through retrieval.
+        The object is never changed: a later commit publishes a new one.
         """
-        return Corpus(self.documents())
+        return self._state.corpus
 
     # -- postings access -----------------------------------------------------
 
     # analyze: ignore[GUARD001] - lock-free reader by design: it reads the published state once, and a published state never changes
     def term_postings(self, term: str) -> list[tuple[int, int]]:
-        """Live ``(position, tf)`` pairs for ``term``, position-sorted."""
+        """Live ``(position, tf)`` pairs for ``term``, position-sorted.
+
+        Only positions of the state read at the start: a batch committed
+        but not yet published may already show postings past its end.
+        """
         state = self._state
         term_id = state.term_ids.get(term)
         if term_id is None:
@@ -322,9 +335,10 @@ class DocumentStore:
             "SELECT pos, tf FROM postings WHERE term_id = ? ORDER BY pos",
             (term_id,),
         ).fetchall()
-        if state.deleted:
-            dead = state.deleted
-            return [(pos, tf) for pos, tf in rows if pos not in dead]
+        bound = len(state.lengths)
+        dead = state.deleted
+        if dead or (rows and rows[-1][0] >= bound):
+            return [(pos, tf) for pos, tf in rows if pos < bound and pos not in dead]
         return [(int(pos), int(tf)) for pos, tf in rows]
 
     # analyze: ignore[GUARD001] - lock-free reader by design: it reads the published state once, and a published state never changes
@@ -397,7 +411,7 @@ class DocumentStore:
 
     def _upsert_one(self, doc: Document, state: _State) -> int:
         """Write one document inside the open transaction; return its pos."""
-        existing = state.pos_by_doc_id.get(doc.doc_id)
+        corpus = state.corpus
         payload = (
             doc.kind,
             doc.title,
@@ -405,17 +419,16 @@ class DocumentStore:
             json.dumps({t: int(c) for t, c in doc.terms.items()}, sort_keys=True),
             doc.length(),
         )
-        if existing is None:
-            pos = len(state.lengths)
+        if doc.doc_id not in corpus:
+            pos = corpus.add(doc)
             self._writer.execute(
                 "INSERT INTO documents (pos, doc_id, kind, title, fields, "
                 "terms, length) VALUES (?, ?, ?, ?, ?, ?, ?)",
                 (pos, doc.doc_id) + payload,
             )
             state.lengths.append(doc.length())
-            state.pos_by_doc_id[doc.doc_id] = pos
         else:
-            pos = existing
+            pos = corpus.replace(doc)
             old_ids = self._stored_term_ids(pos, state)
             self._writer.execute(
                 "UPDATE documents SET kind = ?, title = ?, fields = ?, "
@@ -452,7 +465,6 @@ class DocumentStore:
     def upsert_all(
         self,
         documents: Iterable[Document],
-        on_committed: Callable[[list[int]], None] | None = None,
         guard: Callable[["DocumentStore", list[Document]], None] | None = None,
     ) -> list[int]:
         """Upsert a batch in one transaction, published as one generation.
@@ -464,13 +476,8 @@ class DocumentStore:
         ``guard(store, docs)`` — if given — runs under the write lock
         *before* the transaction begins; raising from it (e.g. a tenant
         quota check) rejects the batch atomically: no row written, no
-        generation bump.
-
-        ``on_committed(positions)`` runs after the COMMIT but *before*
-        the new state is published — the hook the backend uses to sync
-        its adopted corpus, so concurrent batches apply their corpus
-        updates in commit order and a reader of the new generation sees
-        a consistent (store, corpus) pair.
+        generation bump. The documents themselves become the published
+        :meth:`corpus` with the rest of the batch.
         """
         docs = list(documents)
         if not docs:
@@ -483,8 +490,6 @@ class DocumentStore:
                 ) as txn:
             positions = [self._upsert_one(doc, txn.staged) for doc in docs]
             self._log_change(txn.staged, "upsert", [doc.doc_id for doc in docs])
-            if on_committed is not None:
-                txn.on_committed = lambda: on_committed(positions)
         return positions
 
     def delete(self, doc_id: str) -> int:
@@ -506,9 +511,9 @@ class DocumentStore:
             state = txn.staged
             positions = []
             for doc_id in ids:
-                pos = state.pos_by_doc_id.get(doc_id)
-                if pos is None:
+                if doc_id not in state.corpus:
                     raise StoreError(f"unknown doc_id: {doc_id!r}")
+                pos = state.corpus.position(doc_id)
                 if pos in state.deleted:
                     raise StoreError(f"doc_id already deleted: {doc_id!r}")
                 self._writer.execute(
@@ -767,8 +772,8 @@ class _WriteTransaction:
 
     In order: take the write lock, run the ``guard``, BEGIN, stage (a
     private copy of the published state at the next generation, whose
-    number is written to ``meta``), run the body, COMMIT, run
-    ``on_committed``, publish the staged state, release the lock. The
+    number is written to ``meta``), run the body, COMMIT, publish the
+    staged state, release the lock. The
     body changes only :attr:`staged`. Anything that raises, COMMIT
     included, rolls back and drops the copy, so readers never see a
     batch that did not commit. With ``stage=False`` the body may set
@@ -785,7 +790,6 @@ class _WriteTransaction:
         self._stage = stage
         self._guard = guard
         self.staged: _State | None = None
-        self.on_committed: Callable[[], None] | None = None
 
     def __enter__(self) -> "_WriteTransaction":
         store = self._store
@@ -815,13 +819,9 @@ class _WriteTransaction:
         except BaseException:
             self._abort()
             raise
-        try:
-            if self.on_committed is not None:
-                self.on_committed()
-        finally:
-            if self.staged is not None:
-                store._state = self.staged
-            store._write_lock.release()
+        if self.staged is not None:
+            store._state = self.staged
+        store._write_lock.release()
 
     def _abort(self) -> None:
         """Roll back whatever is open, drop the copy, release the lock."""

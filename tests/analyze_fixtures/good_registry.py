@@ -41,6 +41,9 @@ class FullBackend:
     def num_terms(self):
         return 0
 
+    def corpus(self):
+        return self._corpus
+
     def __contains__(self, term):
         return False
 

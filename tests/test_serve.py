@@ -336,6 +336,91 @@ class TestSessionPool:
         finally:
             service.close()
 
+    @staticmethod
+    def _shared_store_service(path) -> ExpansionService:
+        """Configs ``a`` and ``b`` on one store path."""
+        return ExpansionService(
+            SessionPool(
+                [ServeConfig.parse(f"{name}:store={path}") for name in "ab"]
+            )
+        )
+
+    @staticmethod
+    def _search(service, config: str, query: str) -> list[dict]:
+        status, payload = service.handle(
+            "GET", "/search", {"config": config, "query": query}
+        )
+        assert status == 200
+        return json.loads(payload)["results"]
+
+    def test_ingest_through_one_config_is_retrieved_by_another(self, tmp_path):
+        service = self._shared_store_service(tmp_path / "shared.sqlite")
+        try:
+            for config in "ab":  # both built before the ingest
+                assert self._search(service, config, "java")
+            status, _ = service.handle(
+                "POST", "/ingest",
+                {"config": "a", "documents": [{"doc_id": "n1", "text": "zzqx java"}]},
+            )
+            assert status == 200
+            for config in "ab":
+                hits = self._search(service, config, "zzqx")
+                assert [hit["document"]["doc_id"] for hit in hits] == ["n1"]
+        finally:
+            service.close()
+
+    def test_upsert_through_one_config_shows_the_stored_payload_in_another(
+        self, tmp_path
+    ):
+        service = self._shared_store_service(tmp_path / "shared.sqlite")
+        try:
+            for config in "ab":
+                assert self._search(service, config, "java")
+            store = service.pool.get("a").index.store
+            doc_id = store.document(0).doc_id
+            status, _ = service.handle(
+                "POST", "/ingest",
+                {
+                    "config": "a",
+                    "documents": [{"doc_id": doc_id, "text": "qqvv wholly new"}],
+                },
+            )
+            assert status == 200
+            stored = schema.document_to_dict(store.document(0))
+            assert stored["terms"] == {"qqvv": 1, "wholly": 1, "new": 1}
+            for config in "ab":
+                hits = self._search(service, config, "qqvv")
+                assert [hit["position"] for hit in hits] == [0]
+                assert hits[0]["document"] == stored
+        finally:
+            service.close()
+
+    def test_refresh_after_another_handle_wrote_retrieves_its_document(
+        self, tmp_path
+    ):
+        from repro.store import DocumentStore
+
+        path = tmp_path / "shared.sqlite"
+        service = ExpansionService(
+            SessionPool([ServeConfig(name="db", store=str(path))])
+        )
+        try:
+            assert self._search(service, "db", "java")
+            store = service.pool.get("db").index.store
+            with DocumentStore(path) as other:
+                other.upsert(
+                    make_text_document(
+                        doc_id="elsewhere", text="zzqx java",
+                        analyzer=Analyzer(use_stemming=False),
+                    )
+                )
+            store.refresh()
+            assert store.document_frequency("zzqx") == 1
+            hits = self._search(service, "db", "zzqx")
+            assert [hit["document"]["doc_id"] for hit in hits] == ["elsewhere"]
+        finally:
+            service.close()
+
     def test_describe_includes_live_state(self):
         pool = SessionPool([ServeConfig(name="wiki"), ServeConfig(name="b")])
         pool.get("wiki")

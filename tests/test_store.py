@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 import os
 import random
+import sqlite3
 import subprocess
 import sys
 from pathlib import Path
@@ -25,6 +26,7 @@ from repro.data.documents import Document
 from repro.errors import ConfigError, IndexingError, StoreError
 from repro.index.backend import IndexBackend, TermFrequencyCache
 from repro.index.inverted_index import InvertedIndex
+from repro.index.search import SearchEngine
 from repro.store import DocumentStore, SQLiteIndexBackend
 from repro.store.schema import SCHEMA_VERSION
 
@@ -43,6 +45,23 @@ def docs():
         make_doc("d2", {"apple": 1, "fruit": 1}),
         make_doc("d3", {"banana": 1, "fruit": 2}),
     ]
+
+
+class _ProbeAfterCommit:
+    """A writer connection that runs ``probe()`` as soon as COMMIT returns."""
+
+    def __init__(self, conn: sqlite3.Connection, probe) -> None:
+        self._conn = conn
+        self._probe = probe
+
+    def execute(self, sql: str, *args):
+        cursor = self._conn.execute(sql, *args)
+        if sql == "COMMIT":
+            self._probe()
+        return cursor
+
+    def __getattr__(self, name: str):
+        return getattr(self._conn, name)
 
 
 def random_doc(rng: random.Random, doc_id: str) -> Document:
@@ -639,18 +658,17 @@ class TestBackendProtocol:
         assert cache.tf("apple", 3) == 9  # generation bump cleared the cache
 
     def test_adopted_corpus_grows_on_add(self, store_path, docs):
-        corpus = Corpus(docs)
-        backend = SQLiteIndexBackend(store_path, corpus=corpus)
+        backend = SQLiteIndexBackend(store_path, corpus=Corpus(docs))
         backend.add(make_doc("d4", {"cherry": 1}))
-        assert len(corpus) == 4
-        assert corpus[3].doc_id == "d4"
+        assert len(backend.corpus) == 4
+        assert backend.corpus[3].doc_id == "d4"
 
     def test_upsert_replaces_adopted_corpus_entry(self, store_path, docs):
-        corpus = Corpus(docs)
-        backend = SQLiteIndexBackend(store_path, corpus=corpus)
+        backend = SQLiteIndexBackend(store_path, corpus=Corpus(docs))
         backend.add(make_doc("d2", {"cherry": 5}))
-        assert len(corpus) == 3
-        assert corpus[1].terms == {"cherry": 5}
+        assert len(backend.corpus) == 3
+        assert backend.corpus[1].terms == {"cherry": 5}
+        assert backend.corpus[1] == backend.store.document(1)
 
     def test_mismatched_corpus_rejected(self, store_path, docs):
         SQLiteIndexBackend(store_path, corpus=Corpus(docs))
@@ -712,13 +730,70 @@ class TestBackendProtocol:
         assert not poller.is_alive()
         assert observed == [(4, ["d4"])]
 
+    def test_reader_between_commit_and_publish_sees_the_published_state(
+        self, store_path, docs
+    ):
+        # Readers are lock-free: between the batch's COMMIT and the
+        # publish of its state, SQL already shows the new postings.
+        engine = SearchEngine(
+            Corpus(docs),
+            backend=lambda corpus: SQLiteIndexBackend(store_path, corpus=corpus),
+        )
+        backend = engine.index
+        store = backend.store
+        probed = {}
+
+        def probe() -> None:
+            with sqlite3.connect(str(store_path)) as conn:
+                (committed,) = conn.execute(
+                    "SELECT COUNT(*) FROM documents"
+                ).fetchone()
+            probed["committed"] = committed
+            probed["published"] = store.num_positions
+            probed["term_postings"] = [
+                pos for pos, _ in store.term_postings("apple")
+            ]
+            probed["and_query"] = backend.and_query(["apple", "fruit"])
+            probed["or_query"] = backend.or_query(["apple", "banana"])
+            probed["search_terms"] = [
+                r.position for r in engine.search_terms(["apple"], semantics="or")
+            ]
+            probed["corpus"] = backend.corpus
+
+        writer = store._writer
+        store._writer = _ProbeAfterCommit(writer, probe)
+        try:
+            backend.add_all(
+                [
+                    make_doc("d4", {"apple": 3, "fruit": 1, "banana": 1}),
+                    make_doc("d2", {"apple": 4, "fruit": 2}),
+                ]
+            )
+        finally:
+            store._writer = writer
+        assert probed.pop("committed") == 4  # the window was open
+        published = probed.pop("published")
+        assert published == 3
+        corpus = probed.pop("corpus")
+        assert len(corpus) == published
+        for name, positions in probed.items():
+            assert positions, name
+            for pos in positions:
+                assert pos < published, name
+                assert store.position(corpus[pos].doc_id) == pos, name
+        # After the publish the batch is visible everywhere.
+        assert backend.and_query(["apple", "fruit"]) == [1, 3]
+        assert backend.corpus[3].doc_id == "d4"
+        assert backend.corpus[1].terms == {"apple": 4, "fruit": 2}
+
     def test_concurrent_ingest_keeps_corpus_aligned_with_store(
         self, store_path
     ):
         import threading
 
-        corpus = Corpus([make_doc("seed", {"base": 1})])
-        backend = SQLiteIndexBackend(store_path, corpus=corpus)
+        backend = SQLiteIndexBackend(
+            store_path, corpus=Corpus([make_doc("seed", {"base": 1})])
+        )
         store = backend.store
         errors = []
 
@@ -737,11 +812,12 @@ class TestBackendProtocol:
         for t in threads:
             t.join()
         assert errors == []
-        assert len(corpus) == len(store) == 101
+        assert len(backend.corpus) == len(store) == 101
         # The critical invariant: every corpus position resolves to the
         # document the store committed at that position.
-        for pos, doc in enumerate(corpus):
+        for pos, doc in enumerate(backend.corpus):
             assert store.position(doc.doc_id) == pos
+            assert doc == store.document(pos)
 
 
 class TestRegistryAndSession:
