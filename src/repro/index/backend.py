@@ -118,16 +118,15 @@ ImpactFn = Callable[[str, np.ndarray, np.ndarray], np.ndarray]
 
 
 class TermFrequencyCache:
-    """Bounded cache of each term's posting columns, one generation at a time.
+    """What a scorer derives from the backend, one generation at a time.
 
-    Scorers rank term-at-a-time over ``(docs, tfs)`` columns; the protocol
-    serves them through :meth:`IndexBackend.postings`. Fetching a posting
-    list per *query* would repeat the same decode (genuinely expensive
-    on the SQLite backend), so scorers hold one of these:
-    each term's columns are fetched once and reused by every query.
-    A scorer that passes ``impact`` also gets each term's per-posting
-    score contributions, computed once per cached term. The cache also
-    holds the document-length vector and the scorer's ``stats(backend)``.
+    Scorers rank term-at-a-time over each term's ``(docs, tfs)`` columns
+    from :meth:`IndexBackend.postings`, which the in-memory index holds
+    and the SQLite store memoizes. An entry points at a term's columns
+    and, when the scorer passes ``impact``, holds its per-posting score
+    contributions, computed once; there is at most one per vocabulary
+    term. The cache also holds the document-length vector and the
+    scorer's ``stats(backend)``.
 
     Mutation-aware: all of it is one backend ``generation``'s state,
     replaced whole when the generation moves, so a scorer built before
@@ -139,12 +138,10 @@ class TermFrequencyCache:
     def __init__(
         self,
         backend: IndexBackend,
-        maxsize: int = 4096,
         impact: ImpactFn | None = None,
         stats: Callable[[IndexBackend], Any] | None = None,
     ) -> None:
         self._backend = backend
-        self._maxsize = max(int(maxsize), 1)
         self._impact = impact
         self._stats = stats
         self._state = SimpleNamespace(generation=object())  # equals no generation
@@ -179,15 +176,7 @@ class TermFrequencyCache:
             if self._impact is not None:
                 impacts = self._impact(term, docs, tfs)
                 impacts.flags.writeable = False
-            hit = (docs, tfs, impacts)
-            while len(cache) >= self._maxsize:
-                # pop() keyed defensively: a racing thread may have
-                # evicted the same entry already.
-                try:
-                    cache.pop(next(iter(cache)), None)
-                except StopIteration:  # pragma: no cover - thread race
-                    break
-            cache[term] = hit
+            hit = cache[term] = (docs, tfs, impacts)
         return hit
 
     def tf(self, term: str, pos: int) -> int:

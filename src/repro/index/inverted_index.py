@@ -6,9 +6,8 @@ from collections import defaultdict
 from typing import Iterable
 
 from repro.data.corpus import Corpus
-from repro.errors import IndexingError
 from repro.index.backend import BackendCapabilities
-from repro.index.postings import PostingList, intersect_all, union_all
+from repro.index.postings import PostingList, boolean_query
 
 
 class InvertedIndex:
@@ -69,22 +68,9 @@ class InvertedIndex:
     # -- boolean retrieval -------------------------------------------------
 
     def and_query(self, terms: Iterable[str]) -> list[int]:
-        """Corpus positions of documents containing *all* ``terms``.
-
-        An empty term list is an error: the paper's queries always contain at
-        least the seed keywords.
-        """
-        term_list = list(terms)
-        if not term_list:
-            raise IndexingError("AND query needs at least one term")
-        lists = [self.postings(t) for t in term_list]
-        if any(not pl for pl in lists):
-            return []
-        return intersect_all(lists).doc_ids()
+        """Corpus positions of documents containing *all* ``terms``."""
+        return boolean_query(self.postings, terms, conjunctive=True)
 
     def or_query(self, terms: Iterable[str]) -> list[int]:
         """Corpus positions of documents containing *any* of ``terms``."""
-        term_list = list(terms)
-        if not term_list:
-            raise IndexingError("OR query needs at least one term")
-        return union_all([self.postings(t) for t in term_list]).doc_ids()
+        return boolean_query(self.postings, terms, conjunctive=False)

@@ -9,9 +9,11 @@ Merges and the scorers work on the columns directly; a
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
+
+from repro.errors import IndexingError
 
 
 @dataclass(frozen=True, order=True)
@@ -161,3 +163,20 @@ def union_all(lists: list[PostingList]) -> PostingList:
         tf[plist.docs] += plist.tfs
     docs = np.flatnonzero(seen)
     return PostingList._trusted(docs, tf[docs])
+
+
+def boolean_query(
+    postings: Callable[[str], PostingList], terms: Iterable[str], conjunctive: bool
+) -> list[int]:
+    """Sorted positions matching all (``conjunctive``) or any of ``terms``.
+
+    Every backend's ``and_query``/``or_query``. An empty query is an
+    error: the paper's queries always contain the seed keywords.
+    """
+    lists = [postings(term) for term in terms]
+    if not lists:
+        raise IndexingError(
+            f"{'AND' if conjunctive else 'OR'} query needs at least one term"
+        )
+    merged = intersect_all(lists) if conjunctive else union_all(lists)
+    return merged.doc_ids()

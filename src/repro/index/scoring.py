@@ -5,8 +5,8 @@ feeds the ranking scores into the weighted precision/recall of §2. We use
 the standard log-tf × smoothed-idf cosine-style score.
 
 Scorers speak only the :class:`~repro.index.backend.IndexBackend`
-protocol: term frequencies come from posting lists (fetched once per
-term via :class:`~repro.index.backend.TermFrequencyCache`), never from
+protocol: term frequencies come from posting lists (read once per term
+and generation via :class:`~repro.index.backend.TermFrequencyCache`), never from
 the corpus, so every backend — in-memory or SQLite — ranks
 identically.
 

@@ -22,7 +22,8 @@ Construction has three modes:
   store (the first-boot path, one transaction);
 * a corpus and a populated store — the two are verified to describe the
   same documents (position-aligned ``doc_id`` and length), and a
-  mismatch raises instead of silently serving other data.
+  mismatch raises instead of silently serving other data (the store's
+  own :meth:`~DocumentStore.corpus` needs no check).
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from repro.data.corpus import Corpus
 from repro.data.documents import Document
 from repro.errors import IndexingError, StoreError
 from repro.index.backend import BackendCapabilities
-from repro.index.postings import PostingList, intersect_all, union_all
+from repro.index.postings import PostingList, boolean_query
 from repro.store.store import DocumentStore
 
 
@@ -58,7 +59,7 @@ class SQLiteIndexBackend:
         if not isinstance(store, DocumentStore):
             store = DocumentStore(store)
         self._store = store
-        if corpus is not None:
+        if corpus is not None and corpus is not store.corpus():
             if len(store):
                 self._verify_alignment(store, corpus)
             else:
@@ -104,8 +105,7 @@ class SQLiteIndexBackend:
 
     def add(self, doc: Document) -> int:
         """Upsert one document durably; returns its permanent position."""
-        positions = self.add_all([doc])
-        return positions[0]
+        return self.add_all([doc])[0]
 
     def add_all(
         self,
@@ -157,10 +157,7 @@ class SQLiteIndexBackend:
         return self._store.vocabulary()
 
     def postings(self, term: str) -> PostingList:
-        rows = self._store.term_postings(term)
-        return PostingList.from_columns(
-            [pos for pos, _ in rows], [tf for _, tf in rows]
-        )
+        return self._store.term_postings(term)
 
     def document_frequency(self, term: str) -> int:
         return self._store.document_frequency(term)
@@ -172,19 +169,10 @@ class SQLiteIndexBackend:
         return BackendCapabilities(name="sqlite", persistent=True, mutable=True)
 
     def and_query(self, terms: Iterable[str]) -> list[int]:
-        term_list = list(terms)
-        if not term_list:
-            raise IndexingError("AND query needs at least one term")
-        lists = [self.postings(t) for t in term_list]
-        if any(not pl for pl in lists):
-            return []
-        return intersect_all(lists).doc_ids()
+        return boolean_query(self.postings, terms, conjunctive=True)
 
     def or_query(self, terms: Iterable[str]) -> list[int]:
-        term_list = list(terms)
-        if not term_list:
-            raise IndexingError("OR query needs at least one term")
-        return union_all([self.postings(t) for t in term_list]).doc_ids()
+        return boolean_query(self.postings, terms, conjunctive=False)
 
     def close(self) -> None:
         self._store.close()

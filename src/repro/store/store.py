@@ -28,24 +28,20 @@ the library lacks:
 
 Concurrency: one writer connection guarded by a lock, plus one lazily
 opened read connection per thread — under WAL, readers never block the
-writer and always see the last committed state. The documents
-themselves (a :class:`~repro.data.corpus.Corpus` in position order,
-tombstones included, which also maps ``doc_id -> position``) and the
-hot per-document state (lengths, tombstones, the vocabulary interning
-map) are mirrored in memory, so results resolve and scorers pay no SQL
-per ``doc_length`` call. So is each term's live document frequency
-(``term_id -> df``, only terms with a live posting):
-``document_frequency``, ``vocabulary`` and ``num_terms`` are mirror
-reads, so idf costs a dict lookup instead of a posting-list fetch. The
-mirrors, the generation and the changelog floor form one
-:class:`_State` object. Every backend and serving config on a handle
-reads its documents from there, so none keeps a copy that could go
-stale. Readers read the published state once per call and never see it
-change. Every write runs in one transaction path
-(:class:`_WriteTransaction`): the writer changes a private copy of the
-state and publishes it only after COMMIT, so no reader ever sees a
-batch that did not commit, and a rollback just drops the copy. The
-state is loaded from the database at open and by
+writer and always see the last committed state. The hot state lives in
+memory as one :class:`_State` per committed batch: the documents (a
+:class:`~repro.data.corpus.Corpus` in position order, tombstones
+included), their lengths, the tombstones, the vocabulary, each term's
+live document frequency, the generation, the changelog floor, and the
+posting columns its readers fetched. So results resolve and collection
+statistics answer with no SQL, and retrieval and every scorer read one
+copy of each term's columns. Every backend and serving config on a
+handle reads the published state, once per call. Every write runs in
+one transaction path (:class:`_WriteTransaction`): the writer changes a
+private copy of the state, which keeps the columns of every term the
+batch did not touch, and publishes it only after COMMIT, so no reader
+ever sees a batch that did not commit, and a rollback just drops the
+copy. The state is loaded from the database at open and by
 :meth:`DocumentStore.refresh`, which is what makes a reopen after a
 crash (or a plain restart) land in exactly the committed state. It
 assumes one writer *process*: a process that did not write a change
@@ -63,20 +59,26 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator
 
+import numpy as np
+
 from repro.data.corpus import Corpus
 from repro.data.documents import Document
+from repro.index.postings import PostingList
 from repro.obs import span as _trace_span
 from repro.errors import DataError, StoreError
 from repro.store import schema
+
+_NO_POSTINGS = PostingList()
 
 
 @dataclass(slots=True)
 class _State:
     """One committed view of the store's hot state.
 
-    Never changed once published: a writer changes the copy that
-    :meth:`next` returns, and the copy replaces the published state
-    only after COMMIT.
+    A published state's committed content never changes: a writer
+    changes the copy that :meth:`next` returns, and the copy replaces
+    the published state only after COMMIT. Its :attr:`postings` memo
+    only gains entries, and each is exact for this state.
     """
 
     generation: int
@@ -89,6 +91,8 @@ class _State:
     #: Live document frequency per term_id; only terms with at least one
     #: live posting have an entry.
     df: dict[int, int]
+    #: Live postings per term_id, filled by the first reader of a term.
+    postings: dict[int, PostingList]
 
     def next(self) -> "_State":
         """A private copy at the next generation, for one write batch."""
@@ -100,6 +104,7 @@ class _State:
             self.deleted.copy(),
             self.term_ids.copy(),
             self.df.copy(),
+            self.postings.copy(),
         )
 
 
@@ -200,6 +205,7 @@ class DocumentStore:
             deleted=deleted,
             term_ids=self._read_term_ids(),
             df=df,
+            postings={},
         )
 
     def _read_term_ids(self) -> dict[str, int]:
@@ -321,25 +327,34 @@ class DocumentStore:
     # -- postings access -----------------------------------------------------
 
     # analyze: ignore[GUARD001] - lock-free reader by design: it reads the published state once, and a published state never changes
-    def term_postings(self, term: str) -> list[tuple[int, int]]:
-        """Live ``(position, tf)`` pairs for ``term``, position-sorted.
+    def term_postings(self, term: str) -> PostingList:
+        """Live postings of ``term``, memoized on the published state.
 
-        Only positions of the state read at the start: a batch committed
-        but not yet published may already show postings past its end.
+        The first reader of a term at a state fills the entry (racing
+        first readers store equal lists). Its one statement reads one
+        snapshot: the rows and, sorted first, the generation. A snapshot
+        past the state may hold documents that a batch not yet published
+        rewrote in place; then the state's corpus is read instead.
         """
         state = self._state
         term_id = state.term_ids.get(term)
         if term_id is None:
-            return []
-        rows = self._read_conn().execute(
-            "SELECT pos, tf FROM postings WHERE term_id = ? ORDER BY pos",
+            return _NO_POSTINGS
+        hit = state.postings.get(term_id)
+        if hit is not None:
+            return hit
+        (_, generation), *rows = self._read_conn().execute(
+            "SELECT pos, tf FROM postings WHERE term_id = ? UNION ALL "
+            "SELECT -1, value FROM meta WHERE key = 'generation' ORDER BY 1",
             (term_id,),
         ).fetchall()
-        bound = len(state.lengths)
-        dead = state.deleted
-        if dead or (rows and rows[-1][0] >= bound):
-            return [(pos, tf) for pos, tf in rows if pos < bound and pos not in dead]
-        return [(int(pos), int(tf)) for pos, tf in rows]
+        if int(generation) != state.generation:
+            corpus = enumerate(state.corpus)
+            rows = [(pos, doc.terms[term]) for pos, doc in corpus if term in doc.terms]
+        live = [row for row in rows if row[0] not in state.deleted]
+        table = np.array(live, dtype=np.int64).reshape(-1, 2)
+        hit = state.postings[term_id] = PostingList.from_columns(*table.T)
+        return hit
 
     # analyze: ignore[GUARD001] - lock-free reader by design: it reads the published state once, and a published state never changes
     def document_frequency(self, term: str) -> int:
@@ -400,9 +415,10 @@ class DocumentStore:
 
     @staticmethod
     def _forget_df(state: _State, term_ids: Iterable[int]) -> None:
-        """Decrement the staged live df for one document leaving."""
+        """Forget one leaving document's terms: staged df and memoized postings."""
         df = state.df
         for term_id in term_ids:
+            state.postings.pop(term_id, None)
             count = df[term_id] - 1
             if count:
                 df[term_id] = count
@@ -453,6 +469,7 @@ class DocumentStore:
             term_id = ids[term]
             rows.append((term_id, pos, int(doc.terms[term])))
             df[term_id] = df.get(term_id, 0) + 1
+            state.postings.pop(term_id, None)
         self._writer.executemany(
             "INSERT INTO postings (term_id, pos, tf) VALUES (?, ?, ?)", rows
         )
@@ -581,9 +598,9 @@ class DocumentStore:
                 "DELETE FROM vocabulary WHERE NOT EXISTS "
                 "(SELECT 1 FROM postings p WHERE p.term_id = vocabulary.term_id)"
             ).rowcount
-            # The df mirror needs no pruning: writers drop a term's entry
-            # when its last live posting goes, and compaction removes no
-            # live posting.
+            # The df mirror and postings memo need no pruning: compaction
+            # drops no live posting, and an insert that reuses a pruned
+            # term_id pops its memo entry.
             txn.staged.term_ids = self._read_term_ids()
             self._log_change(
                 txn.staged,

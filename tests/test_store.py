@@ -47,6 +47,11 @@ def docs():
     ]
 
 
+def columns(plist) -> tuple[list[int], list[int]]:
+    """A posting list's ``(docs, tfs)`` columns as plain lists."""
+    return plist.docs.tolist(), plist.tfs.tolist()
+
+
 class _ProbeAfterCommit:
     """A writer connection that runs ``probe()`` as soon as COMMIT returns."""
 
@@ -59,6 +64,28 @@ class _ProbeAfterCommit:
         if sql == "COMMIT":
             self._probe()
         return cursor
+
+    def __getattr__(self, name: str):
+        return getattr(self._conn, name)
+
+
+class _CountingReads:
+    """A read connection that records the term_id of every postings read."""
+
+    def __init__(self, conn: sqlite3.Connection) -> None:
+        self._conn = conn
+        self.term_ids: list[int] = []
+
+    @classmethod
+    def install(cls, store: DocumentStore) -> "_CountingReads":
+        """Wrap ``store``'s read connection on the calling thread."""
+        reads = store._local.conn = cls(store._read_conn())
+        return reads
+
+    def execute(self, sql: str, *args):
+        if "FROM postings WHERE term_id" in sql:
+            self.term_ids.append(args[0][0])
+        return self._conn.execute(sql, *args)
 
     def __getattr__(self, name: str):
         return getattr(self._conn, name)
@@ -121,8 +148,8 @@ class TestUpsertAndDelete:
         store.upsert_all(docs)
         pos = store.upsert(make_doc("d2", {"cherry": 3}))
         assert pos == 1  # doc_id -> position is permanent
-        assert store.term_postings("cherry") == [(1, 3)]
-        assert store.term_postings("apple") == [(0, 2)]  # old postings gone
+        assert columns(store.term_postings("cherry")) == ([1], [3])
+        assert columns(store.term_postings("apple")) == ([0], [2])  # old postings gone
         assert len(store) == 3
 
     def test_delete_is_a_tombstone(self, store_path, docs):
@@ -133,7 +160,7 @@ class TestUpsertAndDelete:
         assert store.num_live == 2
         assert store.is_deleted(1)
         assert "d2" not in store
-        assert store.term_postings("apple") == [(0, 2)]
+        assert columns(store.term_postings("apple")) == ([0], [2])
 
     def test_deleted_document_keeps_payload(self, store_path, docs):
         store = DocumentStore(store_path)
@@ -148,7 +175,7 @@ class TestUpsertAndDelete:
         store.delete("d2")
         assert store.upsert(make_doc("d2", {"grape": 1})) == 1
         assert "d2" in store
-        assert store.term_postings("grape") == [(1, 1)]
+        assert columns(store.term_postings("grape")) == ([1], [1])
 
     def test_delete_unknown_or_twice_rejected(self, store_path, docs):
         store = DocumentStore(store_path)
@@ -488,6 +515,9 @@ class TestDocumentFrequencyMirror:
                     assert store.num_terms() >= 0
                     for term in self.TERMS:
                         assert store.document_frequency(term) >= 0
+                        # Fills the memo of whichever state is published.
+                        docs = store.term_postings(term).docs
+                        assert (docs[1:] > docs[:-1]).all()
             except Exception as exc:  # noqa: BLE001 — collected for assert
                 errors.append(exc)
 
@@ -511,11 +541,16 @@ class TestDocumentFrequencyMirror:
         assert not any(t.is_alive() for t in writers + readers)
         assert not errors, errors
         self._check(store)
+        with DocumentStore(store_path) as fresh:
+            for term in self.TERMS:
+                assert columns(store.term_postings(term)) == columns(
+                    fresh.term_postings(term)
+                ), term
         store.close()
 
     @pytest.mark.parametrize("scorer_name", ["tfidf", "bm25"])
     def test_rank_fetches_each_term_once_per_generation(
-        self, store_path, monkeypatch, scorer_name
+        self, store_path, scorer_name
     ):
         from repro.index.bm25 import BM25Scorer
         from repro.index.scoring import TfIdfScorer
@@ -524,26 +559,105 @@ class TestDocumentFrequencyMirror:
         docs = [random_doc(rng, f"d{i}") for i in range(40)]
         backend = SQLiteIndexBackend(store_path, corpus=Corpus(docs))
         store = backend.store
-        calls: dict[str, int] = {}
-        real = store.term_postings
-
-        def counting(term):
-            calls[term] = calls.get(term, 0) + 1
-            return real(term)
-
-        monkeypatch.setattr(store, "term_postings", counting)
+        reads = _CountingReads.install(store)
         scorer_cls = TfIdfScorer if scorer_name == "tfidf" else BM25Scorer
         scorer = scorer_cls(backend)
         terms = ["t1", "t2", "t3"]
+        fetched = set(terms)  # the first generation reads every term
         everyone = list(range(len(store)))
         for _generation in range(2):
-            calls.clear()
+            reads.term_ids.clear()
             for _ in range(2):
                 ranked = scorer.rank(everyone, terms)
                 assert len(ranked) == len(everyone)
-            assert calls and max(calls.values()) <= 1, calls
-            backend.add(random_doc(rng, "late"))
+            ids = store._state.term_ids
+            assert sorted(reads.term_ids) == sorted(ids[t] for t in fetched)
+            late = random_doc(rng, "late")
+            backend.add(late)
+            # Only the terms the batch touched are read again.
+            fetched = set(terms) & set(late.terms)
             everyone = list(range(len(store)))
+
+
+class TestPostingsMemo:
+    """Each published state memoizes its postings; a batch drops only its terms."""
+
+    TERMS = ["a", "b", "c", "d", "e"]
+
+    def test_searches_on_terms_a_batch_did_not_touch_read_no_postings(
+        self, store_path
+    ):
+        rng = random.Random(11)
+        engine = SearchEngine(
+            Corpus([random_doc(rng, f"d{i}") for i in range(40)]),
+            backend=lambda corpus: SQLiteIndexBackend(store_path, corpus=corpus),
+        )
+        queries = [(["t1", "t2"], "and"), (["t1", "t2", "t3"], "or")]
+        before = [engine.search_terms(terms, semantics=s) for terms, s in queries]
+        engine.index.add_all(
+            [make_doc(f"new{i}", {"fresh": 1, f"t{10 + i}": 2}) for i in range(5)]
+        )
+        reads = _CountingReads.install(engine.index.store)
+        after = [engine.search_terms(terms, semantics=s) for terms, s in queries]
+        assert reads.term_ids == []
+        matched = [sorted(r.position for r in results) for results in after]
+        assert all(matched)
+        assert matched == [sorted(r.position for r in rs) for rs in before]
+
+    @staticmethod
+    def _apply(store: DocumentStore, batch: tuple) -> None:
+        kind, *args = batch
+        ids = [doc.doc_id for doc in store.corpus()]
+        if kind == "new":
+            store.upsert_all(
+                make_doc(f"n{len(ids) + i}", terms)
+                for i, terms in enumerate(args[0])
+            )
+        elif kind == "upsert" and ids:
+            rewrites = {ids[i % len(ids)]: terms for i, terms in args[0]}
+            store.upsert_all(make_doc(i, terms) for i, terms in rewrites.items())
+        elif kind == "delete":
+            live = [doc_id for doc_id in ids if doc_id in store]
+            doomed = {live[i % len(live)] for i in args[0]} if live else set()
+            store.delete_all(sorted(doomed))
+        elif kind == "compact":
+            store.compact()
+
+    def test_memo_matches_a_fresh_open_after_every_batch(self):
+        import tempfile
+
+        from hypothesis import given, settings
+        from hypothesis import strategies as st
+
+        bags = st.dictionaries(
+            st.sampled_from(self.TERMS), st.integers(1, 3), min_size=1, max_size=3
+        )
+        picks = st.lists(st.integers(0, 30), min_size=1, max_size=3)
+        batch = st.one_of(
+            st.tuples(st.just("new"), st.lists(bags, min_size=1, max_size=3)),
+            st.tuples(
+                st.just("upsert"),
+                st.lists(st.tuples(st.integers(0, 30), bags), min_size=1, max_size=3),
+            ),
+            st.tuples(st.just("delete"), picks),
+            st.tuples(st.just("compact")),
+        )
+
+        @settings(max_examples=40, deadline=None)
+        @given(st.lists(batch, min_size=1, max_size=10))
+        def check(batches) -> None:
+            with tempfile.TemporaryDirectory() as tmp:
+                path = Path(tmp) / "memo.sqlite"
+                with DocumentStore(path) as store:
+                    for batch in batches:
+                        self._apply(store, batch)
+                        with DocumentStore(path) as fresh:
+                            for term in self.TERMS:
+                                assert columns(store.term_postings(term)) == (
+                                    columns(fresh.term_postings(term))
+                                ), (batch, term)
+
+        check()
 
 
 class TestDurability:
@@ -750,9 +864,7 @@ class TestBackendProtocol:
                 ).fetchone()
             probed["committed"] = committed
             probed["published"] = store.num_positions
-            probed["term_postings"] = [
-                pos for pos, _ in store.term_postings("apple")
-            ]
+            probed["term_postings"] = store.term_postings("apple").doc_ids()
             probed["and_query"] = backend.and_query(["apple", "fruit"])
             probed["or_query"] = backend.or_query(["apple", "banana"])
             probed["search_terms"] = [
@@ -785,6 +897,39 @@ class TestBackendProtocol:
         assert backend.and_query(["apple", "fruit"]) == [1, 3]
         assert backend.corpus[3].doc_id == "d4"
         assert backend.corpus[1].terms == {"apple": 4, "fruit": 2}
+
+    def test_reader_between_commit_and_publish_reads_no_rewritten_tf(
+        self, store_path, docs
+    ):
+        # An upsert rewrites its document in place, so between the COMMIT
+        # and the publish SQL already holds the new tfs at the old
+        # position; a reader must still get the published state's.
+        store = DocumentStore(store_path)
+        store.upsert_all(docs)
+        probed = {}
+
+        def probe() -> None:
+            probed["generation"] = store.generation
+            probed["d2"] = store.corpus()[1].terms
+            probed["apple"] = columns(store.term_postings("apple"))
+            probed["fruit"] = columns(store.term_postings("fruit"))
+
+        writer = store._writer
+        store._writer = _ProbeAfterCommit(writer, probe)
+        try:
+            store.upsert(make_doc("d2", {"apple": 4, "pear": 2}))
+        finally:
+            store._writer = writer
+        assert probed == {
+            "generation": 1,
+            "d2": {"apple": 1, "fruit": 1},
+            "apple": ([0, 1], [2, 1]),
+            "fruit": ([1, 2], [1, 2]),
+        }
+        assert columns(store.term_postings("apple")) == ([0, 1], [2, 4])
+        assert columns(store.term_postings("fruit")) == ([2], [2])
+        assert columns(store.term_postings("pear")) == ([1], [2])
+        store.close()
 
     def test_concurrent_ingest_keeps_corpus_aligned_with_store(
         self, store_path
@@ -887,6 +1032,24 @@ class TestServeIntegration:
 
         with pytest.raises(ConfigError):
             ServeConfig.parse(f"wiki:store={store_path},backend=carrier-pigeon")
+
+    def test_restart_path_does_not_verify_the_store_against_itself(
+        self, store_path, monkeypatch
+    ):
+        config = self._config(store_path)
+        config.build_session()  # seeds the empty store
+        store = DocumentStore(store_path)
+        real, calls = store.position, []
+
+        def position(doc_id):
+            calls.append(doc_id)
+            return real(doc_id)
+
+        monkeypatch.setattr(store, "position", position)
+        session = config.build_session(store=store)
+        assert calls == []
+        assert session.engine.index.corpus is store.corpus()
+        assert session.search("java", top_k=3)
 
     def test_ingest_writes_through_and_invalidates(self, store_path):
         from repro.serve import ExpansionService, SessionPool
