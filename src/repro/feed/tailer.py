@@ -17,6 +17,10 @@ Guarantees, in the order they matter:
   ``applied`` where it was, increments ``errors``, and the loop retries
   after the poll interval; a buggy consumer cannot wedge the feed or
   skip generations;
+* **prompt apply** — the loop polls every ``poll_interval`` seconds,
+  and at once after :meth:`FeedTailer.wake` (a writer that knows it
+  just committed calls it), so a woken tailer applies a batch in the
+  time the apply takes, not the poll interval;
 * **gap handling** — a ``gap`` batch (the log prefix was truncated by
   compaction) invokes the ``on_gap`` callback; the callback re-hydrates
   from a snapshot and returns the snapshot's generation to resume from,
@@ -159,6 +163,7 @@ class FeedTailer:
         self._last_error: str | None = None
         self._status = "idle"  # idle | running | stopped | gap
         self._stop_event = threading.Event()
+        self._wake = threading.Event()  # cuts the idle wait short
         self._thread: threading.Thread | None = None
 
     # -- introspection -------------------------------------------------------
@@ -287,8 +292,11 @@ class FeedTailer:
                 self._stop_event.wait(self._poll_interval)
                 continue
             if batch.gap or batch.exhausted:
-                # Caught up (or waiting on a snapshot): idle-poll.
-                self._stop_event.wait(self._poll_interval)
+                # Caught up (or waiting on a snapshot): idle-poll. A wake
+                # that lands during run_once stays set, so the wait
+                # returns at once and the next poll sees its commit.
+                self._wake.wait(self._poll_interval)
+                self._wake.clear()
         with self._lock:
             if self._status != "gap":
                 self._status = "stopped"
@@ -311,9 +319,14 @@ class FeedTailer:
         thread = self._thread  # analyze: ignore[GUARD001] - lock-free liveness probe; the binding is replaced atomically (GIL)
         return thread is not None and thread.is_alive()
 
+    def wake(self) -> None:
+        """Poll now instead of at the end of the idle wait."""
+        self._wake.set()
+
     def stop(self, timeout: float = 5.0) -> None:
         """Signal the loop to exit and join it."""
         self._stop_event.set()  # analyze: ignore[GUARD001] - threading.Event is internally synchronized
+        self._wake.set()  # end the idle wait
         thread = self._thread  # analyze: ignore[GUARD001] - lock-free read of an atomically replaced binding; join must not run under the stats lock
         if thread is not None and thread is not threading.current_thread():
             thread.join(timeout)

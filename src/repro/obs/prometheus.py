@@ -328,6 +328,12 @@ def _render_cluster(exp: _Exposition, payload: Mapping[str, Any]) -> None:
             "repro_cluster_queue_depth", "gauge",
             "Per-replica admission bound.", int(cluster.get("queue_depth", 0)),
         )
+        for key, value in (cluster.get("cache") or {}).items():
+            if key in ("hits", "misses", "fills", "stale"):
+                exp.sample(
+                    f"repro_cluster_cache_{key}_total", "counter",
+                    f"Coordinator response-cache {key}.", int(value),
+                )
         proxy = cluster.get("proxy_latency")
         if isinstance(proxy, Mapping) and proxy.get("count"):
             exp.histogram(

@@ -34,18 +34,19 @@ is written, so with a ``store=<path>`` it also survives a server
 restart.
 
 Caching: ``/expand`` reports and ``/search`` results are memoized as
-encoded JSON bytes in an :class:`~repro.serve.cache.LRUTTLCache` keyed
-on ``(config, endpoint, query, params, index generation)``; a response
-splices its per-request members (``cache``, ``seconds``, ...) around
-them, so a hit encodes nothing cached again. ``/batch`` items route
-through the same per-query path, so repeated queries inside and across
-batches hit the cache too. The index generation in the key means no
-payload cached before an ingest is served after it: the store publishes
-a generation only after its commit, so a response computed from the old
-rows is keyed under the old generation. The dead entries are freed by
-the first request after the move: :meth:`PooledSession.advanced` sees
-the new generation, and the service calls
-:meth:`ExpansionService.invalidate_config` for that entry.
+encoded JSON bytes in the response cache the edge owns
+(:mod:`repro.serve.edge`), keyed on ``(config, tenant, endpoint, query,
+params, index generation)``; a response splices its per-request members
+(``cache``, ``seconds``, ...) around them, so a hit encodes nothing
+cached again. This tier computes each miss through its session.
+``/batch`` items route through the same per-query path, so repeated
+queries inside and across batches hit the cache too. The index
+generation in the key means no payload cached before an ingest is
+served after it: the store publishes a generation only after its
+commit, so a response computed from the old rows is keyed under the old
+generation. The dead entries are freed by the first request after the
+move: :meth:`PooledSession.advanced` sees the new generation, and the
+service calls :meth:`ExpansionService.invalidate_config` for that entry.
 """
 
 from __future__ import annotations
@@ -63,28 +64,22 @@ from repro.feed.changefeed import resolve_read_args
 from repro.obs import (
     DEFAULT_SLOW_THRESHOLD,
     current_span,
-    leaf_span,
     render_prometheus,
     span,
 )
-from repro.serve.cache import LRUTTLCache
 from repro.serve.edge import (
     HTTPFront,
+    ReadScope,
     RequestEdge,
+    batch_item,
+    config_name,
     encode,
     encode_batch,
     scalar,
     splice,
-    splice_array,
 )
 from repro.serve.metrics import ServerMetrics
-from repro.serve.paging import (
-    SEARCH_CURSOR_KEYS,
-    apply_batch_page,
-    apply_page,
-    resolve_batch_page,
-    resolve_page,
-)
+from repro.serve.paging import apply_batch_page, resolve_batch_page
 from repro.serve.pool import (
     TENANT_KEY_SEP,
     PooledSession,
@@ -105,13 +100,6 @@ DEFAULT_WORKERS = 4
 #: Seconds advertised in Retry-After on tenant-admission sheds (rate-limit
 #: sheds advertise the exact token-refill time instead).
 DEFAULT_TENANT_RETRY_AFTER = 1.0
-
-
-def _tag_cache(cache: str) -> None:
-    """Tag the request's root span with the response cache outcome."""
-    root = current_span()
-    if root is not None:
-        root.attrs["cache"] = cache
 
 
 class ExpansionService(RequestEdge):
@@ -166,6 +154,9 @@ class ExpansionService(RequestEdge):
             rate_limiter=rate_limiter,
             tenant_retry_after=tenant_retry_after,
             enforce_limits=enforce_limits,
+            cache_size=cache_size,
+            cache_ttl=cache_ttl,
+            clock=time.perf_counter,
             tracing=tracing,
             trace_capacity=trace_capacity,
             slow_threshold=slow_threshold,
@@ -175,11 +166,6 @@ class ExpansionService(RequestEdge):
         if not isinstance(pool, SessionPool):
             pool = SessionPool(pool)
         self._pool = pool
-        try:
-            self._cache = LRUTTLCache(maxsize=cache_size, ttl=cache_ttl)
-        except ValueError as exc:
-            # One catchable error family for the CLI and embedders.
-            raise ServeError(str(exc)) from None
         self._metrics = ServerMetrics()
         if workers < 1:
             raise ServeError(f"workers must be >= 1, got {workers}")
@@ -195,10 +181,6 @@ class ExpansionService(RequestEdge):
     @property
     def pool(self) -> SessionPool:
         return self._pool
-
-    @property
-    def cache(self) -> LRUTTLCache:
-        return self._cache
 
     @property
     def metrics(self) -> ServerMetrics:
@@ -283,26 +265,10 @@ class ExpansionService(RequestEdge):
 
     # -- request plumbing ----------------------------------------------------
 
-    @staticmethod
-    def _require(params: Mapping[str, Any], key: str) -> Any:
-        value = scalar(params, key)
-        if value in (None, ""):
-            raise ServeError(f"missing required parameter {key!r}")
-        return value
-
     def _entry(
         self, params: Mapping[str, Any], tenant: TenantSpec | None = None
     ) -> PooledSession:
-        names = self._pool.names()
-        name = scalar(params, "config")
-        if name is None and len(names) == 1:
-            name = names[0]
-        if name is None:
-            raise ServeError(
-                f"parameter 'config' is required with multiple "
-                f"configurations; configured: {', '.join(names)}"
-            )
-        entry = self._pool.get(str(name), tenant)
+        entry = self._pool.get(config_name(params, self._pool.names()), tenant)
         if entry.advanced():
             # The entry key ("config" or "tenant::config") scopes the
             # drop: a dedicated tenant entry frees only its tenant's
@@ -310,175 +276,39 @@ class ExpansionService(RequestEdge):
             self.invalidate_config(entry.key)
         return entry
 
-    # -- cached per-query execution ------------------------------------------
-
-    def _expand_cached(
-        self,
-        entry: PooledSession,
-        query: str,
-        algorithm: str | None,
-        results: str = "full",
-        tenant: TenantSpec | None = None,
-    ) -> tuple[bytes, str]:
-        """``(encoded schema-v2 report, "hit"|"miss")`` for one query.
-
-        ``results="none"`` drops the per-result document payloads — the
-        report envelope stays schema-v2 valid (readers treat ``results``
-        as optional), and responses shrink by orders of magnitude when
-        the caller wants expansions, not the matching documents. A miss
-        caches both variants, so neither one ever recomputes the other.
-
-        Cache keys lead with ``(config, tenant)`` so one tenant's hits,
-        misses, and invalidations never touch another tenant's entries
-        (anonymous requests key on tenant ``None``).
-        """
-        # Normalize the algorithm for keying: an explicit override equal
-        # to the config's default (or differing only in case) must share
-        # the default's cache entry, not trigger a duplicate recompute.
-        if isinstance(algorithm, str):
-            algorithm = algorithm.strip().lower() or None
-        scope = None if tenant is None else tenant.name
-        name = algorithm or entry.session.algorithm_name
-        generation = entry.generation()
-        key = (entry.config.name, scope, "expand", query, name, results, generation)
-        # leaf_span, not span(): the probe is a straight dict operation
-        # that never parents children, and this is the warmest line in
-        # the service — the ctxvar push/pop would be pure overhead.
-        lookup_span = leaf_span("cache.lookup", endpoint="expand")
-        hit, report = self._cache.lookup(key)
-        if lookup_span is not None:
-            lookup_span.attrs["result"] = "hit" if hit else "miss"
-            lookup_span.end()
-        if hit:
-            return report, "hit"
-        with self._compute_slots:
-            computed = entry.session.expand(query, algorithm=algorithm)
-        payload = schema.report_to_dict(computed)
-        variants = {
-            "full": encode(payload),
-            "none": encode({k: v for k, v in payload.items() if k != "results"}),
-        }
-        for mode, encoded in variants.items():
-            self._cache.put(
-                (entry.config.name, scope, "expand", query, name, mode, generation),
-                encoded,
-            )
-        return variants[results], "miss"
-
-    def _search_cached(
-        self,
-        entry: PooledSession,
-        query: str,
-        top_k: int | None,
-        semantics: str,
-        tenant: TenantSpec | None = None,
-    ) -> tuple[tuple[bytes, ...], str]:
-        """``(one encoded v2 search result per hit, "hit"|"miss")``;
-        a page slices the tuple, nothing is decoded."""
-        key = (
+    def _read_scope(
+        self, params: Mapping[str, Any], tenant: TenantSpec | None = None
+    ) -> ReadScope:
+        entry = self._entry(params, tenant)
+        return ReadScope(
             entry.config.name,
-            None if tenant is None else tenant.name,
-            "search",
-            query,
-            top_k,
-            semantics,
+            entry.session.algorithm_name,
             entry.generation(),
+            entry,
         )
-        lookup_span = leaf_span("cache.lookup", endpoint="search")
-        hit, chunks = self._cache.lookup(key)
-        if lookup_span is not None:
-            lookup_span.attrs["result"] = "hit" if hit else "miss"
-            lookup_span.end()
-        if hit:
-            return chunks, "hit"
+
+    def _compute_expand(
+        self, scope: ReadScope, query: str, algorithm: str | None
+    ) -> dict[str, Any]:
+        with self._compute_slots:
+            computed = scope.entry.session.expand(query, algorithm=algorithm)
+        return schema.report_to_dict(computed)
+
+    def _compute_search(
+        self, scope: ReadScope, query: str, top_k: int | None, semantics: str
+    ) -> tuple[bytes, ...]:
         # /search bypasses the pipeline (retrieval only), so the compute
         # gets an explicit stage.retrieve span — the search-path analogue
         # of the per-stage spans Pipeline.run emits under /expand.
         # Opened before the compute slot, so slot-wait shows in the span.
         with span("stage.retrieve", semantics=semantics):
             with self._compute_slots:
-                results = entry.session.search(
+                results = scope.entry.session.search(
                     query, top_k=top_k, semantics=semantics
                 )
-        chunks = tuple(encode(schema.search_result_to_dict(r)) for r in results)
-        self._cache.put(key, chunks)
-        return chunks, "miss"
+        return tuple(encode(schema.search_result_to_dict(r)) for r in results)
 
     # -- endpoints -----------------------------------------------------------
-
-    def expand(
-        self,
-        params: Mapping[str, Any],
-        tenant: TenantSpec | None = None,
-    ) -> tuple[int, dict[str, Any]]:
-        t0 = time.perf_counter()
-        entry = self._entry(params, tenant)
-        query = str(self._require(params, "query"))
-        algorithm = scalar(params, "algorithm")
-        algorithm = str(algorithm) if algorithm is not None else None
-        results = str(scalar(params, "results", "full")).lower()
-        if results not in ("full", "none"):
-            raise ServeError(f"results must be 'full' or 'none', got {results!r}")
-        report, cache = self._expand_cached(
-            entry, query, algorithm, results, tenant
-        )
-        seconds = time.perf_counter() - t0
-        self._record("expand", seconds, tenant, cache=cache)
-        _tag_cache(cache)
-        body = {
-            "config": entry.config.name,
-            "query": query,
-            "algorithm": algorithm or entry.session.algorithm_name,
-            "cache": cache,
-            "seconds": seconds,
-            "report": report,
-        }
-        if tenant is not None:
-            body["tenant"] = tenant.name
-        return 200, splice(body)
-
-    def search(
-        self,
-        params: Mapping[str, Any],
-        tenant: TenantSpec | None = None,
-    ) -> tuple[int, dict[str, Any]]:
-        t0 = time.perf_counter()
-        page = None
-        if "cursor" in params or "limit" in params:  # paginated (see paging)
-            page = resolve_page(params, "search", SEARCH_CURSOR_KEYS)
-            params = page.params
-        entry = self._entry(params, tenant)
-        query = str(self._require(params, "query"))
-        top_k_raw = scalar(params, "top_k")
-        try:
-            top_k = None if top_k_raw in (None, "") else int(top_k_raw)
-        except (TypeError, ValueError):
-            raise ServeError(f"top_k must be an integer, got {top_k_raw!r}")
-        semantics = str(scalar(params, "semantics", "and")).lower()
-        if semantics not in ("and", "or"):
-            raise ServeError(f"semantics must be 'and' or 'or', got {semantics!r}")
-        chunks, cache = self._search_cached(
-            entry, query, top_k, semantics, tenant
-        )
-        seconds = time.perf_counter() - t0
-        self._record("search", seconds, tenant, cache=cache)
-        _tag_cache(cache)
-        body = {
-            "config": entry.config.name,
-            "query": query,
-            "top_k": top_k,
-            "semantics": semantics,
-            "cache": cache,
-            "seconds": seconds,
-            "n_results": len(chunks),
-            "results": chunks,
-        }
-        if tenant is not None:
-            body["tenant"] = tenant.name
-        if page is not None and page.paginated:
-            apply_page(body, "results", page, "search")
-        body["results"] = splice_array(body["results"])
-        return 200, splice(body)
 
     def batch(
         self,
@@ -490,7 +320,7 @@ class ExpansionService(RequestEdge):
         # requests (no limit, no cursor) keep the full-report shape.
         page = resolve_batch_page(params)
         params = page.params
-        entry = self._entry(params, tenant)
+        scope = self._read_scope(params, tenant)
         queries = params["queries"]
         algorithm = scalar(params, "algorithm")
         algorithm = str(algorithm) if algorithm is not None else None
@@ -506,27 +336,14 @@ class ExpansionService(RequestEdge):
             q0 = time.perf_counter()
             try:
                 report, cache = self._expand_cached(
-                    entry, query, algorithm, tenant=tenant
+                    scope, query, algorithm, tenant=tenant
                 )
-                return {
-                    "query": query,
-                    "ok": True,
-                    "report": report,
-                    "error_type": None,
-                    "error_message": None,
-                    "seconds": time.perf_counter() - q0,
-                    "cache": cache,
-                }
+                return batch_item(query, report, time.perf_counter() - q0, cache)
             except Exception as exc:  # noqa: BLE001 — per-query isolation
-                return {
-                    "query": query,
-                    "ok": False,
-                    "report": None,
-                    "error_type": type(exc).__name__,
-                    "error_message": str(exc),
-                    "seconds": time.perf_counter() - q0,
-                    "cache": "miss",
-                }
+                return batch_item(
+                    query, None, time.perf_counter() - q0,
+                    error_type=type(exc).__name__, error_message=str(exc),
+                )
 
         if workers == 1 or len(queries) <= 1:
             items = [run_one(q) for q in queries]
@@ -566,7 +383,7 @@ class ExpansionService(RequestEdge):
             },
         )
         body = {
-            "config": entry.config.name,
+            "config": scope.config,
             "cache_hits": sum(1 for i in items if i["cache"] == "hit"),
             "n_ok": sum(1 for i in items if i["ok"]),
             "n_failed": sum(1 for i in items if not i["ok"]),

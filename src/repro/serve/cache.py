@@ -2,7 +2,10 @@
 
 :class:`LRUTTLCache` memoizes encoded responses — each ``/expand``
 report's JSON bytes, one chunk per ``/search`` result — keyed on
-``(config, endpoint, query, params..., index generation)``. It is the
+``(config, tenant, endpoint, query, params..., index generation)``.
+The request edge (:mod:`repro.serve.edge`) owns one per tier: a single
+node's, each cluster replica's, and the coordinator's, which fills only
+from replica replies keyed under the generation it reads. It is the
 top of the serving cache hierarchy — below it sit the per-session
 retrieval cache (memoized seed-query searches) and the analysis cache
 (each result set's k-means labels and candidate keywords), both owned

@@ -5,13 +5,23 @@ tier. It owns N replica processes (see
 :mod:`~repro.serve.cluster.replica`), and for every request decides
 *where it runs* and *whether it runs at all*:
 
-**Routing** — ``/expand`` and ``/search`` route by consistent hash of
-``(config, query)`` (:mod:`~repro.serve.cluster.hashring`), so repeated
-queries — and every page of a cursor walk — land on the replica whose
-caches already hold them. Responses are forwarded as raw JSON bytes;
-the coordinator never re-parses proxied payloads. ``/batch`` is
-scattered: queries are grouped by their routed replica, sub-batches run
-in parallel, and the items are merged back in request order — as the
+**The response cache** — the edge's (:mod:`repro.serve.edge`), keyed
+as on a replica: a hit is answered here, with no RPC and no queue-depth
+admission. A routed miss's reply carries its cacheable part and the
+generation it was keyed under, and fills the entry only if that is the
+generation the request read from the source store (the fill rule; see
+API.md). The coordinator is the source store's one writer, so that
+generation is exact; memory configs are generation 0.
+
+**Routing** — misses of ``/expand`` and ``/search`` route by consistent
+hash of ``(config, query)`` (:mod:`~repro.serve.cluster.hashring`), so
+repeated queries — and every page of a cursor walk, which is always
+routed — land on the replica whose caches already hold them. Responses
+are forwarded as raw JSON bytes; the coordinator never re-parses
+proxied payloads. ``/batch`` items the cache holds (under the
+``/expand?results=full`` key) are answered here; the rest are
+scattered: grouped by their routed replica, sub-batches run in
+parallel, and the items are merged back in request order — as the
 replicas' pre-encoded item bytes, spliced into the coordinator's own
 envelope, so ``/batch`` items are never re-parsed either (only the small
 sub-batch envelopes are, for their totals).
@@ -33,9 +43,9 @@ state to reconcile.
 
 **Aggregation** — ``/healthz`` and ``/metrics`` fan out to live replicas
 and merge: cluster status (``ok`` / ``degraded`` / ``down``), summed
-per-endpoint request counters, per-replica payloads, and
-coordinator-level counters (routed, shed, failovers, restarts, shed
-latency percentiles).
+per-endpoint request counters (the coordinator's hits included),
+per-replica payloads, and coordinator-level counters (routed, shed,
+failovers, restarts, shed latency percentiles, cache fills).
 """
 
 from __future__ import annotations
@@ -74,8 +84,24 @@ from repro.obs import (
 from repro.serve.admission import AdmissionController, shed_payload
 from repro.serve.cluster.hashring import DEFAULT_VNODES, HashRing
 from repro.serve.cluster.replica import ReplicaSpec, replica_main
-from repro.serve.cluster.transport import DEFAULT_REQUEST_TIMEOUT, ReplicaClient
-from repro.serve.edge import ROUTES, RequestEdge, Route, encode, encode_batch, scalar
+from repro.serve.cluster.transport import (
+    DEFAULT_REQUEST_TIMEOUT,
+    WAKE,
+    ReplicaClient,
+)
+from repro.serve.edge import (
+    ROUTES,
+    ReadScope,
+    RequestEdge,
+    Route,
+    batch_item,
+    config_name,
+    encode,
+    encode_batch,
+    scalar,
+    splice,
+)
+from repro.serve.metrics import ServerMetrics
 from repro.serve.paging import apply_batch_page, decode_cursor, resolve_batch_page
 from repro.serve.pool import ServeConfig
 from repro.tenancy import (
@@ -97,6 +123,9 @@ SUPERVISOR_INTERVAL = 0.25
 
 #: Seconds a spawning replica gets to hydrate and report ready.
 DEFAULT_START_TIMEOUT = 180.0
+
+#: Seconds an ingest waits on one replica's answer to its wake.
+WAKE_TIMEOUT = 1.0
 
 
 # -- replica handles ---------------------------------------------------------
@@ -246,12 +275,14 @@ class ProcessReplica:
 
 
 class CoordinatorMetrics:
-    """Coordinator-level counters: routing, shedding, failover, restarts."""
+    """Coordinator-level counters: routing, shedding, failover, restarts,
+    and cache fills (replies kept, or skipped as stale)."""
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
         self._routed: dict[str, int] = {}
         self._shed = 0
+        self._fills = {True: 0, False: 0}
         self._failovers: dict[str, int] = {}
         self._proxy_latency = LatencyHistogram()
         self._shed_latency = LatencyHistogram()
@@ -270,15 +301,21 @@ class CoordinatorMetrics:
         with self._lock:
             self._failovers[replica] = self._failovers.get(replica, 0) + 1
 
+    def record_fill(self, filled: bool) -> None:
+        with self._lock:
+            self._fills[filled] += 1
+
     def snapshot(self) -> dict[str, Any]:
         with self._lock:
             routed = dict(self._routed)
             shed = self._shed
             failovers = dict(self._failovers)
+            cache = {"fills": self._fills[True], "stale": self._fills[False]}
         return {
             "routed": routed,
             "shed": shed,
             "failovers": failovers,
+            "cache": cache,
             "proxy_latency": self._proxy_latency.snapshot(),
             "shed_latency": self._shed_latency.snapshot(),
         }
@@ -305,6 +342,8 @@ class ClusterCoordinator(RequestEdge):
         Fleet size (>= 1).
     queue_depth:
         Per-replica in-flight bound; excess requests are shed with 429.
+    cache_size / cache_ttl:
+        The response caches' capacity and TTL, here and on each replica.
     retry_after:
         Seconds advertised in shed responses' ``Retry-After``.
     replica_factory:
@@ -319,7 +358,8 @@ class ClusterCoordinator(RequestEdge):
         Off by default: snapshot-only replicas are immutable between
         restarts, which some deployments (and tests) rely on.
     feed_poll_interval:
-        Seconds between replica tailer polls (``follow`` only).
+        Seconds between replica tailer polls (``follow`` only); an
+        ``/ingest`` here wakes the tailers at once.
     compaction_interval / changelog_keep:
         Scheduler tick period and the minimum trailing changelog records
         always retained (``follow`` only).
@@ -393,6 +433,8 @@ class ClusterCoordinator(RequestEdge):
             tenants=tenants,
             rate_limiter=rate_limiter,
             tenant_retry_after=retry_after,
+            cache_size=cache_size,
+            cache_ttl=cache_ttl,
             tracing=tracing,
             trace_capacity=trace_capacity,
             slow_threshold=slow_threshold,
@@ -401,6 +443,9 @@ class ClusterCoordinator(RequestEdge):
         )
         self._quota = QuotaManager()
         self._tenant_requests: dict[str, int] = {}
+        # Reads answered here, and each config's last-read generation.
+        self._answered = ServerMetrics()
+        self._generations: dict[str, int] = {}
         self._started = time.time()
         self._snapshot_dir: tempfile.TemporaryDirectory | None = None
         self._snapshot_seq = 0
@@ -712,28 +757,67 @@ class ClusterCoordinator(RequestEdge):
                     self._tenant_requests.get(tenant.name, 0) + 1
                 )
 
-    # -- proxied endpoints ---------------------------------------------------
+    def _record(
+        self,
+        endpoint: str,
+        seconds: float | None,
+        tenant: TenantSpec | None,
+        **counts: Any,
+    ) -> None:
+        self._answered.record(endpoint, seconds, **counts)
 
-    def expand(
-        self, params: Mapping[str, Any], tenant: TenantSpec | None = None
-    ) -> tuple[int, Any]:
-        return self._proxy("/expand", params, tenant)
+    def _read_scope(
+        self, params: Mapping[str, Any], tenant: TenantSpec | None
+    ) -> ReadScope:
+        names = [c.name for c in self._configs]
+        config = self._configs[names.index(config_name(params, names))]
+        generation = (
+            0 if config.store is None
+            else self._source_store(config.store).generation
+        )
+        if self._generations.get(config.name, generation) != generation:
+            # Racing reads may both clear: entries key on their
+            # generation, so a clear only frees memory.
+            self._cache.invalidate_prefix((config.name,))
+        self._generations[config.name] = generation
+        return ReadScope(config.name, config.algorithm, generation)
+
+    # -- proxied endpoints ---------------------------------------------------
 
     def search(
         self, params: Mapping[str, Any], tenant: TenantSpec | None = None
     ) -> tuple[int, Any]:
-        return self._proxy("/search", params, tenant)
+        if "cursor" in params or "limit" in params:  # pages are routed
+            return self._proxy("/search", params, tenant)[:2]
+        return super().search(params, tenant)
+
+    def _route(
+        self,
+        path: str,
+        params: Mapping[str, Any],
+        tenant: TenantSpec | None,
+        key: tuple,
+    ) -> tuple[int, Any]:
+        """Proxy a miss; the reply fills ``key`` only if it was keyed
+        under ``key``'s generation (the fill rule)."""
+        status, body, extras = self._proxy(path, params, tenant)
+        if status == 200 and "generation" in extras:
+            filled = extras["generation"] == key[-1]
+            if filled:
+                self._cache.put(key, extras["part"])
+            self._metrics.record_fill(filled)
+        return status, body
 
     def _proxy(
         self,
         path: str,
         params: Mapping[str, Any],
         tenant: TenantSpec | None = None,
-    ) -> tuple[int, Any]:
+    ) -> tuple[int, Any, dict[str, Any]]:
         """Forward one read to its routed replica (failing over on the
-        ring walk); the replica's serialized body passes through as-is.
-        The hop is a GET: params arrive parsed, and the replica's
-        ``/expand`` and ``/search`` accept either method."""
+        ring walk); the replica's serialized body passes through as-is,
+        with its extras. The hop is a GET: params arrive parsed, and the
+        replica's ``/expand`` and ``/search`` accept either method."""
         t0 = time.perf_counter()
         with span("cluster.route", path=path) as route_span:
             key = self.routing_key(path, params)  # a bad cursor is a 400
@@ -756,7 +840,7 @@ class ClusterCoordinator(RequestEdge):
             if not self._admission.try_acquire(handle.name):
                 # Shed at the *routed* replica; spilling sideways would
                 # break affinity and merely relocate the queue.
-                return self._shed(t0, handle.name, tenant)
+                return (*self._shed(t0, handle.name, tenant), {})
             try:
                 with span(
                     "cluster.rpc", replica=handle.name, attempt=position
@@ -780,7 +864,7 @@ class ClusterCoordinator(RequestEdge):
             finally:
                 self._admission.release(handle.name)
             self._metrics.record_routed(handle.name, time.perf_counter() - t0)
-            return status, body
+            return status, body, extras
         raise ClusterError("every live replica failed the request")
 
     # -- fan-out helpers -----------------------------------------------------
@@ -893,13 +977,18 @@ class ClusterCoordinator(RequestEdge):
                 per_replica[name] = {"error": "metrics fetch failed"}
                 continue
             per_replica[name] = payload
-            for endpoint, row in payload.get("requests", {}).items():
+        rows = [p.get("requests", {}) for p in per_replica.values()]
+        rows.append(self._answered.snapshot()["endpoints"])
+        for requests in rows:
+            for endpoint, row in requests.items():
                 into = aggregate.setdefault(
                     endpoint, {field: 0 for field in _SUMMED_FIELDS}
                 )
                 for field in _SUMMED_FIELDS:
                     into[field] += int(row.get(field, 0))
         cluster = self._metrics.snapshot()
+        stats = self._cache.stats()
+        cluster["cache"].update({k: stats[k] for k in ("hits", "misses", "entries")})
         cluster["in_flight"] = self._admission.snapshot()
         cluster["queue_depth"] = self._admission.queue_depth
         cluster["restarts"] = {
@@ -927,7 +1016,7 @@ class ClusterCoordinator(RequestEdge):
             cluster["tenant_in_flight"] = self._tenant_admission.snapshot()
         payload = {
             "uptime_seconds": time.time() - self._started,
-            "requests": aggregate,  # summed across replicas
+            "requests": aggregate,  # summed across replicas and this tier
             "cluster": cluster,
             "replicas": per_replica,
         }
@@ -1006,7 +1095,8 @@ class ClusterCoordinator(RequestEdge):
         response; replicas converge by tailing the changefeed when the
         cluster runs with ``follow=True``, or at their next re-hydration
         otherwise. Hence 202 Accepted, not 200: the fleet is eventually
-        consistent with the returned generation. With a tenant, its
+        consistent with the returned generation; with ``follow``, live
+        replicas are woken to apply it at once. With a tenant, its
         quotas apply transactionally against the source store — a
         rejected over-quota batch changes nothing (413).
         """
@@ -1035,6 +1125,11 @@ class ClusterCoordinator(RequestEdge):
         guard = None if tenant is None else self._quota.store_guard(tenant)
         store.upsert_all(documents, guard=guard)
         generation = store.generation
+        for handle in self._replicas.values() if self._follow else ():
+            try:  # apply now, so replies can fill this generation soon
+                handle.request(WAKE, "", {}, timeout=WAKE_TIMEOUT)
+            except ClusterError:
+                pass  # down, or slow: the tailer's poll catches up
         payload = {
             "config": config.name,
             "ingested": len(documents),
@@ -1088,10 +1183,24 @@ class ClusterCoordinator(RequestEdge):
         run_params = page.params
         queries = run_params["queries"]
         config = run_params.get("config", "")
+        scope = self._read_scope(run_params, tenant)
+        algorithm = scalar(run_params, "algorithm")
+        algorithm = str(algorithm) if algorithm is not None else None
 
-        # Group queries (keeping original positions) by routed replica.
+        # Items the cache holds are answered here; the rest are grouped
+        # (keeping original positions) by routed replica.
+        items: list[bytes] = [b""] * len(queries)
+        cache_hits = 0
         groups: dict[str, list[tuple[int, str]]] = {}
         for index, query in enumerate(queries):
+            q0 = time.perf_counter()
+            report, _ = self._expand_cached(scope, query, algorithm, tenant=tenant)
+            if report is not None:
+                items[index] = splice(
+                    batch_item(query, report, time.perf_counter() - q0, "hit")
+                )
+                cache_hits += 1
+                continue
             key = f"{config}\x00{query}"
             candidates = self._live_preference(key)
             if not candidates:
@@ -1133,7 +1242,7 @@ class ClusterCoordinator(RequestEdge):
             return name, members, status, body, extras
 
         try:
-            with ThreadPoolExecutor(max_workers=len(groups)) as pool:
+            with ThreadPoolExecutor(max_workers=max(1, len(groups))) as pool:
                 outcomes = list(pool.map(run_group, groups.items()))
         finally:
             for name in claimed:
@@ -1141,8 +1250,7 @@ class ClusterCoordinator(RequestEdge):
 
         # Each replica's items arrive as JSON bytes (see transport); only
         # the small sub-batch envelopes are decoded, for their totals.
-        items: list[bytes] = [b""] * len(queries)
-        cache_hits = n_ok = n_failed = 0
+        n_ok, n_failed = cache_hits, 0
         for name, members, status, body, extras in outcomes:
             absorb_spans(extras.get("spans"))
             if status == 200:
@@ -1161,18 +1269,15 @@ class ClusterCoordinator(RequestEdge):
             except ValueError:
                 message = f"status {status}"
             for index, query in members:
-                items[index] = encode({
-                    "query": query,
-                    "ok": False,
-                    "report": None,
-                    "error_type": "ClusterError",
-                    "error_message": f"replica {name}: {message}",
-                    "seconds": 0.0,
-                    "cache": "miss",
-                })
+                items[index] = encode(batch_item(
+                    query, None, 0.0, error_type="ClusterError",
+                    error_message=f"replica {name}: {message}",
+                ))
             n_failed += len(members)
 
         seconds = time.perf_counter() - t0
+        if not groups:  # answered here: count it like a replica would
+            self._record("batch", seconds, tenant, cache_hits=cache_hits)
         report = schema.make_envelope(
             schema.KIND_BATCH,
             {"items": items, "workers": len(groups), "seconds": seconds},

@@ -27,7 +27,10 @@ coordinator routes a request here, every session is built and warm.
 one :class:`~repro.feed.FeedTailer` per followed config after hydration.
 The tailer polls the source's changelog from the snapshot's generation
 and applies deltas to the replica's private store, so the replica
-converges on live ingest without re-hydration; the snapshot path is only
+converges on live ingest without re-hydration. The coordinator wakes
+the tailers after each of its own ingests (the transport's reserved
+``WAKE`` message), so an ingest through the coordinator is applied at
+once instead of at the next poll; the snapshot path is only
 taken at (re)start — or when a tailer reports a *gap* (its history was
 truncated by compaction), in which case the replica shuts its transport
 down and exits cleanly: the supervisor sees it die and respawns it with
@@ -148,6 +151,11 @@ class TailingReplicaService:
         tailer.start()
         return tailer
 
+    def wake(self) -> None:
+        """Have every tailer poll its feed now (see module docstring)."""
+        for tailer in self._tailers.values():
+            tailer.wake()
+
     def feed_stats(self) -> dict[str, Any]:
         return {name: t.stats() for name, t in self._tailers.items()}
 
@@ -223,7 +231,9 @@ def replica_main(spec: ReplicaSpec, ready: Any) -> None:
         # trace_export ships the finished trace's spans back in the RPC
         # response so the coordinator stitches one cross-process trace.
         transport = ReplicaTransport(
-            service.handle, span_export=service.trace_export
+            service.handle,
+            span_export=service.trace_export,
+            wake=getattr(service, "wake", None),  # follow replicas only
         )
         if isinstance(service, TailingReplicaService):
             # A gap means this replica's history is gone: SIGTERM the main

@@ -8,12 +8,16 @@ request is the tuple ``(method, path, params)``; one response is
 already **serialized JSON payload** and ``extras`` is a small metadata
 dict — carrying ``spans`` (the replica's finished trace spans, when the
 request propagated trace context, so the coordinator can stitch one
-cross-process trace) and, on a ``/batch`` reply, ``items``. Shipping
-bytes instead of objects is the cluster's hot-path trick: the
-coordinator forwards them to the client socket verbatim, so proxying a
-cache hit costs the coordinator an HTTP parse and two memcpys while the
-replica pays the (much larger) JSON serialization — which is what lets
-N replicas outrun one.
+cross-process trace), on a ``/batch`` reply ``items``, and on a 200
+``/expand`` or unpaginated ``/search`` reply ``part`` and
+``generation``. Shipping bytes is the cluster's hot-path trick: the
+coordinator forwards a miss's body verbatim and keeps ``part`` (what
+the replica's response cache holds, keyed under ``generation``) to
+answer the next identical read itself, by splicing, with no RPC.
+
+One message is reserved: :data:`WAKE` (sent by the coordinator after
+its ``/ingest`` commits; no HTTP request can produce it) is answered by
+the transport, not the handler: it wakes the replica's feed tailers.
 
 ``/batch`` items travel pre-encoded too (:func:`encode_reply`): a 200
 ``/batch`` reply's body is the sub-batch envelope without its report,
@@ -50,7 +54,7 @@ from typing import Any, Callable, Mapping
 
 from repro.errors import ClusterError
 from repro.obs import TRACE_PARAM
-from repro.serve.edge import BatchBody, encode
+from repro.serve.edge import BatchBody, ReadBody, encode
 
 #: Seconds a coordinator waits on a replica reply before declaring it
 #: unreachable (expansion cold paths are slow; hydrated hits are not).
@@ -58,17 +62,26 @@ DEFAULT_REQUEST_TIMEOUT = 60.0
 
 Handle = Callable[[str, str, Mapping[str, Any]], tuple[int, Any]]
 
+#: The reserved method of the wake message (see module docstring).
+WAKE = "WAKE"
+
 
 def encode_reply(payload: Any) -> tuple[bytes, dict[str, Any]]:
     """One handler payload → the ``(body, extras)`` a replica sends.
 
     A :class:`~repro.serve.edge.BatchBody` ships its report items in
-    ``extras["items"]`` and its head as the body (see module docstring);
-    other bytes go as they are, and a dict (errors, admin routes) is
-    encoded.
+    ``extras["items"]`` and its head as the body, and a
+    :class:`~repro.serve.edge.ReadBody` its cacheable part (see module
+    docstring); other bytes go as they are, and a dict (errors, admin
+    routes) is encoded.
     """
     if isinstance(payload, BatchBody):
         return encode(payload.head), {"items": payload.items}
+    if isinstance(payload, ReadBody):
+        # Plain bytes: pickling the subclass would ship the part twice.
+        return bytes(payload), {
+            "part": payload.part, "generation": payload.generation
+        }
     if isinstance(payload, bytes):
         return payload, {}
     return encode(payload), {}
@@ -94,7 +107,8 @@ class ReplicaTransport:
     ``span_export`` (optional) is called with the request's trace id
     after the handler finishes; whatever span records it returns ride
     back in the response's ``extras["spans"]`` for coordinator-side
-    trace stitching.
+    trace stitching. ``wake`` (optional) answers the reserved
+    :data:`WAKE` message.
     """
 
     def __init__(
@@ -102,9 +116,11 @@ class ReplicaTransport:
         handle: Handle,
         host: str = "127.0.0.1",
         span_export: "Callable[[str], list | None] | None" = None,
+        wake: Callable[[], None] | None = None,
     ) -> None:
         self._handle = handle
         self._span_export = span_export
+        self._wake = wake
         self._authkey = os.urandom(16)
         self._listener = Listener((host, 0), authkey=self._authkey)
         self._closed = threading.Event()
@@ -145,17 +161,24 @@ class ReplicaTransport:
                     break
                 try:
                     method, path, params = message
-                    # The handler strips the trace params from its own
-                    # copy, so the id is captured here, before dispatch.
-                    trace_id = None
-                    if isinstance(params, Mapping):
-                        trace_id = params.get(TRACE_PARAM)
-                    status, payload = self._handle(str(method), str(path), params)
-                    body, extras = encode_reply(payload)
-                    if trace_id is not None and self._span_export is not None:
-                        spans = self._span_export(str(trace_id))
-                        if spans:
-                            extras["spans"] = spans
+                    if method == WAKE:  # answered here, never by the handler
+                        if self._wake is not None:
+                            self._wake()
+                        status, body, extras = 200, b"{}", {}
+                    else:
+                        # The handler strips the trace params from its own
+                        # copy, so the id is captured here, before dispatch.
+                        trace_id = None
+                        if isinstance(params, Mapping):
+                            trace_id = params.get(TRACE_PARAM)
+                        status, payload = self._handle(
+                            str(method), str(path), params
+                        )
+                        body, extras = encode_reply(payload)
+                        if trace_id is not None and self._span_export is not None:
+                            spans = self._span_export(str(trace_id))
+                            if spans:
+                                extras["spans"] = spans
                 except Exception as exc:  # noqa: BLE001 — a request must not kill the loop
                     status, extras = 500, {}
                     body = encode(

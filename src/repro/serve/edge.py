@@ -18,6 +18,11 @@ envelope. This module owns that envelope, once:
 * the encoder: :func:`encode` (compact JSON) and :func:`splice`, which
   builds a body around members that are already JSON bytes, so a cached
   report is never encoded twice;
+* the response cache: one :class:`~repro.serve.cache.LRUTTLCache` per
+  tier, its keys, and the ``/expand`` and ``/search`` handlers that
+  splice their bodies around what it holds. A miss is the tier's: the
+  single node computes it, the coordinator routes it to a replica and
+  fills the entry from the reply;
 * the HTTP front: :class:`HTTPFront`, one stdlib listener lifecycle
   both tiers' servers share. It speaks HTTP/1.1 with keep-alive
   (HTTP/1.0 and ``Connection: close`` close after the response) and
@@ -31,10 +36,10 @@ envelope. This module owns that envelope, once:
 
 A tier subclasses :class:`RequestEdge` and supplies the handlers its
 route table names, each ``handler(params, tenant) -> (status,
-payload)``, plus the ``_check_tenant`` hook and (optionally) the
-``_account`` metrics hook. A data route's success body is JSON
-``bytes``; errors and admin routes answer dicts, which the HTTP front
-encodes. API.md ("Request envelope") lists every status the envelope
+payload)``, plus the ``_check_tenant`` and ``_read_scope`` hooks and
+(optionally) the ``_account`` and ``_record`` metrics hooks. A data
+route's success body is JSON ``bytes``; errors and admin routes answer
+dicts, which the HTTP front encodes. API.md ("Request envelope") lists every status the envelope
 answers.
 """
 
@@ -46,7 +51,7 @@ import time
 from dataclasses import dataclass
 from email.utils import formatdate
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Any, Iterable, Mapping
+from typing import Any, Callable, Iterable, Mapping, NamedTuple, Sequence
 from urllib.parse import parse_qs, urlsplit
 
 from repro.errors import (
@@ -70,12 +75,15 @@ from repro.obs import (
     Span,
     TraceBuffer,
     Tracer,
+    current_span,
+    leaf_span,
     new_trace_id,
     sanitize_trace_id,
     span,
 )
 from repro.obs.prometheus import CONTENT_TYPE as _PROM_CONTENT_TYPE
 from repro.serve.admission import AdmissionController, shed_payload
+from repro.serve.cache import LRUTTLCache
 from repro.tenancy import TENANT_HEADER, RateLimiter, TenantRegistry, TenantSpec
 
 
@@ -85,6 +93,23 @@ def scalar(params: Mapping[str, Any], key: str, default: Any = None) -> Any:
     if isinstance(value, list):
         value = value[0] if value else default
     return value
+
+
+def config_name(params: Mapping[str, Any], names: Sequence[str]) -> str:
+    """The configuration a request names, or the only one there is."""
+    name = scalar(params, "config")
+    if name is None and len(names) == 1:
+        return names[0]
+    if name is None:
+        raise ServeError(
+            f"parameter 'config' is required with multiple "
+            f"configurations; configured: {', '.join(names)}"
+        )
+    if str(name) not in names:
+        raise UnknownConfigError(
+            f"unknown serve config {name!r}; configured: {', '.join(names)}"
+        )
+    return str(name)
 
 
 # -- the encoder -------------------------------------------------------------
@@ -141,6 +166,72 @@ def encode_batch(body: Mapping[str, Any]) -> BatchBody:
     out.head = {k: v for k, v in body.items() if k != "report"}
     out.items = items
     return out
+
+
+def batch_item(
+    query: str,
+    report: bytes | None,
+    seconds: float,
+    cache: str = "miss",
+    error_type: str | None = None,
+    error_message: str | None = None,
+) -> dict[str, Any]:
+    """One ``/batch`` report item; ``report=None`` is a failed one."""
+    return {
+        "query": query,
+        "ok": report is not None,
+        "report": report,
+        "error_type": error_type,
+        "error_message": error_message,
+        "seconds": seconds,
+        "cache": cache,
+    }
+
+
+# -- the response cache ------------------------------------------------------
+
+
+class ReadScope(NamedTuple):
+    """What a cached read keys on beyond its own parameters: the resolved
+    config, the algorithm it runs by default, and the index generation.
+    ``entry`` is the single-node tier's pooled session (None on the
+    coordinator, whose replicas compute)."""
+
+    config: str
+    algorithm: str
+    generation: int
+    entry: Any = None
+
+
+class ReadBody(bytes):
+    """An encoded ``/expand`` or ``/search`` body that keeps its cacheable
+    ``part`` (the report, or the result chunks) and the ``generation``
+    that part was keyed under. A replica ships both in its reply's
+    extras (:func:`~repro.serve.cluster.transport.encode_reply`), so the
+    coordinator fills its own cache without decoding the body."""
+
+    part: Any
+    generation: int
+
+
+def _read_body(members: Mapping[str, Any], part: Any, generation: int) -> ReadBody:
+    out = ReadBody(splice(members))
+    out.part, out.generation = part, generation
+    return out
+
+
+def _explicit(algorithm: str | None) -> str | None:
+    """An ``algorithm`` parameter as registries compare it; None (blank)
+    runs the config's default. An explicit name equal to the default, or
+    differing only in case, so shares the default's cache entry."""
+    return (algorithm or "").strip().lower() or None
+
+
+def _tag_cache(cache: str) -> None:
+    """Tag the request's root span with the response cache outcome."""
+    root = current_span()
+    if root is not None:
+        root.attrs["cache"] = cache
 
 
 # -- the route table ---------------------------------------------------------
@@ -252,12 +343,16 @@ class RequestEdge:
         rate_limiter: RateLimiter | None,
         tenant_retry_after: float,
         enforce_limits: bool = True,
+        cache_size: int = 1024,
+        cache_ttl: float | None = None,
+        clock: Callable[[], float] = time.perf_counter,
         tracing: bool = True,
         trace_capacity: int = 256,
         slow_threshold: float = DEFAULT_SLOW_THRESHOLD,
         log_json: bool = False,
         log_stream: Any = None,
     ) -> None:
+        self._clock = clock
         self._tracer = Tracer(
             buffer=TraceBuffer(trace_capacity),
             slow_log=SlowLog(slow_threshold),
@@ -283,6 +378,11 @@ class RequestEdge:
         self._closing = threading.Event()
         self._inflight = 0
         self._inflight_cv = threading.Condition()
+        try:
+            self._cache = LRUTTLCache(maxsize=cache_size, ttl=cache_ttl)
+        except ValueError as exc:
+            # One catchable error family for the CLI and embedders.
+            raise ServeError(str(exc)) from None
 
     @property
     def tracer(self) -> Tracer:
@@ -295,6 +395,10 @@ class RequestEdge:
     @property
     def tenants(self) -> TenantRegistry | None:
         return self._tenants
+
+    @property
+    def cache(self) -> LRUTTLCache:
+        return self._cache
 
     @property
     def closing(self) -> bool:
@@ -324,6 +428,218 @@ class RequestEdge:
 
         ``seconds`` is the shed decision's latency (``shed`` only).
         """
+
+    def _record(
+        self,
+        endpoint: str,
+        seconds: float | None,
+        tenant: TenantSpec | None,
+        **counts: Any,
+    ) -> None:
+        """Count one read this tier answered (default: nothing); ``counts``
+        go to :meth:`~repro.serve.metrics.ServerMetrics.record`."""
+
+    def _read_scope(
+        self, params: Mapping[str, Any], tenant: TenantSpec | None
+    ) -> ReadScope:
+        """A read's :class:`ReadScope`. The first read after the config's
+        generation moved frees the config's dead cache entries."""
+        raise NotImplementedError
+
+    def _compute_expand(
+        self, scope: ReadScope, query: str, algorithm: str | None
+    ) -> dict[str, Any] | None:
+        """A miss's schema-v2 report payload; None (the default) where
+        this tier does not compute: the coordinator's replicas do."""
+        return None
+
+    def _compute_search(
+        self, scope: ReadScope, query: str, top_k: int | None, semantics: str
+    ) -> tuple[bytes, ...] | None:
+        """A miss's encoded results; None as for :meth:`_compute_expand`."""
+        return None
+
+    def _route(
+        self,
+        path: str,
+        params: Mapping[str, Any],
+        tenant: TenantSpec | None,
+        key: tuple,
+    ) -> tuple[int, Any]:
+        """Answer a miss the compute hooks left to another process (the
+        coordinator routes it to a replica; the reply may fill ``key``)."""
+        raise NotImplementedError
+
+    # -- the response cache --------------------------------------------------
+
+    @staticmethod
+    def _require(params: Mapping[str, Any], key: str) -> Any:
+        value = scalar(params, key)
+        if value in (None, ""):
+            raise ServeError(f"missing required parameter {key!r}")
+        return value
+
+    @staticmethod
+    def _key(
+        scope: ReadScope, tenant: TenantSpec | None, endpoint: str, *params: Any
+    ) -> tuple:
+        """``(config, tenant, endpoint, *params, generation)``: leading with
+        the tenant, one tenant's hits, misses and invalidations never
+        touch another's (anonymous reads key on ``None``)."""
+        scoped = None if tenant is None else tenant.name
+        return (scope.config, scoped, endpoint, *params, scope.generation)
+
+    def _expand_key(
+        self,
+        scope: ReadScope,
+        query: str,
+        algorithm: str | None,
+        results: str,
+        tenant: TenantSpec | None,
+    ) -> tuple:
+        name = _explicit(algorithm) or scope.algorithm
+        return self._key(scope, tenant, "expand", query, name, results)
+
+    def _lookup(self, key: tuple) -> tuple[bool, Any]:
+        # leaf_span, not span(): the probe is a straight dict operation
+        # that never parents children, and this is the warmest line in
+        # either tier — the ctxvar push/pop would be pure overhead.
+        lookup_span = leaf_span("cache.lookup", endpoint=key[2])
+        hit, value = self._cache.lookup(key)
+        if lookup_span is not None:
+            lookup_span.attrs["result"] = "hit" if hit else "miss"
+            lookup_span.end()
+        return hit, value
+
+    def _expand_cached(
+        self,
+        scope: ReadScope,
+        query: str,
+        algorithm: str | None,
+        results: str = "full",
+        tenant: TenantSpec | None = None,
+    ) -> tuple[bytes | None, str]:
+        """``(encoded schema-v2 report, "hit"|"miss")`` for one query;
+        None for the report on a miss this tier does not compute.
+
+        ``results="none"`` drops the per-result document payloads — the
+        report envelope stays schema-v2 valid (readers treat ``results``
+        as optional), and responses shrink by orders of magnitude when
+        the caller wants expansions, not the matching documents. A
+        computed miss caches both variants, so neither one ever
+        recomputes the other.
+        """
+        key = self._expand_key(scope, query, algorithm, results, tenant)
+        hit, report = self._lookup(key)
+        if hit:
+            return report, "hit"
+        payload = self._compute_expand(scope, query, _explicit(algorithm))
+        if payload is None:
+            return None, "miss"
+        variants = {
+            "full": encode(payload),
+            "none": encode({k: v for k, v in payload.items() if k != "results"}),
+        }
+        for mode, encoded in variants.items():
+            self._cache.put(key[:5] + (mode, scope.generation), encoded)
+        return variants[results], "miss"
+
+    def _search_cached(
+        self,
+        scope: ReadScope,
+        query: str,
+        top_k: int | None,
+        semantics: str,
+        tenant: TenantSpec | None = None,
+    ) -> tuple[tuple[bytes, ...] | None, str]:
+        """``(one encoded v2 search result per hit, "hit"|"miss")``, as
+        :meth:`_expand_cached`; a page slices the tuple, undecoded."""
+        key = self._key(scope, tenant, "search", query, top_k, semantics)
+        hit, chunks = self._lookup(key)
+        if hit:
+            return chunks, "hit"
+        chunks = self._compute_search(scope, query, top_k, semantics)
+        if chunks is not None:
+            self._cache.put(key, chunks)
+        return chunks, "miss"
+
+    # -- the cached reads ----------------------------------------------------
+
+    def expand(
+        self, params: Mapping[str, Any], tenant: TenantSpec | None = None
+    ) -> tuple[int, Any]:
+        t0 = self._clock()
+        scope = self._read_scope(params, tenant)
+        query = str(self._require(params, "query"))
+        algorithm = scalar(params, "algorithm")
+        algorithm = str(algorithm) if algorithm is not None else None
+        results = str(scalar(params, "results", "full")).lower()
+        if results not in ("full", "none"):
+            raise ServeError(f"results must be 'full' or 'none', got {results!r}")
+        report, cache = self._expand_cached(scope, query, algorithm, results, tenant)
+        if report is None:
+            key = self._expand_key(scope, query, algorithm, results, tenant)
+            return self._route("/expand", params, tenant, key)
+        seconds = self._clock() - t0
+        self._record("expand", seconds, tenant, cache=cache)
+        _tag_cache(cache)
+        body = {
+            "config": scope.config,
+            "query": query,
+            "algorithm": algorithm or scope.algorithm,
+            "cache": cache,
+            "seconds": seconds,
+            "report": report,
+        }
+        if tenant is not None:
+            body["tenant"] = tenant.name
+        return 200, _read_body(body, report, scope.generation)
+
+    def search(
+        self, params: Mapping[str, Any], tenant: TenantSpec | None = None
+    ) -> tuple[int, Any]:
+        t0 = self._clock()
+        page = None
+        if "cursor" in params or "limit" in params:  # paginated (see paging)
+            from repro.serve import paging  # paging imports this module
+
+            page = paging.resolve_page(params, "search", paging.SEARCH_CURSOR_KEYS)
+            params = page.params
+        scope = self._read_scope(params, tenant)
+        query = str(self._require(params, "query"))
+        top_k_raw = scalar(params, "top_k")
+        try:
+            top_k = None if top_k_raw in (None, "") else int(top_k_raw)
+        except (TypeError, ValueError):
+            raise ServeError(f"top_k must be an integer, got {top_k_raw!r}")
+        semantics = str(scalar(params, "semantics", "and")).lower()
+        if semantics not in ("and", "or"):
+            raise ServeError(f"semantics must be 'and' or 'or', got {semantics!r}")
+        chunks, cache = self._search_cached(scope, query, top_k, semantics, tenant)
+        if chunks is None:
+            key = self._key(scope, tenant, "search", query, top_k, semantics)
+            return self._route("/search", params, tenant, key)
+        seconds = self._clock() - t0
+        self._record("search", seconds, tenant, cache=cache)
+        _tag_cache(cache)
+        body = {
+            "config": scope.config,
+            "query": query,
+            "top_k": top_k,
+            "semantics": semantics,
+            "cache": cache,
+            "seconds": seconds,
+            "n_results": len(chunks),
+            "results": chunks,
+        }
+        if tenant is not None:
+            body["tenant"] = tenant.name
+        if page is None or not page.paginated:
+            body["results"] = splice_array(chunks)
+            return 200, _read_body(body, chunks, scope.generation)
+        paging.apply_page(body, "results", page, "search")
+        body["results"] = splice_array(body["results"])
+        return 200, splice(body)
 
     # -- request entry -------------------------------------------------------
 
