@@ -2,84 +2,52 @@
 
 Two layers, separable on purpose:
 
-* :class:`ExpansionService` — transport-free request handling. Every
-  endpoint is a method taking a plain params mapping (and the resolved
-  tenant) and returning ``(status, payload)`` — JSON ``bytes`` on the
-  data routes, a dict on the admin routes; :meth:`handle` wraps them in
-  the request envelope shared with the cluster coordinator
-  (:mod:`repro.serve.edge`).
+* :class:`ExpansionService` — transport-free request handling: the
+  single-node tier of the request edge (:mod:`repro.serve.edge`), which
+  owns the envelope, the route table and the data handlers. This tier
+  supplies a warm session per config (:class:`SessionPool`), computes
+  what the response cache misses (a ``/batch``'s misses on up to
+  ``workers`` threads), writes ``/ingest`` through
+  :meth:`SessionPool.ingest`, and answers ``/configs``, ``/healthz``
+  and the ``/metrics`` payload. API.md ("Serving") documents each route.
 * :class:`ExpansionServer` — the shared HTTP front
   (:class:`~repro.serve.edge.HTTPFront`) over the service. ``port=0``
   binds an ephemeral port; :meth:`ExpansionServer.start` runs it on a
   daemon thread for in-process embedding.
 
-Endpoints (all JSON):
+``/ingest`` and ``/changefeed`` need a mutable backend
+(``backend=sqlite``): every accepted document is committed to its store
+before the response, so with a ``store=<path>`` it survives a restart.
 
-==============  ====  =====================================================
-``/expand``     G/P   one expansion; ``report`` is the schema-v2 envelope
-``/search``     G/P   ranked retrieval; v2 search-result payloads
-                      (``limit``/``cursor`` paginate, see API.md)
-``/batch``      POST  many expansions; a schema-v2 ``batch_report``
-                      (``limit``/``cursor`` paginate the items)
-``/ingest``     POST  append documents to a mutable config's index
-``/changefeed`` GET   replication-log records past a generation (stores)
-``/configs``    GET   configuration specs + live pool state
-``/healthz``    GET   liveness + built configurations
-``/metrics``    GET   request/cache/stage metrics (see API.md: Serving)
-==============  ====  =====================================================
-
-Ingestion (``/ingest``) requires a mutable backend (``backend=sqlite``):
-every accepted document is committed to the store before the response
-is written, so with a ``store=<path>`` it also survives a server
-restart.
-
-Caching: ``/expand`` reports and ``/search`` results are memoized as
-encoded JSON bytes in the response cache the edge owns
-(:mod:`repro.serve.edge`), keyed on ``(config, tenant, endpoint, query,
-params, index generation)``; a response splices its per-request members
-(``cache``, ``seconds``, ...) around them, so a hit encodes nothing
-cached again. This tier computes each miss through its session.
-``/batch`` items route through the same per-query path, so repeated
-queries inside and across batches hit the cache too. The index
-generation in the key means no payload cached before an ingest is
-served after it: the store publishes a generation only after its
-commit, so a response computed from the old rows is keyed under the old
-generation. The dead entries are freed by the first request after the
-move: :meth:`PooledSession.advanced` sees the new generation, and the
-service calls :meth:`ExpansionService.invalidate_config` for that entry.
+Every response-cache key holds the index generation, so no payload
+cached before an ingest is served after it: the store publishes a
+generation only after its commit. The dead entries are freed by the
+first request after the move: :meth:`PooledSession.advanced` sees the
+new generation, and the service drops that entry's responses.
 """
 
 from __future__ import annotations
 
-import contextvars
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from typing import Any, Iterable, Mapping
 
 from repro.api import schema
 from repro.errors import ServeError
-from repro.feed import Changefeed, batch_to_payload
-from repro.feed.changefeed import resolve_read_args
-from repro.obs import (
-    DEFAULT_SLOW_THRESHOLD,
-    current_span,
-    render_prometheus,
-    span,
-)
+from repro.obs import DEFAULT_SLOW_THRESHOLD, span
 from repro.serve.edge import (
+    BatchAnswer,
     HTTPFront,
     ReadScope,
     RequestEdge,
     batch_item,
     config_name,
     encode,
-    encode_batch,
+    fan_out,
     scalar,
     splice,
 )
 from repro.serve.metrics import ServerMetrics
-from repro.serve.paging import apply_batch_page, resolve_batch_page
 from repro.serve.pool import (
     TENANT_KEY_SEP,
     PooledSession,
@@ -87,7 +55,6 @@ from repro.serve.pool import (
     SessionPool,
 )
 from repro.tenancy import (
-    QuotaManager,
     RateLimiter,
     TenantRegistry,
     TenantSpec,
@@ -166,16 +133,10 @@ class ExpansionService(RequestEdge):
         if not isinstance(pool, SessionPool):
             pool = SessionPool(pool)
         self._pool = pool
-        self._metrics = ServerMetrics()
         if workers < 1:
             raise ServeError(f"workers must be >= 1, got {workers}")
         self._workers = workers
         self._compute_slots = threading.BoundedSemaphore(workers)
-        # Lazily-built changefeed readers, one per store-backed entry
-        # (keyed by entry key, so a tenant's private store gets its own).
-        self._feeds: dict[str, Changefeed] = {}
-        self._feeds_lock = threading.Lock()
-        self._quota = QuotaManager()
         self._tenant_metrics: dict[str, ServerMetrics] = {}
 
     @property
@@ -184,21 +145,7 @@ class ExpansionService(RequestEdge):
 
     @property
     def metrics(self) -> ServerMetrics:
-        return self._metrics
-
-    def invalidate_config(self, name: str) -> int:
-        """Drop cached responses for a pool-entry key.
-
-        ``name`` is either a config name (drops *every* scope of that
-        config — anonymous and all tenants, the right response to a
-        shared-store mutation) or ``tenant::config`` from a dedicated
-        per-tenant entry (drops only that tenant's cached responses, so
-        tenant A's ingest never touches tenant B's cache).
-        """
-        if TENANT_KEY_SEP in name:
-            tenant, _, config = name.partition(TENANT_KEY_SEP)
-            return self._cache.invalidate_prefix((config, tenant))
-        return self._cache.invalidate_prefix((name,))
+        return self._requests
 
     # -- tenancy plumbing ----------------------------------------------------
 
@@ -218,7 +165,7 @@ class ExpansionService(RequestEdge):
         **kwargs: Any,
     ) -> None:
         """Record into the global sink and the tenant's own partition."""
-        self._metrics.record(endpoint, seconds, **kwargs)
+        super()._record(endpoint, seconds, tenant, **kwargs)
         if tenant is not None:
             self.tenant_metrics(tenant.name).record(
                 endpoint, seconds, **kwargs
@@ -258,10 +205,7 @@ class ExpansionService(RequestEdge):
         """
         self._drain(drain_timeout)
         self._pool.close()
-        with self._feeds_lock:
-            feeds, self._feeds = dict(self._feeds), {}
-        for feed in feeds.values():
-            feed.close()
+        self._close_feeds()
 
     # -- request plumbing ----------------------------------------------------
 
@@ -270,10 +214,12 @@ class ExpansionService(RequestEdge):
     ) -> PooledSession:
         entry = self._pool.get(config_name(params, self._pool.names()), tenant)
         if entry.advanced():
-            # The entry key ("config" or "tenant::config") scopes the
-            # drop: a dedicated tenant entry frees only its tenant's
-            # responses.
-            self.invalidate_config(entry.key)
+            # A shared entry frees every scope of its config; a dedicated
+            # tenant entry frees only its tenant's responses.
+            scope = (entry.config.name,)
+            if entry.tenant is not None:
+                scope += (entry.tenant,)
+            self._cache.invalidate_prefix(scope)
         return entry
 
     def _read_scope(
@@ -308,194 +254,73 @@ class ExpansionService(RequestEdge):
                 )
         return tuple(encode(schema.search_result_to_dict(r)) for r in results)
 
-    # -- endpoints -----------------------------------------------------------
-
-    def batch(
+    def _batch_misses(
         self,
+        scope: ReadScope,
+        misses: list[str],
+        algorithm: str | None,
         params: Mapping[str, Any],
-        tenant: TenantSpec | None = None,
-    ) -> tuple[int, dict[str, Any]]:
-        t0 = time.perf_counter()
-        # The page's params are everything /batch reads; unpaginated
-        # requests (no limit, no cursor) keep the full-report shape.
-        page = resolve_batch_page(params)
-        params = page.params
-        scope = self._read_scope(params, tenant)
-        queries = params["queries"]
-        algorithm = scalar(params, "algorithm")
-        algorithm = str(algorithm) if algorithm is not None else None
+        tenant: TenantSpec | None,
+    ) -> BatchAnswer:
+        """Compute each distinct query (on up to ``workers`` threads),
+        then its repeats in order, so the body and the cache's lookups
+        are those of a one-thread batch."""
         workers = scalar(params, "workers", 1)
         try:
             workers = max(1, min(int(workers), self._workers))
         except (TypeError, ValueError):
             raise ServeError(f"workers must be an integer, got {workers!r}")
 
-        def run_one(query: str) -> dict[str, Any]:
+        def run_one(query: str, first: bool = True) -> dict[str, Any]:
             # The extra "cache" key is additive; BatchItem.from_dict
             # readers ignore it (schema v2 stays intact).
-            q0 = time.perf_counter()
+            q0 = self._clock()
             try:
-                report, cache = self._expand_cached(
-                    scope, query, algorithm, tenant=tenant
-                )
-                return batch_item(query, report, time.perf_counter() - q0, cache)
+                if first:  # the edge has looked it up: compute
+                    key = self._expand_key(scope, query, algorithm, "full", tenant)
+                    report = self._expand_miss(scope, key, query, algorithm)
+                    cache = "miss"
+                else:
+                    report, cache = self._expand_cached(
+                        scope, query, algorithm, tenant=tenant
+                    )
+                return batch_item(query, report, self._clock() - q0, cache)
             except Exception as exc:  # noqa: BLE001 — per-query isolation
                 return batch_item(
-                    query, None, time.perf_counter() - q0,
+                    query, None, self._clock() - q0,
                     error_type=type(exc).__name__, error_message=str(exc),
                 )
 
-        if workers == 1 or len(queries) <= 1:
-            items = [run_one(q) for q in queries]
-        else:
-            # Pool threads do not inherit the request's contextvars, so
-            # each item runs in its own copy of them (one Context cannot
-            # be entered by two threads at once). The parent's span id is
-            # minted lazily: mint it here, before the threads race to.
-            parent = current_span()
-            if parent is not None:
-                parent.span_id
-            contexts = [contextvars.copy_context() for _ in queries]
-            with ThreadPoolExecutor(
-                max_workers=min(workers, len(queries))
-            ) as executor:
-                items = list(
-                    executor.map(
-                        lambda context, q: context.run(run_one, q),
-                        contexts,
-                        queries,
-                    )
-                )
-        seconds = time.perf_counter() - t0
-        self._record(
-            "batch",
-            seconds,
-            tenant,
-            cache_hits=sum(1 for i in items if i["cache"] == "hit"),
-            cache_misses=sum(1 for i in items if i["cache"] == "miss"),
+        firsts = list(dict.fromkeys(misses))
+        done = fan_out(run_one, firsts, workers)
+        answered = dict(zip(firsts, done))
+        items = [
+            answered.pop(q) if q in answered else run_one(q, first=False)
+            for q in misses
+        ]
+        return BatchAnswer(
+            [splice(item) for item in items],
+            sum(1 for i in items if i["cache"] == "hit"),
+            sum(1 for i in items if i["ok"]),
+            workers,
+            {},
         )
-        report = schema.make_envelope(
-            schema.KIND_BATCH,
-            {
-                "items": [splice(item) for item in items],
-                "workers": workers,
-                "seconds": seconds,
-            },
-        )
-        body = {
-            "config": scope.config,
-            "cache_hits": sum(1 for i in items if i["cache"] == "hit"),
-            "n_ok": sum(1 for i in items if i["ok"]),
-            "n_failed": sum(1 for i in items if not i["ok"]),
-            "report": report,
-        }
-        if tenant is not None:
-            body["tenant"] = tenant.name
-        if page.paginated:
-            apply_batch_page(body, page)
-        return 200, encode_batch(body)
 
-    def ingest(
-        self,
-        params: Mapping[str, Any],
-        tenant: TenantSpec | None = None,
-    ) -> tuple[int, dict[str, Any]]:
-        """Append documents to a mutable configuration's index.
+    def _store(self, scope: ReadScope) -> Any:
+        return getattr(scope.entry.index, "store", None)
 
-        Each entry in ``documents`` is either a schema document payload
-        (``doc_id`` + ``terms`` + optional ``kind``/``title``/``fields``)
-        or the convenience form ``{"doc_id": ..., "text": ...}``, which
-        is analyzed with the target session's analyzer. The whole batch
-        is applied atomically per backend transaction semantics; the
-        response reports the post-ingest index generation. With a
-        tenant, the write lands in that tenant's scope (its private or
-        throwaway store, when it has one) and its quotas apply
-        transactionally — a rejected batch changes nothing.
-        """
-        from repro.data.documents import document_from_payload
-        from repro.errors import DataError, SchemaError
-
-        t0 = time.perf_counter()
-        entry = self._entry(params, tenant)
-        raw = params.get("documents")
-        if not isinstance(raw, (list, tuple)) or not raw:
-            raise ServeError("ingest needs a non-empty 'documents' list")
-        documents = []
-        for i, payload in enumerate(raw):
-            try:
-                documents.append(
-                    document_from_payload(
-                        payload, analyzer=entry.session.analyzer
-                    )
-                )
-            except (DataError, SchemaError) as exc:
-                raise ServeError(f"documents[{i}]: {exc}") from None
+    def _ingest(
+        self, scope: ReadScope, store: Any, documents: list, tenant: TenantSpec | None
+    ) -> tuple[int, int, int, Mapping[str, Any]]:
+        """Write through the pool, in the tenant's scope (its private or
+        throwaway store, when it has one)."""
         count = self._pool.ingest(
-            entry.config.name, documents, tenant=tenant, quota=self._quota
+            scope.config, documents, tenant=tenant, quota=self._quota
         )
-        seconds = time.perf_counter() - t0
-        self._record("ingest", seconds, tenant)
-        body = {
-            "config": entry.config.name,
-            "ingested": count,
-            "generation": entry.generation(),
-            "persistent": entry.index.capabilities().persistent,
-            "seconds": seconds,
-        }
-        if tenant is not None:
-            body["tenant"] = tenant.name
-        return 200, encode(body)
+        persistent = scope.entry.index.capabilities().persistent
+        return 200, count, store.generation, {"persistent": persistent}
 
-    def _feed_for(self, entry: PooledSession) -> Changefeed:
-        """The (cached) changefeed reader for a store-backed entry.
-
-        Keyed by the entry key, so a tenant with a private store path
-        reads its *own* replication log, not the shared config's.
-        """
-        store = getattr(entry.index, "store", None)
-        if store is None:
-            raise ServeError(
-                f"configuration {entry.config.name!r} has no document "
-                f"store (backend={entry.config.backend}); /changefeed "
-                f"needs a store-backed configuration (store=<path>)"
-            )
-        key = entry.key
-        with self._feeds_lock:
-            feed = self._feeds.get(key)
-            if feed is None:
-                feed = Changefeed(store.path)
-                self._feeds[key] = feed
-            return feed
-
-    def changefeed(
-        self,
-        params: Mapping[str, Any],
-        tenant: TenantSpec | None = None,
-    ) -> tuple[int, dict[str, Any]]:
-        """Replication-log records past a generation (see API.md).
-
-        ``since`` (a generation) or ``cursor`` (an opaque token from a
-        previous response) positions the read; ``limit`` caps records
-        per batch; ``consumer`` optionally records an applied-through
-        claim that bounds background log truncation. A truncated prefix
-        is reported as ``gap: true`` with HTTP 200 — the client falls
-        back to a snapshot and resumes from its generation.
-        """
-        t0 = time.perf_counter()
-        entry = self._entry(params, tenant)
-        since, limit, consumer = resolve_read_args(
-            scalar(params, "cursor"),
-            scalar(params, "since"),
-            scalar(params, "limit"),
-            scalar(params, "consumer"),
-        )
-        feed = self._feed_for(entry)
-        batch = feed.read_since(since, limit=limit, consumer=consumer)
-        payload = batch_to_payload(entry.config.name, batch, limit)
-        if tenant is not None:
-            payload["tenant"] = tenant.name
-        self._record("changefeed", time.perf_counter() - t0, tenant)
-        return 200, encode(payload)
+    # -- endpoints -----------------------------------------------------------
 
     def configs(
         self,
@@ -506,7 +331,7 @@ class ExpansionService(RequestEdge):
         payload: dict[str, Any] = {"configs": self._pool.describe()}
         if self._tenants is not None:
             payload["tenants"] = self._tenants.names()
-        self._metrics.record("configs", time.perf_counter() - t0)
+        self._requests.record("configs", time.perf_counter() - t0)
         return 200, payload
 
     def _tenant_health(self) -> dict[str, Any]:
@@ -538,7 +363,7 @@ class ExpansionService(RequestEdge):
         ]
         payload = {
             "status": "ok",
-            "uptime_seconds": self._metrics.uptime_seconds(),
+            "uptime_seconds": self._requests.uptime_seconds(),
             "configs": list(self._pool.names()),
             "built": built,
             # Per-config index generations: lets a cluster coordinator
@@ -551,21 +376,12 @@ class ExpansionService(RequestEdge):
         }
         if self._tenants is not None:
             payload["tenants"] = self._tenant_health()
-        self._metrics.record("healthz", time.perf_counter() - t0)
+        self._requests.record("healthz", time.perf_counter() - t0)
         return 200, payload
 
-    def metrics_snapshot(
-        self,
-        params: Mapping[str, Any] | None = None,
-        tenant: TenantSpec | None = None,
-    ) -> tuple[int, Any]:
-        fmt = str(scalar(params or {}, "format", "json")).lower()
-        if fmt not in ("json", "prometheus"):
-            raise ServeError(
-                f"format must be 'json' or 'prometheus', got {fmt!r}"
-            )
+    def _metrics_payload(self) -> dict[str, Any]:
         t0 = time.perf_counter()
-        requests = self._metrics.snapshot()
+        requests = self._requests.snapshot()
         payload = {
             "uptime_seconds": requests.pop("uptime_seconds"),
             "requests": requests["endpoints"],
@@ -594,10 +410,8 @@ class ExpansionService(RequestEdge):
             payload["tenant_in_flight"] = self._tenant_admission.snapshot()
         # Count this scrape too (it appears from the *next* snapshot on;
         # the payload above was already assembled).
-        self._metrics.record("metrics", time.perf_counter() - t0)
-        if fmt == "prometheus":
-            return 200, render_prometheus(payload)
-        return 200, payload
+        self._requests.record("metrics", time.perf_counter() - t0)
+        return payload
 
 
 class ExpansionServer(HTTPFront):

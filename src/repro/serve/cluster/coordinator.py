@@ -18,13 +18,16 @@ hash of ``(config, query)`` (:mod:`~repro.serve.cluster.hashring`), so
 repeated queries — and every page of a cursor walk, which is always
 routed — land on the replica whose caches already hold them. Responses
 are forwarded as raw JSON bytes; the coordinator never re-parses
-proxied payloads. ``/batch`` items the cache holds (under the
-``/expand?results=full`` key) are answered here; the rest are
-scattered: grouped by their routed replica, sub-batches run in
-parallel, and the items are merged back in request order — as the
-replicas' pre-encoded item bytes, spliced into the coordinator's own
-envelope, so ``/batch`` items are never re-parsed either (only the small
-sub-batch envelopes are, for their totals).
+proxied payloads. ``/batch``, ``/ingest`` and ``/changefeed`` are the
+edge's handlers, as on a single node; this tier supplies three hooks.
+``/batch`` items the cache holds (under the ``/expand?results=full``
+key) are answered by the edge; the rest are scattered: grouped by their
+routed replica, sub-batches run in parallel, and the items are merged
+back in request order — as the replicas' pre-encoded item bytes,
+spliced into the edge's envelope, so ``/batch`` items are never
+re-parsed either (only the small sub-batch envelopes are, for their
+totals). ``/ingest`` writes to the config's source store and wakes
+``--follow`` replicas; ``/changefeed`` reads that store's log.
 
 **Admission control** — each replica has a bounded in-flight budget
 (``queue_depth``). A request routed to a saturated replica is shed
@@ -43,7 +46,8 @@ state to reconcile.
 
 **Aggregation** — ``/healthz`` and ``/metrics`` fan out to live replicas
 and merge: cluster status (``ok`` / ``degraded`` / ``down``), summed
-per-endpoint request counters (the coordinator's hits included),
+per-endpoint request counters (with what the coordinator answered
+itself: its hits, ``/ingest``, ``/changefeed`` and its own errors),
 per-replica payloads, and coordinator-level counters (routed, shed,
 failovers, restarts, shed latency percentiles, cache fills).
 """
@@ -56,7 +60,6 @@ import os
 import tempfile
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from typing import Any, Callable, Iterable, Mapping
 
@@ -65,12 +68,9 @@ from repro.errors import (
     ClusterError,
     ConfigError,
     FeedError,
-    ServeError,
     TenantAccessError,
-    UnknownConfigError,
 )
-from repro.feed import Changefeed, CompactionScheduler, batch_to_payload
-from repro.feed.changefeed import resolve_read_args
+from repro.feed import CompactionScheduler
 from repro.obs import (
     DEFAULT_SLOW_THRESHOLD,
     TRACE_PARAM,
@@ -78,7 +78,6 @@ from repro.obs import (
     LatencyHistogram,
     absorb_spans,
     current_span,
-    render_prometheus,
     span,
 )
 from repro.serve.admission import AdmissionController, shed_payload
@@ -91,21 +90,19 @@ from repro.serve.cluster.transport import (
 )
 from repro.serve.edge import (
     ROUTES,
+    BatchAnswer,
     ReadScope,
     RequestEdge,
     Route,
     batch_item,
     config_name,
     encode,
-    encode_batch,
+    fan_out,
     scalar,
-    splice,
 )
-from repro.serve.metrics import ServerMetrics
-from repro.serve.paging import apply_batch_page, decode_cursor, resolve_batch_page
+from repro.serve.paging import decode_cursor
 from repro.serve.pool import ServeConfig
 from repro.tenancy import (
-    QuotaManager,
     RateLimiter,
     TenantRegistry,
     TenantSpec,
@@ -266,12 +263,6 @@ class ProcessReplica:
         if client is None:
             raise ClusterError(f"replica {self.name!r} is not serving")
         return client.request(method, path, params, timeout=timeout)
-
-
-# -- admission control -------------------------------------------------------
-# AdmissionController grew up here as the per-replica load-shed gate and
-# now lives in repro.serve.admission (the serve tier uses it for per-tenant
-# bounds too); it is re-exported above for existing importers.
 
 
 class CoordinatorMetrics:
@@ -441,12 +432,9 @@ class ClusterCoordinator(RequestEdge):
             log_json=log_json,
             log_stream=log_stream,
         )
-        self._quota = QuotaManager()
         self._tenant_requests: dict[str, int] = {}
-        # Reads answered here, and each config's last-read generation.
-        self._answered = ServerMetrics()
+        # Each config's last-read generation.
         self._generations: dict[str, int] = {}
-        self._started = time.time()
         self._snapshot_dir: tempfile.TemporaryDirectory | None = None
         self._snapshot_seq = 0
         self._snapshot_lock = threading.Lock()
@@ -454,13 +442,11 @@ class ClusterCoordinator(RequestEdge):
         self._feed_poll_interval = feed_poll_interval
         self._compaction_interval = compaction_interval
         self._changelog_keep = changelog_keep
-        # Long-lived source-store handles (ingest + snapshots), the
-        # coordinator-side changefeed readers, and the background
-        # compaction schedulers — all lazily built, all torn down in stop().
+        # Long-lived source-store handles (ingest + snapshots) and the
+        # background compaction schedulers — both lazily built, both torn
+        # down in stop() with the edge's changefeed readers.
         self._stores: dict[str, Any] = {}
         self._stores_lock = threading.Lock()
-        self._feeds: dict[str, Changefeed] = {}
-        self._feeds_lock = threading.Lock()
         self._schedulers: dict[str, CompactionScheduler] = {}
         if replica_factory is None:
             replica_factory = lambda name, factory: ProcessReplica(  # noqa: E731
@@ -548,10 +534,7 @@ class ClusterCoordinator(RequestEdge):
         self._schedulers.clear()
         for handle in self._replicas.values():
             handle.stop(graceful=True)
-        with self._feeds_lock:
-            feeds, self._feeds = dict(self._feeds), {}
-        for feed in feeds.values():
-            feed.close()
+        self._close_feeds()
         with self._stores_lock:
             stores, self._stores = dict(self._stores), {}
         for store in stores.values():
@@ -751,20 +734,14 @@ class ClusterCoordinator(RequestEdge):
     ) -> None:
         if event == "shed":
             self._metrics.record_shed(seconds)
+        elif event == "error":
+            # Raised here only: a replica's error comes back as a reply.
+            self._record(endpoint, None, tenant, error=True)
         elif event == "admit" and tenant is not None:
             with self._tenant_lock:
                 self._tenant_requests[tenant.name] = (
                     self._tenant_requests.get(tenant.name, 0) + 1
                 )
-
-    def _record(
-        self,
-        endpoint: str,
-        seconds: float | None,
-        tenant: TenantSpec | None,
-        **counts: Any,
-    ) -> None:
-        self._answered.record(endpoint, seconds, **counts)
 
     def _read_scope(
         self, params: Mapping[str, Any], tenant: TenantSpec | None
@@ -780,7 +757,7 @@ class ClusterCoordinator(RequestEdge):
             # generation, so a clear only frees memory.
             self._cache.invalidate_prefix((config.name,))
         self._generations[config.name] = generation
-        return ReadScope(config.name, config.algorithm, generation)
+        return ReadScope(config.name, config.algorithm, generation, config)
 
     # -- proxied endpoints ---------------------------------------------------
 
@@ -913,7 +890,7 @@ class ClusterCoordinator(RequestEdge):
             if config.store is None:
                 continue
             try:
-                feed = self._feed_for(config)
+                feed = self._feed(config.store)
                 feeds[config.name] = {
                     "source_generation": feed.generation(),
                     "floor": feed.floor(),
@@ -944,7 +921,7 @@ class ClusterCoordinator(RequestEdge):
             "replicas_live": len(live),
             "replicas": states,
             "configs": [c.name for c in self._configs],
-            "uptime_seconds": time.time() - self._started,
+            "uptime_seconds": self._requests.uptime_seconds(),
             "schema_version": schema.SCHEMA_VERSION,
         }
         if feeds:
@@ -960,12 +937,7 @@ class ClusterCoordinator(RequestEdge):
             }
         return 200, payload
 
-    def metrics_snapshot(
-        self, params: Mapping[str, Any], tenant: TenantSpec | None = None
-    ) -> tuple[int, Any]:
-        fmt = str(scalar(params, "format", "json") or "json").lower()
-        if fmt not in ("json", "prometheus"):
-            raise ServeError(f"format must be 'json' or 'prometheus', got {fmt!r}")
+    def _metrics_payload(self) -> dict[str, Any]:
         per_replica: dict[str, Any] = {}
         aggregate: dict[str, dict[str, int]] = {}
         for name, handle in self._replicas.items():
@@ -978,7 +950,7 @@ class ClusterCoordinator(RequestEdge):
                 continue
             per_replica[name] = payload
         rows = [p.get("requests", {}) for p in per_replica.values()]
-        rows.append(self._answered.snapshot()["endpoints"])
+        rows.append(self._requests.snapshot()["endpoints"])
         for requests in rows:
             for endpoint, row in requests.items():
                 into = aggregate.setdefault(
@@ -1014,15 +986,12 @@ class ClusterCoordinator(RequestEdge):
                 for name in sorted(set(requests) | set(sheds))
             }
             cluster["tenant_in_flight"] = self._tenant_admission.snapshot()
-        payload = {
-            "uptime_seconds": time.time() - self._started,
+        return {
+            "uptime_seconds": self._requests.uptime_seconds(),
             "requests": aggregate,  # summed across replicas and this tier
             "cluster": cluster,
             "replicas": per_replica,
         }
-        if fmt == "prometheus":
-            return 200, render_prometheus(payload)
-        return 200, payload
 
     def configs(
         self, params: Mapping[str, Any], tenant: TenantSpec | None = None
@@ -1057,70 +1026,19 @@ class ClusterCoordinator(RequestEdge):
             payload["tenant_in_flight"] = self._tenant_admission.snapshot()
         return 200, payload
 
-    def _store_config(self, params: Mapping[str, Any]) -> ServeConfig:
-        """Resolve the store-backed config a feed request targets.
+    # -- the write and its log -----------------------------------------------
 
-        400 when no store-backed configuration exists — the cluster has
-        nothing durable to write to or read a log from.
-        """
-        stored = {c.name: c for c in self._configs if c.store is not None}
-        if not stored:
-            raise ServeError(
-                "no configuration has a document store (store=<path>); "
-                "ingest and changefeed need a store-backed configuration"
-            )
-        name = scalar(params, "config")
-        if name is None:
-            if len(stored) == 1:
-                return next(iter(stored.values()))
-            raise ServeError(
-                f"parameter 'config' is required with multiple "
-                f"store-backed configurations; configured: "
-                f"{', '.join(sorted(stored))}"
-            )
-        config = stored.get(str(name))
-        if config is None:
-            raise UnknownConfigError(
-                f"no store-backed configuration named {name!r}; "
-                f"configured: {', '.join(sorted(stored))}"
-            )
-        return config
+    def _store(self, scope: ReadScope) -> Any:
+        path = scope.entry.store
+        return None if path is None else self._source_store(path)
 
-    def ingest(
-        self, params: Mapping[str, Any], tenant: TenantSpec | None = None
-    ) -> tuple[int, Any]:
-        """Routed ingest: write the batch to the *source* store.
-
-        The write commits (durably, changelog row included) before the
-        response; replicas converge by tailing the changefeed when the
-        cluster runs with ``follow=True``, or at their next re-hydration
-        otherwise. Hence 202 Accepted, not 200: the fleet is eventually
-        consistent with the returned generation; with ``follow``, live
-        replicas are woken to apply it at once. With a tenant, its
-        quotas apply transactionally against the source store — a
-        rejected over-quota batch changes nothing (413).
-        """
-        from repro.data.documents import document_from_payload
-        from repro.errors import DataError, SchemaError
-        from repro.text.analyzer import Analyzer
-
-        t0 = time.perf_counter()
-        config = self._store_config(params)
-        raw = params.get("documents")
-        if not isinstance(raw, (list, tuple)) or not raw:
-            raise ServeError("ingest needs a non-empty 'documents' list")
-        # Match `repro store ingest`: unstemmed analysis for text payloads,
-        # so CLI-ingested and cluster-ingested documents tokenize alike.
-        analyzer = Analyzer(use_stemming=False)
-        documents = []
-        for i, payload in enumerate(raw):
-            try:
-                documents.append(document_from_payload(payload, analyzer=analyzer))
-            except (DataError, SchemaError) as exc:
-                raise ServeError(f"documents[{i}]: {exc}") from None
+    def _ingest(
+        self, scope: ReadScope, store: Any, documents: list, tenant: TenantSpec | None
+    ) -> tuple[int, int, int, Mapping[str, Any]]:
+        """Write to the *source* store; 202, as replicas apply the batch
+        later: at once when woken (``follow``), else at re-hydration."""
         if tenant is not None:
             self._quota.check_batch(tenant, len(documents))
-        store = self._source_store(config.store)
         store.refresh()  # another process may have moved the file
         guard = None if tenant is None else self._quota.store_guard(tenant)
         store.upsert_all(documents, guard=guard)
@@ -1130,82 +1048,28 @@ class ClusterCoordinator(RequestEdge):
                 handle.request(WAKE, "", {}, timeout=WAKE_TIMEOUT)
             except ClusterError:
                 pass  # down, or slow: the tailer's poll catches up
-        payload = {
-            "config": config.name,
-            "ingested": len(documents),
-            "generation": generation,
-            "follow": self._follow,
-            "seconds": time.perf_counter() - t0,
-        }
-        if tenant is not None:
-            payload["tenant"] = tenant.name
-        return 202, encode(payload)
-
-    def _feed_for(self, config: ServeConfig) -> Changefeed:
-        with self._feeds_lock:
-            feed = self._feeds.get(config.name)
-            if feed is None:
-                feed = Changefeed(config.store)
-                self._feeds[config.name] = feed
-            return feed
-
-    def changefeed(
-        self, params: Mapping[str, Any], tenant: TenantSpec | None = None
-    ) -> tuple[int, Any]:
-        """Serve the source store's replication log from the coordinator.
-
-        Same contract as the serve tier's ``/changefeed`` (API.md), read
-        directly from the source store — external tailers can follow the
-        cluster without knowing which replica holds what.
-        """
-        config = self._store_config(params)
-        since, limit, consumer = resolve_read_args(
-            scalar(params, "cursor"),
-            scalar(params, "since"),
-            scalar(params, "limit"),
-            scalar(params, "consumer"),
-        )
-        batch = self._feed_for(config).read_since(
-            since, limit=limit, consumer=consumer
-        )
-        payload = batch_to_payload(config.name, batch, limit)
-        if tenant is not None:
-            payload["tenant"] = tenant.name
-        return 200, encode(payload)
+        return 202, len(documents), generation, {"follow": self._follow}
 
     # -- scatter/gather batch ------------------------------------------------
 
-    def batch(
-        self, params: Mapping[str, Any], tenant: TenantSpec | None = None
-    ) -> tuple[int, Any]:
+    def _batch_misses(
+        self,
+        scope: ReadScope,
+        misses: list[str],
+        algorithm: str | None,
+        params: Mapping[str, Any],
+        tenant: TenantSpec | None,
+    ) -> BatchAnswer | tuple[int, Any]:
+        """Scatter the misses, grouped by routed replica; each replica's
+        batch runs a query's repeats after its first occurrence."""
         t0 = time.perf_counter()
-        page = resolve_batch_page(params)
-        run_params = page.params
-        queries = run_params["queries"]
-        config = run_params.get("config", "")
-        scope = self._read_scope(run_params, tenant)
-        algorithm = scalar(run_params, "algorithm")
-        algorithm = str(algorithm) if algorithm is not None else None
-
-        # Items the cache holds are answered here; the rest are grouped
-        # (keeping original positions) by routed replica.
-        items: list[bytes] = [b""] * len(queries)
-        cache_hits = 0
+        config = scalar(params, "config", "")
         groups: dict[str, list[tuple[int, str]]] = {}
-        for index, query in enumerate(queries):
-            q0 = time.perf_counter()
-            report, _ = self._expand_cached(scope, query, algorithm, tenant=tenant)
-            if report is not None:
-                items[index] = splice(
-                    batch_item(query, report, time.perf_counter() - q0, "hit")
-                )
-                cache_hits += 1
-                continue
-            key = f"{config}\x00{query}"
-            candidates = self._live_preference(key)
+        for position, query in enumerate(misses):
+            candidates = self._live_preference(f"{config}\x00{query}")
             if not candidates:
                 raise ClusterError("no live replicas (cluster is restarting or down)")
-            groups.setdefault(candidates[0].name, []).append((index, query))
+            groups.setdefault(candidates[0].name, []).append((position, query))
 
         # Admission: claim one slot per participating replica up front;
         # all-or-nothing so a saturated fleet sheds the batch promptly.
@@ -1217,84 +1081,59 @@ class ClusterCoordinator(RequestEdge):
                 return self._shed(t0, name, tenant)
             claimed.append(name)
 
-        # Scatter threads have no ambient span (contextvars stay with the
-        # request thread), so trace context is injected into the sub-batch
-        # params here and the replicas' spans absorbed after the gather.
-        # The span id is minted lazily, so it is read once here: threads
-        # minting it at once could hand replicas different parent ids.
-        cur = current_span()
-        parent_id = None if cur is None else cur.span_id
-
-        def run_group(item: tuple[str, list[tuple[int, str]]]):
-            name, members = item
-            sub = dict(run_params)
+        def run_group(name: str):
+            members = groups[name]
+            sub = dict(params)
             sub["queries"] = [query for _, query in members]
             if tenant is not None:
                 # The cursor keys carry no tenant; a tenanted replica
                 # would fail every item "tenant required" without it.
                 sub["tenant"] = tenant.name
+            cur = current_span()  # the request's: fan_out copies it
             if cur is not None:
                 sub[TRACE_PARAM] = cur.trace_id
-                sub[TRACE_PARENT_PARAM] = parent_id
+                sub[TRACE_PARENT_PARAM] = cur.span_id
             status, body, extras = self._replicas[name].request(
                 "POST", "/batch", sub, timeout=self._request_timeout
             )
             return name, members, status, body, extras
 
         try:
-            with ThreadPoolExecutor(max_workers=max(1, len(groups))) as pool:
-                outcomes = list(pool.map(run_group, groups.items()))
+            outcomes = fan_out(run_group, list(groups), len(groups))
         finally:
             for name in claimed:
                 self._admission.release(name)
 
         # Each replica's items arrive as JSON bytes (see transport); only
         # the small sub-batch envelopes are decoded, for their totals.
-        n_ok, n_failed = cache_hits, 0
+        items: list[bytes] = [b""] * len(misses)
+        cache_hits = n_ok = 0
         for name, members, status, body, extras in outcomes:
             absorb_spans(extras.get("spans"))
             if status == 200:
                 sub = json.loads(body)
-                for (index, _query), item in zip(
+                for (position, _query), item in zip(
                     members, extras["items"], strict=True
                 ):
-                    items[index] = item
+                    items[position] = item
                 cache_hits += int(sub["cache_hits"])
                 n_ok += int(sub["n_ok"])
-                n_failed += int(sub["n_failed"])
                 self._metrics.record_routed(name, time.perf_counter() - t0)
                 continue
             try:
                 message = json.loads(body).get("message", f"status {status}")
             except ValueError:
                 message = f"status {status}"
-            for index, query in members:
-                items[index] = encode(batch_item(
+            for position, query in members:
+                items[position] = encode(batch_item(
                     query, None, 0.0, error_type="ClusterError",
                     error_message=f"replica {name}: {message}",
                 ))
-            n_failed += len(members)
-
-        seconds = time.perf_counter() - t0
-        if not groups:  # answered here: count it like a replica would
-            self._record("batch", seconds, tenant, cache_hits=cache_hits)
-        report = schema.make_envelope(
-            schema.KIND_BATCH,
-            {"items": items, "workers": len(groups), "seconds": seconds},
+        # The replicas count their own sub-batches in /metrics.
+        return BatchAnswer(
+            items, cache_hits, n_ok, len(groups), {"replicas": sorted(groups)},
+            counted=bool(groups),
         )
-        payload = {
-            "config": scalar(run_params, "config"),
-            "cache_hits": cache_hits,
-            "n_ok": n_ok,
-            "n_failed": n_failed,
-            "replicas": sorted(groups),
-            "report": report,
-        }
-        if tenant is not None:
-            payload["tenant"] = tenant.name
-        if page.paginated:
-            apply_batch_page(payload, page)  # n_ok/n_failed stay pre-page
-        return 200, encode_batch(payload)
 
 
 def create_coordinator(

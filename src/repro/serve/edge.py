@@ -14,7 +14,8 @@ envelope. This module owns that envelope, once:
 * tenant resolution (each tier's :meth:`RequestEdge._check_tenant`
   hook) and the per-tenant rate-limit plus in-flight gate;
 * :func:`error_response`, the one exception -> status ladder;
-* the ``/debug/traces`` and ``/debug/slow`` handlers;
+* the ``/debug/traces`` and ``/debug/slow`` handlers, and the
+  ``/metrics`` ``format`` check and Prometheus render;
 * the encoder: :func:`encode` (compact JSON) and :func:`splice`, which
   builds a body around members that are already JSON bytes, so a cached
   report is never encoded twice;
@@ -23,6 +24,10 @@ envelope. This module owns that envelope, once:
   splice their bodies around what it holds. A miss is the tier's: the
   single node computes it, the coordinator routes it to a replica and
   fills the entry from the reply;
+* the ``/batch``, ``/ingest`` and ``/changefeed`` handlers, with one
+  changefeed reader per store path. ``/batch`` looks each item up once
+  and leaves the misses to the tier, which runs a query's repeats after
+  its first occurrence; ``/ingest`` leaves the parsed batch's write;
 * the HTTP front: :class:`HTTPFront`, one stdlib listener lifecycle
   both tiers' servers share. It speaks HTTP/1.1 with keep-alive
   (HTTP/1.0 and ``Connection: close`` close after the response) and
@@ -34,36 +39,46 @@ envelope. This module owns that envelope, once:
   and every response, front-level errors included, is the JSON
   envelope written in one write.
 
-A tier subclasses :class:`RequestEdge` and supplies the handlers its
-route table names, each ``handler(params, tenant) -> (status,
-payload)``, plus the ``_check_tenant`` and ``_read_scope`` hooks and
-(optionally) the ``_account`` and ``_record`` metrics hooks. A data
-route's success body is JSON ``bytes``; errors and admin routes answer
-dicts, which the HTTP front encodes. API.md ("Request envelope") lists every status the envelope
-answers.
+A tier subclasses :class:`RequestEdge` and supplies the other handlers
+its route table names, each ``handler(params, tenant) -> (status,
+payload)``, and the hooks named for what differs (``_check_tenant``,
+``_read_scope``, ``_store``, ``_batch_misses``, ``_ingest``,
+``_metrics_payload``, ``_account``, ``_record``). A data route's success
+body is JSON ``bytes``; errors and admin routes answer dicts, which the
+HTTP front encodes. API.md ("Request envelope") lists every status the
+envelope answers.
 """
 
 from __future__ import annotations
 
+import contextvars
 import json
 import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from email.utils import formatdate
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from pathlib import Path
 from typing import Any, Callable, Iterable, Mapping, NamedTuple, Sequence
 from urllib.parse import parse_qs, urlsplit
 
+from repro.api import schema
+from repro.data.documents import document_from_payload
 from repro.errors import (
     ClusterError,
+    DataError,
     QuotaExceededError,
     ReproError,
+    SchemaError,
     ServeError,
     TenancyError,
     TenantAccessError,
     UnknownConfigError,
     UnknownTenantError,
 )
+from repro.feed import Changefeed, batch_to_payload
+from repro.feed.changefeed import resolve_read_args
 from repro.obs import (
     DEFAULT_SLOW_THRESHOLD,
     TRACE_HEADER,
@@ -78,13 +93,26 @@ from repro.obs import (
     current_span,
     leaf_span,
     new_trace_id,
+    render_prometheus,
     sanitize_trace_id,
     span,
 )
 from repro.obs.prometheus import CONTENT_TYPE as _PROM_CONTENT_TYPE
 from repro.serve.admission import AdmissionController, shed_payload
 from repro.serve.cache import LRUTTLCache
-from repro.tenancy import TENANT_HEADER, RateLimiter, TenantRegistry, TenantSpec
+from repro.serve.metrics import ServerMetrics
+from repro.tenancy import (
+    TENANT_HEADER,
+    QuotaManager,
+    RateLimiter,
+    TenantRegistry,
+    TenantSpec,
+)
+from repro.text.analyzer import Analyzer
+
+#: How ``/ingest`` analyzes a ``text`` payload: the analyzer every served
+#: session and ``repro store ingest`` use, so all of them tokenize alike.
+_INGEST_ANALYZER = Analyzer(use_stemming=False)
 
 
 def scalar(params: Mapping[str, Any], key: str, default: Any = None) -> Any:
@@ -194,8 +222,8 @@ def batch_item(
 class ReadScope(NamedTuple):
     """What a cached read keys on beyond its own parameters: the resolved
     config, the algorithm it runs by default, and the index generation.
-    ``entry`` is the single-node tier's pooled session (None on the
-    coordinator, whose replicas compute)."""
+    ``entry`` is the tier's own handle on the config: the single node's
+    pooled session, the coordinator's :class:`~repro.serve.pool.ServeConfig`."""
 
     config: str
     algorithm: str
@@ -212,6 +240,33 @@ class ReadBody(bytes):
 
     part: Any
     generation: int
+
+
+class BatchAnswer(NamedTuple):
+    """A tier's answer to a ``/batch``'s misses (see ``_batch_misses``);
+    ``counted`` when the processes that answered them count the batch in
+    their own ``/metrics`` (the coordinator's replicas do)."""
+
+    items: list[bytes]
+    cache_hits: int
+    n_ok: int
+    workers: int
+    members: Mapping[str, Any]
+    counted: bool = False
+
+
+def fan_out(fn: Callable[[Any], Any], args: Sequence[Any], workers: int) -> list:
+    """``[fn(a) for a in args]``, on up to ``workers`` threads when there
+    are two or more. Each thread runs in a copy of the caller's context,
+    so the request's span parents what ``fn`` opens."""
+    if workers <= 1 or len(args) <= 1:
+        return [fn(a) for a in args]
+    parent = current_span()
+    if parent is not None:
+        parent.span_id  # minted lazily: mint it before the threads race to
+    contexts = [contextvars.copy_context() for _ in args]
+    with ThreadPoolExecutor(min(workers, len(args))) as pool:
+        return list(pool.map(lambda context, a: context.run(fn, a), contexts, args))
 
 
 def _read_body(members: Mapping[str, Any], part: Any, generation: int) -> ReadBody:
@@ -378,6 +433,10 @@ class RequestEdge:
         self._closing = threading.Event()
         self._inflight = 0
         self._inflight_cv = threading.Condition()
+        self._feeds: dict[str, Changefeed] = {}  # keyed by store path
+        self._feeds_lock = threading.Lock()
+        self._requests = ServerMetrics()  # what this tier answered itself
+        self._quota = QuotaManager()
         try:
             self._cache = LRUTTLCache(maxsize=cache_size, ttl=cache_ttl)
         except ValueError as exc:
@@ -436,8 +495,9 @@ class RequestEdge:
         tenant: TenantSpec | None,
         **counts: Any,
     ) -> None:
-        """Count one read this tier answered (default: nothing); ``counts``
-        go to :meth:`~repro.serve.metrics.ServerMetrics.record`."""
+        """Count one request this tier answered; ``counts`` go to
+        :meth:`~repro.serve.metrics.ServerMetrics.record`."""
+        self._requests.record(endpoint, seconds, **counts)
 
     def _read_scope(
         self, params: Mapping[str, Any], tenant: TenantSpec | None
@@ -468,6 +528,34 @@ class RequestEdge:
     ) -> tuple[int, Any]:
         """Answer a miss the compute hooks left to another process (the
         coordinator routes it to a replica; the reply may fill ``key``)."""
+        raise NotImplementedError
+
+    def _batch_misses(
+        self,
+        scope: ReadScope,
+        misses: list[str],
+        algorithm: str | None,
+        params: Mapping[str, Any],
+        tenant: TenantSpec | None,
+    ) -> BatchAnswer | tuple[int, Any]:
+        """Answer the ``/batch`` queries the cache lacks, each query's
+        first occurrence before its repeats; or refuse the batch with a
+        ready ``(status, payload)``. ``params`` are its canonical ones."""
+        raise NotImplementedError
+
+    def _store(self, scope: ReadScope) -> Any:
+        """The store ``/ingest`` writes and ``/changefeed`` reads, or None
+        where this tier has none for the config."""
+        raise NotImplementedError
+
+    def _ingest(
+        self, scope: ReadScope, store: Any, documents: list, tenant: TenantSpec | None
+    ) -> tuple[int, int, int, Mapping[str, Any]]:
+        """Write a parsed batch: ``(status, documents written, generation
+        after the write, the tier's own body members)``."""
+        raise NotImplementedError
+
+    def _metrics_payload(self) -> dict[str, Any]:
         raise NotImplementedError
 
     # -- the response cache --------------------------------------------------
@@ -533,16 +621,24 @@ class RequestEdge:
         hit, report = self._lookup(key)
         if hit:
             return report, "hit"
+        return self._expand_miss(scope, key, query, algorithm), "miss"
+
+    def _expand_miss(
+        self, scope: ReadScope, key: tuple, query: str, algorithm: str | None
+    ) -> bytes | None:
+        """Compute the report ``key`` (an :meth:`_expand_key`) lacks, and
+        cache it under both ``results`` variants; None where this tier
+        does not compute."""
         payload = self._compute_expand(scope, query, _explicit(algorithm))
         if payload is None:
-            return None, "miss"
+            return None
         variants = {
             "full": encode(payload),
             "none": encode({k: v for k, v in payload.items() if k != "results"}),
         }
         for mode, encoded in variants.items():
             self._cache.put(key[:5] + (mode, scope.generation), encoded)
-        return variants[results], "miss"
+        return variants[key[5]]
 
     def _search_cached(
         self,
@@ -640,6 +736,160 @@ class RequestEdge:
         paging.apply_page(body, "results", page, "search")
         body["results"] = splice_array(body["results"])
         return 200, splice(body)
+
+    def batch(
+        self, params: Mapping[str, Any], tenant: TenantSpec | None = None
+    ) -> tuple[int, Any]:
+        t0 = self._clock()
+        from repro.serve import paging  # paging imports this module
+
+        # The page's params are everything /batch reads; unpaginated
+        # requests (no limit, no cursor) keep the full-report shape.
+        page = paging.resolve_batch_page(params)
+        params = page.params
+        scope = self._read_scope(params, tenant)
+        queries = params["queries"]
+        algorithm = scalar(params, "algorithm")
+        algorithm = str(algorithm) if algorithm is not None else None
+        # One lookup per item, under the /expand?results=full key. A
+        # repeat of a query that missed is not looked up here: the tier
+        # answers it after the query's first occurrence, as a batch run
+        # one item at a time would.
+        items: list[bytes] = [b""] * len(queries)
+        misses: dict[int, str] = {}  # position -> query
+        missed: set[str] = set()
+        for position, query in enumerate(queries):
+            if query not in missed:
+                q0 = self._clock()
+                key = self._expand_key(scope, query, algorithm, "full", tenant)
+                hit, report = self._lookup(key)
+                if hit:
+                    item = batch_item(query, report, self._clock() - q0, "hit")
+                    items[position] = splice(item)
+                    continue
+                missed.add(query)
+            misses[position] = query
+        answer = self._batch_misses(
+            scope, list(misses.values()), algorithm, params, tenant
+        )
+        if not isinstance(answer, BatchAnswer):
+            return answer  # refused
+        for position, item in zip(misses, answer.items, strict=True):
+            items[position] = item
+        seconds = self._clock() - t0
+        hits = len(queries) - len(misses)
+        cache_hits, n_ok = hits + answer.cache_hits, hits + answer.n_ok
+        if not answer.counted:
+            self._record(
+                "batch", seconds, tenant,
+                cache_hits=cache_hits, cache_misses=len(queries) - cache_hits,
+            )
+        report = schema.make_envelope(
+            schema.KIND_BATCH,
+            {"items": items, "workers": answer.workers, "seconds": seconds},
+        )
+        body = {
+            "config": scope.config,
+            "cache_hits": cache_hits,
+            "n_ok": n_ok,
+            "n_failed": len(queries) - n_ok,
+            **answer.members,
+            "report": report,
+        }
+        if tenant is not None:
+            body["tenant"] = tenant.name
+        if page.paginated:
+            paging.apply_batch_page(body, page)  # n_ok/n_failed stay pre-page
+        return 200, encode_batch(body)
+
+    # -- the write and its log -----------------------------------------------
+
+    def ingest(
+        self, params: Mapping[str, Any], tenant: TenantSpec | None = None
+    ) -> tuple[int, Any]:
+        """Write ``documents`` (schema payloads, or ``{"doc_id", "text"}``)
+        to a store-backed config as one generation, committed before the
+        response; a tenant's quotas apply transactionally (see API.md)."""
+        t0 = self._clock()
+        scope, store = self._stored_scope(params, tenant)
+        raw = params.get("documents")
+        if not isinstance(raw, (list, tuple)) or not raw:
+            raise ServeError("ingest needs a non-empty 'documents' list")
+        documents = []
+        for i, payload in enumerate(raw):
+            try:
+                documents.append(
+                    document_from_payload(payload, analyzer=_INGEST_ANALYZER)
+                )
+            except (DataError, SchemaError) as exc:
+                raise ServeError(f"documents[{i}]: {exc}") from None
+        status, count, generation, members = self._ingest(
+            scope, store, documents, tenant
+        )
+        seconds = self._clock() - t0
+        self._record("ingest", seconds, tenant)
+        body = {
+            "config": scope.config,
+            "ingested": count,
+            "generation": generation,
+            **members,
+            "seconds": seconds,
+        }
+        if tenant is not None:
+            body["tenant"] = tenant.name
+        return status, encode(body)
+
+    def changefeed(
+        self, params: Mapping[str, Any], tenant: TenantSpec | None = None
+    ) -> tuple[int, Any]:
+        """Replication-log records past ``since`` (or a ``cursor``), at
+        most ``limit``, optionally claimed by ``consumer``; a truncated
+        prefix answers 200 with ``gap: true`` (see API.md, Changefeed)."""
+        t0 = self._clock()
+        scope, store = self._stored_scope(params, tenant)
+        since, limit, consumer = resolve_read_args(
+            scalar(params, "cursor"),
+            scalar(params, "since"),
+            scalar(params, "limit"),
+            scalar(params, "consumer"),
+        )
+        batch = self._feed(store.path).read_since(
+            since, limit=limit, consumer=consumer
+        )
+        payload = batch_to_payload(scope.config, batch, limit)
+        if tenant is not None:
+            payload["tenant"] = tenant.name
+        self._record("changefeed", self._clock() - t0, tenant)
+        return 200, encode(payload)
+
+    def _stored_scope(
+        self, params: Mapping[str, Any], tenant: TenantSpec | None
+    ) -> tuple[ReadScope, Any]:
+        scope = self._read_scope(params, tenant)
+        store = self._store(scope)
+        if store is None:
+            raise ServeError(
+                f"configuration {scope.config!r} has no document store; "
+                f"/ingest and /changefeed need a mutable, store-backed "
+                f"configuration (backend=sqlite; on a cluster, store=<path>)"
+            )
+        return scope, store
+
+    def _feed(self, path: str | Path) -> Changefeed:
+        """The (cached) changefeed reader of the store at ``path``, so a
+        tenant's private store has a reader of its own."""
+        key = str(Path(path))
+        with self._feeds_lock:
+            feed = self._feeds.get(key)
+            if feed is None:
+                feed = self._feeds[key] = Changefeed(key)
+            return feed
+
+    def _close_feeds(self) -> None:
+        with self._feeds_lock:
+            feeds, self._feeds = dict(self._feeds), {}
+        for feed in feeds.values():
+            feed.close()
 
     # -- request entry -------------------------------------------------------
 
@@ -809,7 +1059,20 @@ class RequestEdge:
                     break  # drain expired: tear down anyway
                 self._inflight_cv.wait(remaining)
 
-    # -- debug endpoints -----------------------------------------------------
+    # -- admin endpoints -----------------------------------------------------
+
+    def metrics_snapshot(
+        self,
+        params: Mapping[str, Any] | None = None,
+        tenant: TenantSpec | None = None,
+    ) -> tuple[int, Any]:
+        fmt = str(scalar(params or {}, "format", "json")).lower()
+        if fmt not in ("json", "prometheus"):
+            raise ServeError(f"format must be 'json' or 'prometheus', got {fmt!r}")
+        payload = self._metrics_payload()
+        if fmt == "prometheus":
+            return 200, render_prometheus(payload)
+        return 200, payload
 
     def debug_traces(
         self, params: Mapping[str, Any], tenant: TenantSpec | None = None

@@ -261,8 +261,11 @@ class DictExpansionService(ExpansionService):
                     "cache": "miss",
                 }
 
-        if workers == 1 or len(queries) <= 1:
-            items = [run_one(q) for q in queries]
+        # Each distinct query's first occurrence runs on the pool, and its
+        # repeats after it, so the body is the one-thread batch's.
+        firsts = list(dict.fromkeys(queries))
+        if workers == 1 or len(firsts) <= 1:
+            computed = [run_one(q) for q in firsts]
         else:
             # Pool threads do not inherit the request's contextvars, so
             # each item runs in its own copy of them (one Context cannot
@@ -271,17 +274,21 @@ class DictExpansionService(ExpansionService):
             parent = current_span()
             if parent is not None:
                 parent.span_id
-            contexts = [contextvars.copy_context() for _ in queries]
+            contexts = [contextvars.copy_context() for _ in firsts]
             with ThreadPoolExecutor(
-                max_workers=min(workers, len(queries))
+                max_workers=min(workers, len(firsts))
             ) as executor:
-                items = list(
+                computed = list(
                     executor.map(
                         lambda context, q: context.run(run_one, q),
                         contexts,
-                        queries,
+                        firsts,
                     )
                 )
+        answered = dict(zip(firsts, computed))
+        items = [
+            answered.pop(q) if q in answered else run_one(q) for q in queries
+        ]
         seconds = time.perf_counter() - t0
         self._record(
             "batch",

@@ -64,6 +64,13 @@ class FakeReplica:
         return self._state == "serving"
 
     def request(self, method, path, params, timeout=None):
+        if path == "/batch":  # a sub-batch's head, and its items as extras
+            items = [
+                json.dumps({"query": q, "ok": True}).encode()
+                for q in params["queries"]
+            ]
+            head = {"cache_hits": 0, "n_ok": len(items), "n_failed": 0}
+            return 200, json.dumps(head).encode(), {"items": items}
         return 200, json.dumps({"replica": self.name, "path": path}).encode(), {}
 
 
@@ -219,6 +226,91 @@ class TestEnvelope:
         status, payload = _call(edge, "GET", "/healthz")
         assert status == 503
         _assert_error(payload, "shutting_down")
+
+
+# -- the shared /batch, /ingest and /changefeed ------------------------------
+
+#: A small memory config ``m`` and a store-backed ``db``.
+_SMALL = {"docs_per_sense": 4, "terms": ["java"]}
+_DOCS = [{"doc_id": "edge-1", "text": "java island"}]
+
+
+@pytest.fixture(params=TIERS)
+def two_configs(request, tmp_path):
+    configs = [
+        ServeConfig(name="m", dataset_kwargs=_SMALL),
+        ServeConfig(
+            name="db", store=str(tmp_path / "db.sqlite"), dataset_kwargs=_SMALL
+        ),
+    ]
+    if request.param == "serve":
+        tier = ExpansionService(SessionPool(configs), workers=1)
+    else:
+        tier = ClusterCoordinator(configs, replicas=2, replica_factory=FakeReplica)
+        tier.start()
+    yield request.param, tier
+    tier.close(drain_timeout=2.0)
+
+
+class TestSharedRoutes:
+    def test_batch_without_config_names_the_only_one(self, edge):
+        status, body = _call(
+            edge, "POST", "/batch", {"queries": ["java", "mouse"], "tenant": "a"}
+        )
+        assert status == 200
+        payload = json.loads(body)
+        assert payload["config"] == "c"
+        assert [i["query"] for i in payload["report"]["items"]] == ["java", "mouse"]
+
+    def test_metrics_count_ingest_changefeed_and_their_errors(self, edge):
+        params = {"config": "c", "tenant": "a"}
+        status, _ = _call(edge, "POST", "/ingest", {**params, "documents": _DOCS})
+        assert status in (200, 202)
+        status, _ = _call(edge, "GET", "/changefeed", {**params, "since": "0"})
+        assert status == 200
+        status, _ = _call(edge, "POST", "/ingest", {**params, "documents": []})
+        assert status == 400
+        status, payload = _call(edge, "GET", "/metrics")
+        assert status == 200
+        rows = {
+            name: (row["count"], row["errors"])
+            for name, row in payload["requests"].items()
+            if name in ("ingest", "changefeed")
+        }
+        assert rows == {"ingest": (2, 1), "changefeed": (1, 0)}
+
+    def test_ingest_body(self, two_configs):
+        tier, edge = two_configs
+        status, body = _call(
+            edge, "POST", "/ingest", {"config": "db", "documents": _DOCS}
+        )
+        own = "persistent" if tier == "serve" else "follow"
+        assert status == (200 if tier == "serve" else 202)
+        payload = json.loads(body)
+        assert list(payload) == ["config", "ingested", "generation", own, "seconds"]
+        assert (payload["config"], payload["ingested"]) == ("db", 1)
+
+    @pytest.mark.parametrize("method, path", [
+        ("POST", "/ingest"), ("GET", "/changefeed"),
+    ])
+    def test_a_config_without_a_store_is_400(self, two_configs, method, path):
+        _, edge = two_configs
+        status, payload = _call(
+            edge, method, path, {"config": "m", "documents": _DOCS}
+        )
+        assert status == 400
+        _assert_error(payload, "serve_error")
+        assert "store" in payload["message"]
+
+    @pytest.mark.parametrize("method, path", [
+        ("POST", "/ingest"), ("GET", "/changefeed"),
+    ])
+    def test_config_is_required_among_several(self, two_configs, method, path):
+        _, edge = two_configs
+        status, payload = _call(edge, method, path, {"documents": _DOCS})
+        assert status == 400
+        _assert_error(payload, "serve_error")
+        assert "'config' is required" in payload["message"]
 
 
 # -- over HTTP ---------------------------------------------------------------

@@ -751,6 +751,56 @@ class TestExpansionService:
 # -- HTTP layer --------------------------------------------------------------
 
 
+class TestBatchRepeats:
+    """A query repeated in one ``/batch`` runs its first occurrence on the
+    worker pool and its repeats after it, whatever the worker count."""
+
+    @staticmethod
+    def _service(workers: int) -> ExpansionService:
+        config = ServeConfig(
+            name="wiki",
+            n_clusters=3,
+            dataset_kwargs={"docs_per_sense": 4, "terms": ["java"]},
+        )
+        service = ExpansionService(SessionPool([config]), workers=workers)
+        session = service.pool.get("wiki").session
+        expand = session.expand
+        barrier = threading.Barrier(2, timeout=1.0)
+
+        def meet_then_expand(query, algorithm=None):
+            # Two computes at once pass the barrier together, so both
+            # miss; a compute on its own waits out the timeout.
+            try:
+                barrier.wait()
+            except threading.BrokenBarrierError:
+                pass
+            return expand(query, algorithm=algorithm)
+
+        session.expand = meet_then_expand
+        return service
+
+    def test_a_repeat_hits_its_first_occurrence_on_any_worker_count(self):
+        seen = []
+        for workers in (1, 2):
+            service = self._service(workers)
+            try:
+                status, body = service.handle(
+                    "POST", "/batch",
+                    {"queries": ["java", "java"], "workers": workers},
+                )
+                assert status == 200
+                body = json.loads(body)
+                stats = service.cache.stats()
+                seen.append((
+                    [item["cache"] for item in body["report"]["items"]],
+                    body["cache_hits"],
+                    (stats["hits"], stats["misses"]),
+                ))
+            finally:
+                service.close(drain_timeout=1.0)
+        assert seen == [(["miss", "hit"], 1, (1, 1))] * 2
+
+
 @pytest.fixture(scope="module")
 def server():
     server = create_server(
